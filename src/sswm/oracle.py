@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal.windows import tukey
 
 from .analysis import TimeTrace
 from .errors import ValidationError
@@ -77,6 +76,8 @@ def sampled_spectrum(p: SystemParams, cfg: OracleConfig) -> SpectralGrid:
     grid = spectral_grid(p, extent, n, force_phi_unity=cfg.force_phi_unity,
                          ideal_rect=cfg.ideal_rect)
     if cfg.tukey_alpha > 0:
+        from scipy.signal.windows import tukey  # ~1 s import, needed only here
+
         w = tukey(n, cfg.tukey_alpha)
         grid = SpectralGrid(
             delta2_axis=grid.delta2_axis,

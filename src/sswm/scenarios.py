@@ -464,13 +464,17 @@ def run_sweep(sc: Scenario, param: str, values: list, out_dir: Path,
         for out in trace_outputs:
             which = "tau12" if "tau12" in out else "tau13"
             tr = rcc_cond_numeric(which, p, sc.oracle)
-            cf = analysis.coherence_fit(tr)
             try:
                 row[f"{which}_period_ns"] = analysis.extract_period(tr) * 1e9
             except SswmError:
                 row[f"{which}_period_ns"] = float("nan")
-            row[f"{which}_coherence_ns"] = cf.time_s * 1e9
-            row[f"{which}_fit_mode"] = cf.mode
+            try:
+                cf = analysis.coherence_fit(tr)
+                row[f"{which}_coherence_ns"] = cf.time_s * 1e9
+                row[f"{which}_fit_mode"] = cf.mode
+            except SswmError:
+                row[f"{which}_coherence_ns"] = float("nan")
+                row[f"{which}_fit_mode"] = "failed"
             if which == "tau13":
                 row["tau13_width_ns"] = analysis.width_at_half_max(tr) * 1e9
         rows.append(row)

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sswm
 from sswm.cli import main
 from sswm.errors import ConfigError
 from sswm.params import SystemParams, effective_splittings
@@ -125,6 +130,37 @@ def test_sweep_od_width_column(tmp_path):
         assert width == pytest.approx(target, rel=0.10)
 
 
+def test_sweep_row_survives_failed_coherence_fit(tmp_path, monkeypatch):
+    # a coherence fit that raises leaves nan/"failed" in its row, and every
+    # row keeps the same columns
+    from sswm import analysis
+    from sswm.errors import InsufficientExtremaError
+
+    real_fit = analysis.coherence_fit
+    calls = []
+
+    def first_call_fails(tr):
+        calls.append(tr)
+        if len(calls) == 1:
+            raise InsufficientExtremaError("trace has neither >= 3 maxima nor monotone decay")
+        return real_fit(tr)
+
+    monkeypatch.setattr(analysis, "coherence_fit", first_call_fails)
+    from dataclasses import replace
+
+    sc = replace(small(load_scenario("fig3f"), n_points=256, ideal_rect=True),
+                 outputs=("trace_tau13_numeric",))
+    summary = run_sweep(sc, "optical_depth", [37.0, 74.0], tmp_path)
+    rows = [r.split(",") for r in summary.read_text().splitlines()
+            if r and not r.startswith("#")]
+    header = rows[0]
+    assert len(rows) == 3 and all(len(r) == len(header) for r in rows)
+    failed = dict(zip(header, rows[1]))
+    assert failed["tau13_fit_mode"] == "failed"
+    assert math.isnan(float(failed["tau13_coherence_ns"]))
+    assert dict(zip(header, rows[2]))["tau13_fit_mode"] != "failed"
+
+
 def test_sweep_rejects_bad_input(tmp_path):
     sc = load_scenario("fig3f")
     with pytest.raises(ConfigError):
@@ -137,6 +173,15 @@ def test_sweep_rejects_bad_input(tmp_path):
 
 # ---------------------------------------------------------------------------
 # CLI surface
+
+
+def test_cli_import_skips_scipy_signal():
+    # the Tukey window is imported only by runs that use it
+    src = str(Path(sswm.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, sswm.cli; sys.exit(int('scipy.signal' in sys.modules))"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_cli_list_scenarios(capsys):
