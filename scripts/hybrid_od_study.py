@@ -8,8 +8,8 @@ Usage: python scripts/hybrid_od_study.py [outdir]
 import sys
 from pathlib import Path
 
-from sswm import (OracleConfig, SystemParams, derived_frequencies,
-                  detect_precursor, extract_period, rcc_cond_numeric, rcc_numeric)
+from sswm import (OracleConfig, OracleRun, SystemParams, derived_frequencies,
+                  detect_precursor, extract_period, rcc_cond_numeric)
 from sswm.analysis import near_diagonal_trace, width_at_half_max
 
 out = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("out")
@@ -23,10 +23,9 @@ for od in (37.0, 74.0, 111.0):
     tr13 = rcc_cond_numeric("tau13", p, OracleConfig(extent=32.0, tukey_alpha=0.1,
                                                      ideal_rect=True))
     width = width_at_half_max(tr13) * 1e9
-    tr12 = rcc_cond_numeric("tau12", p, cfg)
-    period = extract_period(tr12) * 1e9
-    grid = rcc_numeric(p, cfg)
-    pre = detect_precursor(near_diagonal_trace(grid), d)
+    run = OracleRun(p, cfg, traces=("tau12",))  # full Phi: the rate and tau12
+    period = extract_period(run.trace("tau12")) * 1e9
+    pre = detect_precursor(near_diagonal_trace(run.rate), d)
     print(f"OD {od:5.0f}: L/nu3 = {d.group_delay * 1e9:6.1f} ns, tau13 width "
           f"{width:6.1f} ns, tau12 period {period:5.2f} ns, precursor {pre}")
     rows.append(f"{od:g},{d.group_delay * 1e9:.2f},{width:.2f},{period:.3f},{pre}")

@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis
-from .oracle import (OracleConfig, normalized_l2_error, rcc_cond_numeric,
-                     rcc_numeric, support_edge_mask)
+from .oracle import (OracleConfig, OracleRun, normalized_l2_error, rcc_cond_numeric,
+                     support_edge_mask)
 from .params import SystemParams, derived_frequencies, effective_splittings
 from .susceptibility import chi5, find_resonances, spectral_grid
 from .wavepacket import analytic_rate_grid, rcc_chi5, rcc_cond12, wavepacket_chi5
@@ -50,28 +50,20 @@ class AcceptanceContext:
         return SystemParams(omega_c1=2.0, omega_c2=2.0, optical_depth=od)
 
     @cached_property
-    def rate_numeric(self):
-        return rcc_numeric(self.p_chi5, self.cfg_chi5)
+    def chi5_run(self) -> OracleRun:
+        """Rate grid and both conditional traces at the chi5-dominated point."""
+        return OracleRun(self.p_chi5, self.cfg_chi5, traces=("tau12", "tau13"))
 
     @cached_property
     def rate_analytic(self):
-        g = self.rate_numeric
+        g = self.chi5_run.rate
         return analytic_rate_grid(self.p_chi5, g.tau12_axis, g.tau13_axis, which="chi5")
 
     @cached_property
-    def trace12_numeric(self):
-        return rcc_cond_numeric("tau12", self.p_chi5, self.cfg_chi5)
-
-    @cached_property
-    def trace13_numeric(self):
-        return rcc_cond_numeric("tau13", self.p_chi5, self.cfg_chi5)
-
-    @cached_property
     def sdir_numeric(self):
-        from .scenarios import first_antinode_offset
-
+        rate = self.chi5_run.rate
         return analysis.diagonal_offset_trace(
-            self.rate_numeric, first_antinode_offset(self.rate_numeric, self.p_chi5))
+            rate, analysis.first_antinode_offset(rate, self.p_chi5))
 
     @cached_property
     def fig2_grid(self):
@@ -79,8 +71,9 @@ class AcceptanceContext:
         return p, spectral_grid(p, 320.0, 2048, force_phi_unity=True)
 
     @cached_property
-    def hybrid_rate_111(self):
-        return rcc_numeric(self.p_hybrid(111.0), self.cfg_hybrid)
+    def hybrid_run_111(self) -> OracleRun:
+        """Rate grid (C11) and tau12 trace (C8) of the hybrid point at OD 111."""
+        return OracleRun(self.p_hybrid(111.0), self.cfg_hybrid, traces=("tau12",))
 
 
 def _pct(x: float) -> str:
@@ -114,11 +107,11 @@ def c02_central_symmetry(ctx: AcceptanceContext) -> CriterionResult:
 
 
 def c03_oracle_equivalence(ctx: AcceptanceContext) -> CriterionResult:
-    num, ana = ctx.rate_numeric, ctx.rate_analytic
+    num, ana = ctx.chi5_run.rate, ctx.rate_analytic
     mask = support_edge_mask(num.tau12_axis, num.tau13_axis)
     err2d = normalized_l2_error(num.values, ana.values, mask)
 
-    tr = ctx.trace12_numeric
+    tr = ctx.chi5_run.trace("tau12")
     ana12 = rcc_cond12(tr.t_axis, ctx.p_chi5, normalize=True)
     keep = np.abs(tr.t_axis) > 2.5 * tr.dt
     err1d = normalized_l2_error(tr.values, ana12 / ana12.max(), keep)
@@ -129,7 +122,7 @@ def c03_oracle_equivalence(ctx: AcceptanceContext) -> CriterionResult:
 
 
 def c04_rabi_period(ctx: AcceptanceContext) -> CriterionResult:
-    p12 = analysis.extract_period(ctx.trace12_numeric) * 1e9
+    p12 = analysis.extract_period(ctx.chi5_run.trace("tau12")) * 1e9
     p13 = analysis.extract_period(ctx.sdir_numeric) * 1e9
     ok = abs(p12 - 21) <= 1 and abs(p13 - 21) <= 1
     return CriterionResult(
@@ -138,7 +131,7 @@ def c04_rabi_period(ctx: AcceptanceContext) -> CriterionResult:
 
 
 def c05_coherence_times(ctx: AcceptanceContext) -> CriterionResult:
-    t12 = analysis.fit_coherence_time(ctx.trace12_numeric) * 1e9
+    t12 = analysis.fit_coherence_time(ctx.chi5_run.trace("tau12")) * 1e9
     t13 = analysis.fit_coherence_time(ctx.sdir_numeric) * 1e9
     ok = abs(t12 - 48) <= 4.8 and abs(t13 - 52) <= 5.2
     return CriterionResult(
@@ -148,7 +141,7 @@ def c05_coherence_times(ctx: AcceptanceContext) -> CriterionResult:
 
 
 def c06_coherence_enhancement(ctx: AcceptanceContext) -> CriterionResult:
-    cf = analysis.coherence_fit(ctx.trace13_numeric)
+    cf = analysis.coherence_fit(ctx.chi5_run.trace("tau13"))
     t13 = cf.time_s * 1e9
     ok = abs(t13 - 150) <= 0.15 * 150 and t13 > 2 * 52
     return CriterionResult(
@@ -184,9 +177,10 @@ def c07_hybrid_group_delay(ctx: AcceptanceContext) -> CriterionResult:
 
 def c08_od_invariance(ctx: AcceptanceContext) -> CriterionResult:
     periods = []
-    for od in (37.0, 74.0, 111.0):
+    for od in (37.0, 74.0):
         tr = rcc_cond_numeric("tau12", ctx.p_hybrid(od), ctx.cfg_hybrid)
         periods.append(analysis.extract_period(tr))
+    periods.append(analysis.extract_period(ctx.hybrid_run_111.trace("tau12")))
     spread = (max(periods) - min(periods)) / (sum(periods) / len(periods))
     ok = spread < 0.01
     return CriterionResult(
@@ -196,7 +190,7 @@ def c08_od_invariance(ctx: AcceptanceContext) -> CriterionResult:
 
 def c09_temporal_ordering(ctx: AcceptanceContext) -> CriterionResult:
     m_ana = analysis.ordering_violation_mass(ctx.rate_analytic)
-    m_num = analysis.ordering_violation_mass(ctx.rate_numeric)
+    m_num = analysis.ordering_violation_mass(ctx.chi5_run.rate)
     ok = m_ana == 0.0 and m_num < 1e-3
     return CriterionResult(
         "C9", "strict temporal ordering",
@@ -218,7 +212,7 @@ def c10_non_factorizability(ctx: AcceptanceContext) -> CriterionResult:
 
 def c11_precursor(ctx: AcceptanceContext) -> CriterionResult:
     d = derived_frequencies(ctx.p_hybrid(111.0))
-    tr_num = analysis.near_diagonal_trace(ctx.hybrid_rate_111)
+    tr_num = analysis.near_diagonal_trace(ctx.hybrid_run_111.rate)
     got_num = analysis.detect_precursor(tr_num, d)
     tr_ana = _hybrid_row_trace(ctx, 111.0, ideal_rect=True)
     got_ana = analysis.detect_precursor(tr_ana, d)

@@ -9,6 +9,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InsufficientExtremaError, ValidationError, ZeroMassError
+from .params import derived_frequencies
 
 #: Local maxima below this fraction of the trace peak are tail noise.
 MAXIMA_FLOOR = 1e-3
@@ -396,6 +397,15 @@ def near_diagonal_trace(grid, cells: int = 1, normalize: bool = True) -> TimeTra
     return TimeTrace(t_axis=t, values=vals)
 
 
+def first_antinode_offset(grid, p) -> int:
+    """Row index offset of the first oscillation antinode along tau12."""
+    d = derived_frequencies(p)
+    if d.omega_e1 and d.omega_e1 > 0:
+        period_s = 2 * math.pi / (d.omega_e1 * p.gamma31_si)
+        return max(1, int(round(period_s / (grid.tau12_axis[1] - grid.tau12_axis[0]))))
+    return 1
+
+
 def diagonal_offset_trace(grid, row_offset: int, normalize: bool = True) -> TimeTrace:
     """Rate along s = tau13 - tau12 at fixed tau12 = row_offset cells > 0."""
     r = np.asanyarray(grid.values)
@@ -432,13 +442,3 @@ def detect_precursor(tr: TimeTrace, derived, window_frac: float = 0.05,
     if len(early) == 0:
         return False
     return bool(early[:, 1].max() > prominence * baseline)
-
-
-def observable_report(period12=None, period13=None, tau_c_12=None, tau_c_13=None,
-                      factorizability=None, ordering_mass=None,
-                      precursor=None, **notes) -> ObservableReport:
-    return ObservableReport(
-        period12=period12, period13=period13, tau_c_12=tau_c_12,
-        tau_c_13=tau_c_13, factorizability_residual=factorizability,
-        ordering_violation_mass=ordering_mass, precursor_detected=precursor,
-        notes=notes)

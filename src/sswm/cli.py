@@ -11,20 +11,13 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .errors import ConfigError, SswmError
-from .scenarios import (SWEEPABLE, builtin_scenario_names, load_scenario,
-                        run_scenario, run_sweep)
+from .errors import ConfigError, SswmError, ValidationError
+from .scenarios import (SWEEPABLE, _parse_number, builtin_scenario_names,
+                        load_scenario, run_scenario, run_sweep)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_COMPUTE = 3
-
-
-def _parse_gamma31_value(text: str, gamma31_si: float) -> float:
-    t = text.strip()
-    if t.endswith("gamma31"):
-        return float(t[: -len("gamma31")])
-    return float(t) / gamma31_si
 
 
 def _apply_overrides(sc, args):
@@ -33,13 +26,17 @@ def _apply_overrides(sc, args):
         okw["n_points"] = args.grid_n
     if args.extent is not None:
         okw["extent"] = (None if args.extent.strip().lower() == "auto"
-                         else _parse_gamma31_value(args.extent, sc.params.gamma31_si))
+                         else _parse_number(args.extent, "--extent", None,
+                                            sc.params.gamma31_si, frequency=True))
     if args.force_phi_unity:
         okw["force_phi_unity"] = True
     if args.ideal_rect:
         okw["ideal_rect"] = True
     if okw:
-        sc = replace(sc, oracle=replace(sc.oracle, **okw))
+        try:
+            sc = replace(sc, oracle=replace(sc.oracle, **okw))
+        except ValidationError as exc:
+            raise ConfigError(f"oracle override: {exc}") from exc
     return sc
 
 
@@ -93,14 +90,11 @@ def _out_dir(arg) -> Path:
 
 
 def _parse_sweep_values(text: str, sc) -> list[float]:
-    vals = []
-    for piece in text.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
-        vals.append(_parse_gamma31_value(piece, sc.params.gamma31_si)
-                    if piece.endswith("gamma31") else float(piece))
-    return vals
+    # '<x>gamma31' is x gamma31 units; a plain number is taken as it stands
+    # (gamma31 units for a frequency), unlike a plain number in a config file
+    return [_parse_number(piece, "--values", None, sc.params.gamma31_si,
+                          frequency=piece.strip().endswith("gamma31"))
+            for piece in text.split(",") if piece.strip()]
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -46,8 +46,8 @@ class OracleConfig:
             raise ValidationError("n_points must be a power of two >= 256")
         if not 0.0 <= self.tukey_alpha <= 1.0:
             raise ValidationError("tukey_alpha must lie in [0, 1]")
-        if self.extent is not None and self.extent <= 0:
-            raise ValidationError("extent must be positive")
+        if self.extent is not None and not (0 < self.extent < math.inf):
+            raise ValidationError("extent must be positive and finite")
 
 
 def default_extent(p: SystemParams) -> float:
@@ -103,30 +103,13 @@ def wavepacket_numeric(p: SystemParams, cfg: OracleConfig | None = None) -> Wave
     evaluated as a phase-corrected FFT (the axes start at -extent, hence the
     linear phase factor).
     """
-    cfg = cfg or OracleConfig()
-    grid = sampled_spectrum(p, cfg)
-    n = len(grid.delta2_axis)
-    dd = float(grid.delta2_axis[1] - grid.delta2_axis[0])
-    t_dimless = np.fft.fftshift(2 * math.pi * np.fft.fftfreq(n, d=dd))
-    B = np.fft.fftshift(np.fft.fft2(grid.values))
-    phase = np.exp(-1j * grid.delta2_axis[0] * (t_dimless[:, None] + t_dimless[None, :]))
-    B = B * phase * dd * dd
-    t = t_dimless / p.gamma31_si
-    return WavepacketGrid(tau12_axis=t, tau13_axis=t.copy(), values=B,
-                          kind="amplitude", normalization=None)
+    return _amplitude(sampled_spectrum(p, cfg or OracleConfig()), p.gamma31_si)
 
 
 def rcc_numeric(p: SystemParams, cfg: OracleConfig | None = None,
                 normalize: bool = True) -> WavepacketGrid:
     """|wavepacket_numeric|^2, peak-normalized on request."""
-    amp = wavepacket_numeric(p, cfg)
-    vals = np.abs(amp.values) ** 2
-    norm = None
-    if normalize:
-        norm = float(vals.max())
-        vals = vals / norm
-    return WavepacketGrid(tau12_axis=amp.tau12_axis, tau13_axis=amp.tau13_axis,
-                          values=vals, kind="rate", normalization=norm)
+    return _rate(wavepacket_numeric(p, cfg), normalize)
 
 
 def rcc_cond_numeric(which: str, p: SystemParams,
@@ -139,22 +122,82 @@ def rcc_cond_numeric(which: str, p: SystemParams,
     which = "tau12": inner transform over delta2 at fixed delta3;
     which = "tau13": inner transform over delta3 at fixed delta2.
     """
+    _check_which(which)
+    grid = sampled_spectrum(p, cfg or OracleConfig())
+    return _conditional(grid, which, p.gamma31_si, normalize)
+
+
+def _amplitude(grid: SpectralGrid, gamma31_si: float) -> WavepacketGrid:
+    # phase-corrected fft2 of the sampled spectrum; see wavepacket_numeric
+    n = len(grid.delta2_axis)
+    dd = float(grid.delta2_axis[1] - grid.delta2_axis[0])
+    t_dimless = np.fft.fftshift(2 * math.pi * np.fft.fftfreq(n, d=dd))
+    B = np.fft.fftshift(np.fft.fft2(grid.values))
+    phase = np.exp(-1j * grid.delta2_axis[0] * (t_dimless[:, None] + t_dimless[None, :]))
+    B = B * phase * dd * dd
+    t = t_dimless / gamma31_si
+    return WavepacketGrid(tau12_axis=t, tau13_axis=t.copy(), values=B,
+                          kind="amplitude", normalization=None)
+
+
+def _rate(amp: WavepacketGrid, normalize: bool = True) -> WavepacketGrid:
+    vals = np.abs(amp.values) ** 2
+    norm = None
+    if normalize:
+        norm = float(vals.max())
+        vals = vals / norm
+    return WavepacketGrid(tau12_axis=amp.tau12_axis, tau13_axis=amp.tau13_axis,
+                          values=vals, kind="rate", normalization=norm)
+
+
+def _check_which(which: str) -> None:
     if which not in ("tau12", "tau13"):
         raise ValidationError("which must be 'tau12' or 'tau13'")
-    cfg = cfg or OracleConfig()
-    grid = sampled_spectrum(p, cfg)
+
+
+def _conditional(grid: SpectralGrid, which: str, gamma31_si: float,
+                 normalize: bool = True) -> TimeTrace:
+    # 1D transform along one detuning, |.|^2, then the sum over the other
     n = len(grid.delta2_axis)
     dd = float(grid.delta2_axis[1] - grid.delta2_axis[0])
     axis = 0 if which == "tau12" else 1
     G = np.fft.fft(grid.values, axis=axis)
     R = (np.abs(G) ** 2).sum(axis=1 - axis) * dd**3
     R = np.fft.fftshift(R)
-    t = _time_axis(n, dd, p.gamma31_si)
+    t = _time_axis(n, dd, gamma31_si)
     if normalize:
         peak = float(R.max())
         if peak > 0:
             R = R / peak
     return TimeTrace(t_axis=t, values=R)
+
+
+class OracleRun:
+    """The numeric products of one (params, config) pair, from one spectrum.
+
+    The constructor samples chi5*Phi once (`sampled_spectrum`) and derives
+    what the caller asks for: the peak-normalized rate grid (`rate`, as
+    `rcc_numeric`; None when `rate` is false) and the peak-normalized
+    conditional traces listed in `traces` (as `rcc_cond_numeric`), through
+    the same transforms as those functions, so the products are bitwise
+    equal to theirs.  Neither the spectrum nor the complex amplitude
+    outlives the constructor: a 2048^2 complex grid is 64 MB, and the run
+    keeps only what it was asked for.
+    """
+
+    def __init__(self, p: SystemParams, cfg: OracleConfig | None = None, *,
+                 rate: bool = True, traces: tuple[str, ...] = ()) -> None:
+        for which in traces:
+            _check_which(which)
+        grid = sampled_spectrum(p, cfg or OracleConfig())
+        self._traces = {w: _conditional(grid, w, p.gamma31_si) for w in traces}
+        self.rate = _rate(_amplitude(grid, p.gamma31_si)) if rate else None
+
+    def trace(self, which: str) -> TimeTrace:
+        """The peak-normalized conditional trace along `which`."""
+        if which not in self._traces:
+            raise ValidationError(f"this oracle run has no {which!r} trace")
+        return self._traces[which]
 
 
 def spectral_power(grid: SpectralGrid) -> float:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import analysis
 from .errors import ConfigError, SswmError, ValidationError
-from .oracle import OracleConfig, rcc_cond_numeric, rcc_numeric
+from .oracle import OracleConfig, OracleRun, default_extent
 from .params import SystemParams, derived_frequencies, Regime
 from .susceptibility import find_resonances, spectral_grid
 from .wavepacket import analytic_rate_grid
@@ -67,15 +67,21 @@ class Scenario:
                 raise ConfigError(f"unknown output kind {o!r}")
 
 
-def _parse_number(text: str, key: str, lineno: int, gamma31_si: float,
-                  frequency: bool, allow_complex: bool):
+def _parse_number(text: str, key: str, where: str | None, gamma31_si: float,
+                  frequency: bool, allow_complex: bool = False):
+    """One number of a config line or CLI flag; ConfigError if malformed.
+
+    `<x>gamma31` is x in gamma31 units and is accepted only when
+    `frequency`; a plain number for a frequency is SI rad/s.  `where`
+    prefixes the error message (e.g. "file.cfg: line 3").
+    """
+    where = "" if where is None else f"{where}: "
     t = text.strip()
     scale = 1.0
     if t.endswith("gamma31"):
         t = t[: -len("gamma31")].strip()
         if not frequency:
-            raise ConfigError(
-                f"line {lineno}: key {key!r} does not take gamma31 units")
+            raise ConfigError(f"{where}key {key!r} does not take gamma31 units")
     elif frequency:
         scale = 1.0 / gamma31_si  # plain number for a frequency key is SI rad/s
     try:
@@ -84,7 +90,7 @@ def _parse_number(text: str, key: str, lineno: int, gamma31_si: float,
         else:
             val = float(t)
     except ValueError as exc:
-        raise ConfigError(f"line {lineno}: cannot parse value for {key!r}: {text!r}") from exc
+        raise ConfigError(f"{where}cannot parse value for {key!r}: {text!r}") from exc
     return val * scale
 
 
@@ -107,8 +113,13 @@ def parse_config(text: str, source: str = "<config>") -> Scenario:
     if missing:
         raise ConfigError(f"{source}: missing required key(s): {', '.join(missing)}")
 
-    gamma31_si_text = raw.get("params.gamma31_si", (None, 0))[0]
-    gamma31_si = float(gamma31_si_text) if gamma31_si_text else SystemParams().gamma31_si
+    gamma31_si = SystemParams().gamma31_si
+    if "params.gamma31_si" in raw:
+        value, lineno = raw["params.gamma31_si"]
+        where = f"{source}: line {lineno}"
+        gamma31_si = _parse_number(value, "params.gamma31_si", where, 0.0, frequency=False)
+        if not (math.isfinite(gamma31_si) and gamma31_si > 0):
+            raise ConfigError(f"{where}: params.gamma31_si must be positive and finite")
 
     pkw: dict = {"gamma31_si": gamma31_si}
     okw: dict = {}
@@ -119,28 +130,28 @@ def parse_config(text: str, source: str = "<config>") -> Scenario:
 
     param_fields = set(SystemParams.__dataclass_fields__)
     for key, (value, lineno) in raw.items():
+        where = f"{source}: line {lineno}"
         if key == "name":
             name = value
         elif key == "outputs":
             outputs = tuple(v.strip() for v in value.split(",") if v.strip())
         elif key == "outputs.tmin_ns":
-            tmin_ns = float(value)
+            tmin_ns = _parse_number(value, key, where, gamma31_si, frequency=False)
         elif key == "outputs.tmax_ns":
-            tmax_ns = float(value)
+            tmax_ns = _parse_number(value, key, where, gamma31_si, frequency=False)
         elif key.startswith("meta."):
             meta[key[5:]] = value
         elif key.startswith("params."):
             fname = key[7:]
             if fname not in param_fields:
-                raise ConfigError(f"{source}: line {lineno}: unknown parameter {key!r}")
+                raise ConfigError(f"{where}: unknown parameter {key!r}")
             if fname == "gamma31_si":
                 continue  # consumed above
             if fname == "omega21" and value.lower() == "auto":
                 pkw["omega21"] = None
                 continue
             pkw[fname] = _parse_number(
-                value, key, lineno, gamma31_si,
-                frequency=fname in _FREQUENCY_FIELDS,
+                value, key, where, gamma31_si, frequency=fname in _FREQUENCY_FIELDS,
                 allow_complex=fname in _COMPLEX_FIELDS)
         elif key.startswith("oracle."):
             fname = key[7:]
@@ -148,20 +159,25 @@ def parse_config(text: str, source: str = "<config>") -> Scenario:
                 if value.lower() == "auto":
                     okw["extent"] = None
                 else:
-                    okw["extent"] = _parse_number(value, key, lineno, gamma31_si,
-                                                  frequency=True, allow_complex=False)
+                    okw["extent"] = _parse_number(value, key, where, gamma31_si,
+                                                  frequency=True)
             elif fname == "n_points":
-                okw["n_points"] = int(value)
+                try:
+                    okw["n_points"] = int(value)
+                except ValueError as exc:
+                    raise ConfigError(
+                        f"{where}: {key!r} must be an integer, got {value!r}") from exc
             elif fname == "tukey_alpha":
-                okw["tukey_alpha"] = float(value)
+                okw["tukey_alpha"] = _parse_number(value, key, where, gamma31_si,
+                                                   frequency=False)
             elif fname in ("force_phi_unity", "ideal_rect"):
                 if value.lower() not in ("true", "false"):
-                    raise ConfigError(f"{source}: line {lineno}: {key!r} must be true/false")
+                    raise ConfigError(f"{where}: {key!r} must be true/false")
                 okw[fname] = value.lower() == "true"
             else:
-                raise ConfigError(f"{source}: line {lineno}: unknown oracle key {key!r}")
+                raise ConfigError(f"{where}: unknown oracle key {key!r}")
         else:
-            raise ConfigError(f"{source}: line {lineno}: unknown key {key!r}")
+            raise ConfigError(f"{where}: unknown key {key!r}")
 
     try:
         params = SystemParams(**pkw)
@@ -301,19 +317,45 @@ def _write_trace(path: Path, header: list[str], trace, fmt: str) -> None:
     path.write_text("\n".join(rows) + "\n")
 
 
-def first_antinode_offset(grid, p: SystemParams) -> int:
-    """Row index offset of the first oscillation antinode along tau12."""
-    d = derived_frequencies(p)
-    if d.omega_e1 and d.omega_e1 > 0:
-        period_s = 2 * math.pi / (d.omega_e1 * p.gamma31_si)
-        return max(1, int(round(period_s / (grid.tau12_axis[1] - grid.tau12_axis[0]))))
-    return 1
+def _trace_direction(output: str) -> str:
+    return "tau12" if "tau12" in output else "tau13"
 
 
-def scenario_report(sc: Scenario) -> analysis.ObservableReport:
-    """Fitted observables of one scenario (numeric route)."""
+def _report_traces(p: SystemParams) -> tuple[str, ...]:
+    # the chi5 branch of the report reads tau13 off the 2D rate grid
+    if derived_frequencies(p).regime is Regime.CHI5_DOMINATED:
+        return ("tau12",)
+    return ("tau12", "tau13")
+
+
+def _scenario_run(sc: Scenario, traces: tuple[str, ...] = ()) -> OracleRun | None:
+    """The one oracle run that the outputs of `sc` (and `traces`) need, or
+    None when no output reads the numeric transform."""
+    rate = False
+    want = list(traces)
+    for out in sc.outputs:
+        if out == "report":
+            rate = True
+            want += _report_traces(sc.params)
+        elif out in ("rcc2d_numeric", "rcc2d_analytic"):
+            rate = True  # the analytic grid is evaluated on the numeric time axes
+        elif out.startswith("trace_") and out.endswith("numeric"):
+            want.append(_trace_direction(out))
+    if not rate and not want:
+        return None
+    return OracleRun(sc.params, sc.oracle, rate=rate, traces=tuple(dict.fromkeys(want)))
+
+
+def scenario_report(sc: Scenario, run: OracleRun | None = None) -> analysis.ObservableReport:
+    """Fitted observables of one scenario (numeric route).
+
+    `run` must hold the rate grid and the traces of `_report_traces`; by
+    default one is made for the report alone.
+    """
     p = sc.params
     d = derived_frequencies(p)
+    if run is None:
+        run = OracleRun(p, sc.oracle, traces=_report_traces(p))
     notes = {
         "regime": d.regime.value,
         "entanglement": "n/a" if d.entanglement is None else d.entanglement.value,
@@ -326,42 +368,45 @@ def scenario_report(sc: Scenario) -> analysis.ObservableReport:
         "dw_t/2pi": f"{d.delta_omega_t * p.gamma31_si / (2 * math.pi) / 1e6:.3f} MHz",
     }
     period12 = tau_c_12 = period13 = tau_c_13 = None
-    fact = omass = None
     precursor = None
 
-    tr12 = rcc_cond_numeric("tau12", p, sc.oracle)
+    tr12 = run.trace("tau12")
     try:
         period12 = analysis.extract_period(tr12)
         tau_c_12 = analysis.fit_coherence_time(tr12)
     except SswmError as exc:
         notes["tau12 fit"] = str(exc)
 
-    grid = rcc_numeric(p, sc.oracle)
+    grid = run.rate
     fact = analysis.factorizability_residual(grid)
     omass = analysis.ordering_violation_mass(grid)
 
     if d.regime is Regime.CHI5_DOMINATED:
-        sdir = analysis.diagonal_offset_trace(grid, first_antinode_offset(grid, p))
+        sdir = analysis.diagonal_offset_trace(grid, analysis.first_antinode_offset(grid, p))
         try:
             period13 = analysis.extract_period(sdir)
             tau_c_13 = analysis.fit_coherence_time(sdir)
         except SswmError as exc:
             notes["tau13 fit"] = str(exc)
     else:
-        tr13 = rcc_cond_numeric("tau13", p, sc.oracle)
-        cf = analysis.coherence_fit(tr13)
+        cf = analysis.coherence_fit(run.trace("tau13"))
         tau_c_13 = cf.time_s
         notes["tau13 fit mode"] = cf.mode
         precursor = analysis.detect_precursor(analysis.near_diagonal_trace(grid), d)
 
-    return analysis.observable_report(
+    return analysis.ObservableReport(
         period12=period12, period13=period13, tau_c_12=tau_c_12,
-        tau_c_13=tau_c_13, factorizability=fact, ordering_mass=omass,
-        precursor=precursor, **notes)
+        tau_c_13=tau_c_13, factorizability_residual=fact,
+        ordering_violation_mass=omass, precursor_detected=precursor, notes=notes)
 
 
-def run_scenario(sc: Scenario, out_dir: Path, fmt: str = "csv") -> list[Path]:
-    """Produce every requested output file; returns the paths written."""
+def run_scenario(sc: Scenario, out_dir: Path, fmt: str = "csv",
+                 run: OracleRun | None = None) -> list[Path]:
+    """Produce every requested output file; returns the paths written.
+
+    Every numeric output reads the one oracle run `run`, made by
+    `_scenario_run` unless the caller passes one holding what the outputs need.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     p = sc.params
@@ -373,15 +418,13 @@ def run_scenario(sc: Scenario, out_dir: Path, fmt: str = "csv") -> list[Path]:
         tmax = sc.tmax_ns * 1e-9
     ext = "json" if fmt == "json" else "csv"
     written: list[Path] = []
-
-    need_numeric_grid = any(o in sc.outputs for o in
-                            ("rcc2d_numeric", "rcc2d_analytic"))
-    grid = rcc_numeric(p, sc.oracle) if need_numeric_grid else None
+    if run is None:
+        run = _scenario_run(sc)
 
     for out in sc.outputs:
         path = out_dir / f"{sc.name}_{out}.{ext}"
         if out == "report":
-            rep = scenario_report(sc)
+            rep = scenario_report(sc, run)
             text = "\n".join(rep.lines()) + "\n"
             path = out_dir / f"{sc.name}_report.txt"
             path.write_text(text)
@@ -391,8 +434,6 @@ def run_scenario(sc: Scenario, out_dir: Path, fmt: str = "csv") -> list[Path]:
         elif out == "chi5_grid":
             extent = sc.oracle.extent
             if extent is None:
-                from .oracle import default_extent
-
                 extent = default_extent(p)
             sg = spectral_grid(p, extent, sc.oracle.n_points, force_phi_unity=True)
             peaks = find_resonances(sg)
@@ -403,21 +444,21 @@ def run_scenario(sc: Scenario, out_dir: Path, fmt: str = "csv") -> list[Path]:
             for pk in peaks:
                 print(f"  delta2 = {pk['delta2']:+9.3f}, delta3 = {pk['delta3']:+9.3f} gamma31")
         elif out == "rcc2d_numeric":
-            t12, t13, vals = _crop_grid(grid, tmin, tmax)
-            _write_grid(path, header + [f"normalization: {grid.normalization:.12e}"],
+            t12, t13, vals = _crop_grid(run.rate, tmin, tmax)
+            _write_grid(path, header + [f"normalization: {run.rate.normalization:.12e}"],
                         t12, t13, vals, fmt)
         elif out == "rcc2d_analytic":
             which = "hybrid" if derived_frequencies(p).regime is Regime.HYBRID else "chi5"
             kwargs = {"ideal_rect": sc.oracle.ideal_rect} if which == "hybrid" else {}
-            ana = analytic_rate_grid(p, grid.tau12_axis, grid.tau13_axis,
+            ana = analytic_rate_grid(p, run.rate.tau12_axis, run.rate.tau13_axis,
                                      which=which, **kwargs)
             t12, t13, vals = _crop_grid(ana, tmin, tmax)
             _write_grid(path, header + [f"normalization: {ana.normalization:.12e}"],
                         t12, t13, vals, fmt)
         elif out.startswith("trace_"):
-            which = "tau12" if "tau12" in out else "tau13"
+            which = _trace_direction(out)
             if out.endswith("numeric"):
-                tr = rcc_cond_numeric(which, p, sc.oracle)
+                tr = run.trace(which)
             else:
                 tr = _analytic_trace(p, which, sc.oracle.ideal_rect)
             _write_trace(path, header + [f"quantity: {out}"], tr, fmt)
@@ -449,21 +490,29 @@ def run_sweep(sc: Scenario, param: str, values: list, out_dir: Path,
         raise ConfigError(f"parameter {param!r} is not sweepable; allowed: {SWEEPABLE}")
     if not values:
         raise ValidationError("sweep values list is empty")
+    points = []
+    for v in values:
+        try:
+            points.append((v, sc.params.with_(**{param: v})))
+        except ValueError as exc:
+            raise ConfigError(f"sweep value {param} = {v!r}: {exc}") from exc
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     trace_outputs = [o for o in sc.outputs if o.startswith("trace_")]
     if not trace_outputs:
         trace_outputs = ["trace_tau12_numeric"]
+    # the summary fits the numeric trace of each direction, whichever of its
+    # numeric/analytic outputs asked for it
+    directions = tuple(dict.fromkeys(_trace_direction(o) for o in trace_outputs))
     rows = []
-    for v in values:
-        p = sc.params.with_(**{param: v})
+    for v, p in points:
         sub = replace(sc, name=f"{sc.name}_{param}_{_value_tag(v)}", params=p,
                       outputs=tuple(trace_outputs))
-        run_scenario(sub, out_dir, fmt=fmt)
+        run = _scenario_run(sub, traces=directions)
+        run_scenario(sub, out_dir, fmt=fmt, run=run)
         row = {"value": float(complex(v).real)}
-        for out in trace_outputs:
-            which = "tau12" if "tau12" in out else "tau13"
-            tr = rcc_cond_numeric(which, p, sc.oracle)
+        for which in directions:
+            tr = run.trace(which)
             try:
                 row[f"{which}_period_ns"] = analysis.extract_period(tr) * 1e9
             except SswmError:

@@ -58,7 +58,7 @@ def test_rate_is_squared_amplitude():
 
 def test_support_orientation(ctx):
     # the transform convention must land the wavepacket in the ordered wedge
-    rate = ctx.rate_numeric
+    rate = ctx.chi5_run.rate
     t12 = rate.tau12_axis[:, None]
     t13 = rate.tau13_axis[None, :]
     inside = rate.values[(t12 >= 0) & (t13 >= t12)].sum()
@@ -67,7 +67,7 @@ def test_support_orientation(ctx):
 
 
 def test_causality_leakage(ctx):
-    rate = ctx.rate_numeric
+    rate = ctx.chi5_run.rate
     o1 = effective_splittings(P).omega_e1 * P.gamma31_si
     early = rate.tau12_axis < -2 / o1
     mass = rate.values[early, :].sum()
@@ -76,14 +76,14 @@ def test_causality_leakage(ctx):
 
 def test_diagonal_zero_line(ctx):
     # past the corner transition band the equal-delay line stays dark
-    rate = ctx.rate_numeric
+    rate = ctx.chi5_run.rate
     i0 = int(np.argmin(np.abs(rate.tau12_axis))) + 5
     diag = np.array([rate.values[i, i] for i in range(i0, len(rate.tau12_axis))])
     assert diag.max() < 1e-3 * rate.values.max()
 
 
 def test_oracle_matches_closed_form_l2(ctx):
-    num, ana = ctx.rate_numeric, ctx.rate_analytic
+    num, ana = ctx.chi5_run.rate, ctx.rate_analytic
     mask = support_edge_mask(num.tau12_axis, num.tau13_axis)
     assert normalized_l2_error(num.values, ana.values, mask) < 0.05
 
@@ -129,8 +129,8 @@ def test_conditional_squares_before_integrating():
 
 def test_conditional_equals_integrated_2d(ctx):
     # Parseval links the tau12-integrated 2D rate to the tau13 conditional
-    rate = ctx.rate_numeric
-    tr13 = ctx.trace13_numeric
+    rate = ctx.chi5_run.rate
+    tr13 = ctx.chi5_run.trace("tau13")
     dt = rate.tau12_axis[1] - rate.tau12_axis[0]
     integrated = rate.values.sum(axis=0) * dt * rate.normalization
     integrated *= P.gamma31_si / (2 * np.pi)
@@ -148,7 +148,7 @@ def test_determinism():
 
 def test_hybrid_precursor_feature(ctx):
     # sharp early cut adjacent to the corner, absent from the closed form
-    tr = near_diagonal_trace(ctx.hybrid_rate_111)
+    tr = near_diagonal_trace(ctx.hybrid_run_111.rate)
     early = tr.values[(tr.t_axis >= 0) & (tr.t_axis <= 50e-9)]
     late = tr.values[(tr.t_axis > 200e-9) & (tr.t_axis < 600e-9)]
     assert early.max() > 10 * np.median(late)
@@ -159,7 +159,7 @@ def test_no_precursor_in_chi5_regime(ctx):
     from sswm.params import derived_frequencies
 
     d = derived_frequencies(P)
-    tr = near_diagonal_trace(ctx.rate_numeric)
+    tr = near_diagonal_trace(ctx.chi5_run.rate)
     assert not detect_precursor(tr, d)
 
 

@@ -2,10 +2,11 @@
 import numpy as np
 import pytest
 
-from sswm.analysis import extract_period, fit_coherence_time, fit_trace, TimeTrace
+from sswm.analysis import (extract_period, first_antinode_offset, fit_coherence_time,
+                           fit_trace, TimeTrace)
 from sswm.oracle import OracleConfig, rcc_cond_numeric, rcc_numeric
 from sswm.params import SystemParams
-from sswm.scenarios import first_antinode_offset, load_scenario, scenario_report
+from sswm.scenarios import load_scenario, scenario_report
 from sswm.susceptibility import _patch_singular
 from sswm.analysis import diagonal_offset_trace
 

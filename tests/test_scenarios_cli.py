@@ -212,6 +212,50 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
     assert "omega_c1" in err
 
 
+def _preset_with(tmp_path, *pairs: str) -> str:
+    # fig3a's canonical text with the lines of (key, value, key, value, ...) set
+    edits = dict(zip(pairs[::2], pairs[1::2]))
+    lines = [ln for ln in serialize_config(load_scenario("fig3a")).splitlines()
+             if ln.partition(" =")[0] not in edits]
+    path = tmp_path / "bad.cfg"
+    path.write_text("\n".join(lines + [f"{k} = {v}" for k, v in edits.items()]) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--scenario", "fig3a", "--extent", "foo"],
+    ["simulate", "--scenario", "fig3a", "--extent", "nan"],
+    ["simulate", "--scenario", "fig3a", "--grid-n", "1000"],
+    ["sweep", "--scenario", "fig3f", "--param", "optical_depth", "--values", "37,abc"],
+    ["sweep", "--scenario", "fig3f", "--param", "optical_depth", "--values", "-5"],
+    ["sweep", "--scenario", "fig3f", "--param", "omega_c1", "--values", "2gamma31,xgamma31"],
+    ["simulate", "--scenario", ("oracle.n_points", "abc")],
+    ["simulate", "--scenario", ("oracle.tukey_alpha", "q")],
+    ["simulate", "--scenario", ("outputs.tmin_ns", "x")],
+    ["simulate", "--scenario", ("params.gamma31_si", "zz")],
+    ["simulate", "--scenario", ("params.gamma31_si", "0", "params.omega_c1", "5e7")],
+], ids=["extent", "extent-nan", "grid-n", "values-word", "values-negative-od", "values-gamma31-word",
+        "n_points", "tukey_alpha", "tmin_ns", "gamma31_si", "gamma31_si-zero"])
+def test_cli_malformed_input_exit_2(argv, tmp_path, capsys):
+    # every malformed flag or config line is a config error, never a traceback
+    argv = [_preset_with(tmp_path, *a) if isinstance(a, tuple) else a for a in argv]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not (tmp_path / "out").exists()  # refused before any work
+
+
+def test_cli_values_keep_their_meaning(tmp_path, monkeypatch):
+    # a plain sweep value is taken as it stands, '<x>gamma31' is x gamma31
+    import sswm.cli
+
+    seen = []
+    monkeypatch.setattr(sswm.cli, "run_sweep",
+                        lambda sc, param, values, out, fmt: seen.append(values))
+    assert main(["sweep", "--scenario", "fig3b", "--param", "omega_c1",
+                 "--values", "2gamma31, 4,8.5gamma31", "--out", str(tmp_path)]) == 0
+    assert seen == [[2.0, 4.0, 8.5]]
+
+
 def test_cli_unknown_scenario_exit_2(tmp_path):
     assert main(["simulate", "--scenario", "nope", "--out", str(tmp_path)]) == 2
 
