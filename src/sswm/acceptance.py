@@ -21,7 +21,7 @@ from . import analysis
 from .oracle import (OracleConfig, OracleRun, normalized_l2_error, rcc_cond_numeric,
                      support_edge_mask)
 from .params import SystemParams, derived_frequencies, effective_splittings
-from .susceptibility import chi5, find_resonances, spectral_grid
+from .susceptibility import find_resonances, spectral_grid
 from .wavepacket import analytic_rate_grid, rcc_chi5, rcc_cond12, wavepacket_chi5
 
 
@@ -66,9 +66,16 @@ class AcceptanceContext:
             rate, analysis.first_antinode_offset(rate, self.p_chi5))
 
     @cached_property
-    def fig2_grid(self):
+    def fig2(self) -> tuple[SystemParams, list[dict], float, float]:
+        """What C1 and C2 read of the strong-coupling |chi5| map: params,
+        resonance peaks, cell width and the central-symmetry deviation.  The
+        64 MB complex grid itself is not kept."""
         p = SystemParams(omega_c1=40.0, omega_c2=40.0)
-        return p, spectral_grid(p, 320.0, 2048, force_phi_unity=True)
+        grid = spectral_grid(p, 320.0, 2048, force_phi_unity=True)
+        cell = float(grid.delta3_axis[1] - grid.delta3_axis[0])
+        mag = np.abs(grid.values[1:, 1:])  # symmetric sub-grid of the fft axes
+        dev = float(np.max(np.abs(mag - mag[::-1, ::-1])) / mag.max())
+        return p, find_resonances(grid), cell, dev
 
     @cached_property
     def hybrid_run_111(self) -> OracleRun:
@@ -85,9 +92,7 @@ def _pct(x: float) -> str:
 
 
 def c01_four_channels(ctx: AcceptanceContext) -> CriterionResult:
-    p, grid = ctx.fig2_grid
-    peaks = find_resonances(grid)
-    cell = float(grid.delta3_axis[1] - grid.delta3_axis[0])
+    p, peaks, cell, _ = ctx.fig2
     half = effective_splittings(p).omega_e2 / 2
     dev = max(abs(abs(pk["delta3"]) - half) for pk in peaks) if peaks else math.inf
     ok = len(peaks) == 4 and dev <= cell
@@ -98,9 +103,7 @@ def c01_four_channels(ctx: AcceptanceContext) -> CriterionResult:
 
 
 def c02_central_symmetry(ctx: AcceptanceContext) -> CriterionResult:
-    _, grid = ctx.fig2_grid
-    mag = np.abs(grid.values[1:, 1:])  # symmetric sub-grid of the fft axes
-    dev = float(np.max(np.abs(mag - mag[::-1, ::-1])) / mag.max())
+    *_, dev = ctx.fig2
     ok = dev < 1e-12
     return CriterionResult(
         "C2", "central symmetry of |chi5|", ok, f"max deviation {dev:.2e}", "< 1e-12")
@@ -259,24 +262,21 @@ def list_criteria() -> list[tuple[str, str]]:
     return [(cid, desc) for cid, _, desc in CRITERIA]
 
 
+def report_lines(results: list[CriterionResult]) -> list[str]:
+    """One line per criterion, then the pass count."""
+    n_pass = sum(r.passed for r in results)
+    return [r.line() for r in results] + [f"{n_pass}/{len(results)} criteria passed"]
+
+
 def run_acceptance(subset: list[str] | None = None,
                    out_dir: Path | None = None,
                    context: AcceptanceContext | None = None) -> list[CriterionResult]:
-    """Run (a subset of) the criteria, print one line each, optionally save."""
+    """Run (a subset of) the criteria; with `out_dir`, also write their
+    `report_lines` to acceptance_report.txt there."""
     ctx = context or AcceptanceContext()
-    results = []
-    for cid, fn, _ in CRITERIA:
-        if subset is not None and cid not in subset:
-            continue
-        res = fn(ctx)
-        print(res.line())
-        results.append(res)
-    n_pass = sum(r.passed for r in results)
-    print(f"{n_pass}/{len(results)} criteria passed")
+    results = [fn(ctx) for cid, fn, _ in CRITERIA if subset is None or cid in subset]
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        report = out_dir / "acceptance_report.txt"
-        report.write_text("\n".join(r.line() for r in results)
-                          + f"\n{n_pass}/{len(results)} criteria passed\n")
+        (out_dir / "acceptance_report.txt").write_text("\n".join(report_lines(results)) + "\n")
     return results

@@ -4,7 +4,7 @@ periods, coherence times, factorizability, temporal ordering, precursors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,7 +28,6 @@ class TimeTrace:
 
     t_axis: np.ndarray
     values: np.ndarray
-    fitted: dict | None = None
 
     def __post_init__(self) -> None:
         d = np.diff(self.t_axis)
@@ -302,22 +301,6 @@ def width_at_half_max(tr: TimeTrace) -> float:
     if y.max() <= 0:
         raise ZeroMassError("width of an identically zero trace")
     return _halfmax_span(tr.t_axis, y, 0.5 * y.max())
-
-
-def fit_trace(tr: TimeTrace) -> TimeTrace:
-    """Return a copy with period/coherence results attached to `fitted`."""
-    fitted = {}
-    try:
-        pf = period_fit(tr)
-        fitted["period_s"] = pf["period_s"]
-        fitted["spectral_period_s"] = pf["spectral_period_s"]
-    except InsufficientExtremaError:
-        pass
-    cf = coherence_fit(tr)
-    fitted["coherence_time_s"] = cf.time_s
-    fitted["coherence_mode"] = cf.mode
-    fitted["fit_residual"] = cf.residual
-    return replace(tr, fitted=fitted)
 
 
 # ---------------------------------------------------------------------------

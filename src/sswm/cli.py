@@ -105,7 +105,7 @@ def main(argv: list[str] | None = None) -> int:
                 print(name)
             return EXIT_OK
         if args.command == "acceptance":
-            from .acceptance import list_criteria, run_acceptance
+            from .acceptance import list_criteria, report_lines, run_acceptance
 
             if args.criteria == "list":
                 for cid, desc in list_criteria():
@@ -115,6 +115,8 @@ def main(argv: list[str] | None = None) -> int:
                       else [c.strip() for c in args.criteria.split(",")])
             results = run_acceptance(subset=subset,
                                      out_dir=_out_dir(args.out))
+            for line in report_lines(results):
+                print(line)
             return EXIT_OK if all(r.passed for r in results) else EXIT_COMPUTE
         sc = load_scenario(args.scenario)
         sc = _apply_overrides(sc, args)

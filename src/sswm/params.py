@@ -67,24 +67,24 @@ class SystemParams:
 
     def __post_init__(self) -> None:
         if not (self.gamma31_si > 0 and math.isfinite(self.gamma31_si)):
-            raise ValueError("gamma31_si must be positive and finite")
+            raise ValidationError("gamma31_si must be positive and finite")
         for name in ("gamma21", "gamma31", "gamma41", "gamma42", "gamma51",
                      "gamma52", "gamma53", "gamma54"):
             v = getattr(self, name)
             if not (v > 0 and math.isfinite(v)):
-                raise ValueError(f"{name} must be > 0, got {v!r}")
+                raise ValidationError(f"{name} must be > 0, got {v!r}")
         for name in ("omega_c1", "omega_c2"):
             if not abs(getattr(self, name)) > 0:
-                raise ValueError(f"|{name}| must be > 0")
+                raise ValidationError(f"|{name}| must be > 0")
         if not self.length_L > 0:
-            raise ValueError("length_L must be > 0")
+            raise ValidationError("length_L must be > 0")
         if self.optical_depth < 0:
-            raise ValueError("optical_depth must be >= 0")
+            raise ValidationError("optical_depth must be >= 0")
         for name in ("omega_p", "omega_c1", "omega_c2", "delta_p", "delta_c1",
                      "delta_c2", "dipole_scale", "omega31"):
             v = complex(getattr(self, name))
             if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-                raise ValueError(f"{name} must be finite")
+                raise ValidationError(f"{name} must be finite")
 
     @property
     def omega21_si(self) -> float:
@@ -109,9 +109,6 @@ class ChannelSpec:
     omega1_offset: float
     omega2_offset: float
     omega3_offset: float
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.omega1_offset, self.omega2_offset, self.omega3_offset)
 
 
 @dataclass(frozen=True)
@@ -200,7 +197,7 @@ def classify_regime(d: DerivedFrequencies) -> Regime:
     if d.overdamped:
         return Regime.OVERDAMPED
     if d.gamma_e2 is None or d.delta_omega_g is None:
-        raise ValueError("classify_regime needs merged splittings and dispersion")
+        raise ValidationError("classify_regime needs merged splittings and dispersion")
     if _is_tie(d):
         return Regime.HYBRID
     return Regime.CHI5_DOMINATED if 2 * d.gamma_e2 < d.delta_omega_g else Regime.HYBRID

@@ -22,7 +22,7 @@ from .errors import ConfigError, SswmError, ValidationError
 from .oracle import OracleConfig, OracleRun, default_extent
 from .params import SystemParams, derived_frequencies, Regime
 from .susceptibility import find_resonances, spectral_grid
-from .wavepacket import analytic_rate_grid
+from .wavepacket import analytic_rate_grid, rcc_cond12
 
 #: Scenario outputs that can be requested.
 OUTPUT_KINDS = (
@@ -184,7 +184,7 @@ def parse_config(text: str, source: str = "<config>") -> Scenario:
         oracle = OracleConfig(**okw)
         return Scenario(name=name, params=params, oracle=oracle, outputs=outputs,
                         meta=meta, tmin_ns=tmin_ns, tmax_ns=tmax_ns)
-    except (ValueError, ValidationError, ConfigError) as exc:
+    except (ValidationError, ConfigError) as exc:
         raise ConfigError(f"{source}: {exc}") from exc
 
 
@@ -203,9 +203,7 @@ def serialize_config(sc: Scenario) -> str:
         value = getattr(sc.params, fname)
         if fname == "omega21" and value is None:
             lines.append("params.omega21 = auto")
-        elif fname in ("gamma31_si", "omega31"):
-            lines.append(f"params.{fname} = {value!r}")
-        elif fname in ("length_L", "optical_depth", "dipole_scale"):
+        elif fname in ("gamma31_si", "omega31", "length_L", "optical_depth", "dipole_scale"):
             lines.append(f"params.{fname} = {value!r}")
         else:
             lines.append(f"params.{fname} = {_fmt_value(fname, value)}")
@@ -230,9 +228,10 @@ def builtin_scenario_names() -> list[str]:
 
 
 def load_scenario(name_or_path: str) -> Scenario:
-    """Load a preset by name or any config file by path."""
+    """Load a config file by path (a `.cfg` name or an existing file), else a
+    preset by name; a directory named like a preset does not shadow it."""
     path = Path(name_or_path)
-    if path.suffix == ".cfg" or path.exists():
+    if path.suffix == ".cfg" or path.is_file():
         try:
             text = path.read_text()
         except OSError as exc:
@@ -263,57 +262,31 @@ def _crop_grid(grid, tmin: float, tmax: float):
     return grid.tau12_axis[i], grid.tau13_axis[j], grid.values[np.ix_(i, j)]
 
 
-def _write_grid(path: Path, header: list[str], t12, t13, vals, fmt: str) -> None:
+def _write_export(path: Path, header: list[str], axes: list[tuple[str, np.ndarray]],
+                  values, column: str, key: str, fmt: str, step: int = 1) -> None:
+    """The one CSV/JSON writer for grids and traces.
+
+    `axes` are (name, samples) pairs, one per dimension of `values`.  JSON
+    holds the header, every axis under its name and the full values under
+    `key`.  CSV is long form: commented header lines, the column line
+    (axis names, then `column`) and one `.12e` row per cell, keeping every
+    `step`-th sample along each axis.
+    """
+    values = np.asarray(values, dtype=float)
     if fmt == "json":
-        payload = {
-            "header": header,
-            "tau12_s": [float(x) for x in t12],
-            "tau13_s": [float(x) for x in t13],
-            "values": [[float(v) for v in row] for row in np.asarray(vals, dtype=float)],
-        }
+        payload = {"header": header, key: values.tolist()}
+        payload.update((name, ax.tolist()) for name, ax in axes)
         path.write_text(json.dumps(payload, sort_keys=True))
         return
     rows = ["# " + h for h in header]
-    rows.append("tau12_s,tau13_s,value")
-    for i, a in enumerate(t12):
-        for j, b in enumerate(t13):
-            rows.append(f"{a:.12e},{b:.12e},{float(vals[i, j]):.12e}")
-    path.write_text("\n".join(rows) + "\n")
-
-
-def _write_spectral_grid(path: Path, header: list[str], grid, fmt: str) -> None:
-    mag = np.abs(grid.values)
-    if fmt == "json":
-        payload = {
-            "header": header,
-            "delta2_gamma31": [float(x) for x in grid.delta2_axis],
-            "delta3_gamma31": [float(x) for x in grid.delta3_axis],
-            "abs_chi5": [[float(v) for v in row] for row in mag],
-        }
-        path.write_text(json.dumps(payload, sort_keys=True))
-        return
-    rows = ["# " + h for h in header]
-    rows.append("delta2_gamma31,delta3_gamma31,abs_value")
-    step = max(1, len(grid.delta2_axis) // 1024)  # cap csv size; full grid in json
-    for i in range(0, len(grid.delta2_axis), step):
-        for j in range(0, len(grid.delta3_axis), step):
-            rows.append(f"{grid.delta2_axis[i]:.12e},{grid.delta3_axis[j]:.12e},{mag[i, j]:.12e}")
-    path.write_text("\n".join(rows) + "\n")
-
-
-def _write_trace(path: Path, header: list[str], trace, fmt: str) -> None:
-    if fmt == "json":
-        payload = {
-            "header": header,
-            "t_s": [float(x) for x in trace.t_axis],
-            "value": [float(v) for v in trace.values],
-        }
-        path.write_text(json.dumps(payload, sort_keys=True))
-        return
-    rows = ["# " + h for h in header]
-    rows.append("t_s,value")
-    for t, v in zip(trace.t_axis, trace.values):
-        rows.append(f"{t:.12e},{v:.12e}")
+    rows.append(",".join([name for name, _ in axes] + [column]))
+    cols = [[f"{x:.12e}" for x in ax[::step]] for _, ax in axes]
+    vals = values[(slice(None, None, step),) * values.ndim].tolist()
+    if len(cols) == 1:
+        rows += [f"{a},{v:.12e}" for a, v in zip(cols[0], vals)]
+    else:
+        for a, row in zip(cols[0], vals):
+            rows += [f"{a},{b},{v:.12e}" for b, v in zip(cols[1], row)]
     path.write_text("\n".join(rows) + "\n")
 
 
@@ -437,31 +410,29 @@ def run_scenario(sc: Scenario, out_dir: Path, fmt: str = "csv",
                 extent = default_extent(p)
             sg = spectral_grid(p, extent, sc.oracle.n_points, force_phi_unity=True)
             peaks = find_resonances(sg)
-            hdr = header + [f"normalization: {np.abs(sg.values).max():.12e}",
-                            f"n_peaks: {len(peaks)}"]
-            _write_spectral_grid(path, hdr, sg, fmt)
+            mag = np.abs(sg.values)
+            hdr = header + [f"normalization: {mag.max():.12e}", f"n_peaks: {len(peaks)}"]
+            axes = [("delta2_gamma31", sg.delta2_axis), ("delta3_gamma31", sg.delta3_axis)]
+            step = max(1, len(sg.delta2_axis) // 1024)  # cap csv size; full grid in json
+            _write_export(path, hdr, axes, mag, "abs_value", "abs_chi5", fmt, step)
             print(f"[{sc.name}] chi5 grid: {len(peaks)} resonance peaks")
             for pk in peaks:
                 print(f"  delta2 = {pk['delta2']:+9.3f}, delta3 = {pk['delta3']:+9.3f} gamma31")
-        elif out == "rcc2d_numeric":
-            t12, t13, vals = _crop_grid(run.rate, tmin, tmax)
-            _write_grid(path, header + [f"normalization: {run.rate.normalization:.12e}"],
-                        t12, t13, vals, fmt)
-        elif out == "rcc2d_analytic":
-            which = "hybrid" if derived_frequencies(p).regime is Regime.HYBRID else "chi5"
-            kwargs = {"ideal_rect": sc.oracle.ideal_rect} if which == "hybrid" else {}
-            ana = analytic_rate_grid(p, run.rate.tau12_axis, run.rate.tau13_axis,
-                                     which=which, **kwargs)
-            t12, t13, vals = _crop_grid(ana, tmin, tmax)
-            _write_grid(path, header + [f"normalization: {ana.normalization:.12e}"],
-                        t12, t13, vals, fmt)
+        elif out.startswith("rcc2d_"):
+            grid = run.rate
+            if out == "rcc2d_analytic":
+                grid = _analytic_grid(p, grid.tau12_axis, grid.tau13_axis, sc.oracle.ideal_rect)
+            t12, t13, vals = _crop_grid(grid, tmin, tmax)
+            _write_export(path, header + [f"normalization: {grid.normalization:.12e}"],
+                          [("tau12_s", t12), ("tau13_s", t13)], vals, "value", "values", fmt)
         elif out.startswith("trace_"):
             which = _trace_direction(out)
             if out.endswith("numeric"):
                 tr = run.trace(which)
             else:
                 tr = _analytic_trace(p, which, sc.oracle.ideal_rect)
-            _write_trace(path, header + [f"quantity: {out}"], tr, fmt)
+            _write_export(path, header + [f"quantity: {out}"], [("t_s", tr.t_axis)],
+                          tr.values, "value", "value", fmt)
         written.append(path)
     return written
 
@@ -472,15 +443,18 @@ def _analytic_trace(p: SystemParams, which: str, ideal_rect: bool) -> analysis.T
     tmax = max(d.group_delay * 1.2, 8.0 / (2 * d.gamma_e1 * p.gamma31_si))
     t = np.linspace(0.0, tmax, 4096)
     if which == "tau12":
-        from .wavepacket import rcc_cond12
-
         vals = rcc_cond12(t, p, normalize=True)
         return analysis.TimeTrace(t_axis=t, values=np.asarray(vals))
     # tau13: integrate the regime-appropriate closed form over tau12
-    which_grid = "hybrid" if d.regime is Regime.HYBRID else "chi5"
-    kwargs = {"ideal_rect": ideal_rect} if which_grid == "hybrid" else {}
-    grid = analytic_rate_grid(p, t, t, which=which_grid, **kwargs)
-    return analysis.trace_from_grid(grid, axis="tau13")
+    return analysis.trace_from_grid(_analytic_grid(p, t, t, ideal_rect), axis="tau13")
+
+
+def _analytic_grid(p: SystemParams, tau12_axis, tau13_axis, ideal_rect: bool):
+    """The closed-form rate grid of the regime `p` falls in."""
+    if derived_frequencies(p).regime is Regime.HYBRID:
+        return analytic_rate_grid(p, tau12_axis, tau13_axis, which="hybrid",
+                                  ideal_rect=ideal_rect)
+    return analytic_rate_grid(p, tau12_axis, tau13_axis, which="chi5")
 
 
 def run_sweep(sc: Scenario, param: str, values: list, out_dir: Path,
@@ -494,7 +468,7 @@ def run_sweep(sc: Scenario, param: str, values: list, out_dir: Path,
     for v in values:
         try:
             points.append((v, sc.params.with_(**{param: v})))
-        except ValueError as exc:
+        except ValidationError as exc:
             raise ConfigError(f"sweep value {param} = {v!r}: {exc}") from exc
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

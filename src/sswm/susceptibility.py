@@ -8,7 +8,6 @@ so each symbol has a single definition.
 """
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -25,58 +24,19 @@ POLE_FLOOR = 1e-30
 PHI_SERIES_CUTOFF = 1e-6
 
 
-@dataclass(frozen=True)
-class ComplexRates:
-    """Damped detuning denominators at one (delta2, delta3) point.
-
-    Sign convention: for positive dephasing rates every member has a strictly
-    negative real part (damping).
-    """
-
-    gamma41_c: complex
-    gamma51_c: complex
-    gamma54_c: complex
-    upsilon21: complex
-    upsilon31: complex
-    upsilon42: complex
-    upsilon52: complex
-    upsilon53: complex
-    tee_41: complex
-    tee_51: complex
-    tee_54: complex
-    arr_21: complex
-    arr_31: complex
-
-
-def complex_rates(delta2, delta3, p: SystemParams) -> ComplexRates:
-    """Evaluate every dressed rate at a single scalar (delta2, delta3)."""
-    g41, g51 = _pump_rates(p)
-    g54 = 1j * p.delta_c1 - p.gamma54
-    three = 1j * (p.delta_p + delta2 + delta3)
-    return ComplexRates(
-        gamma41_c=g41,
-        gamma51_c=g51,
-        gamma54_c=g54,
-        upsilon21=-1j * delta3 - p.gamma21,
-        upsilon31=-1j * delta3 - p.gamma31,
-        upsilon42=-1j * delta2 - p.gamma42,
-        upsilon52=1j * (p.delta_c1 - delta2) - p.gamma52,
-        upsilon53=1j * (p.delta_c1 - delta2) - p.gamma53,
-        tee_41=g41 - three,
-        tee_51=g51 - three,
-        tee_54=g54 - three,
-        arr_21=(-1j * delta3 - p.gamma21) + three,
-        arr_31=(-1j * delta3 - p.gamma31) + three,
-    )
-
-
 def _pump_rates(p: SystemParams) -> tuple[complex, complex]:
     """Bare damped detunings G41 and G51 of the pump arm."""
     return 1j * p.delta_p - p.gamma41, 1j * (p.delta_p + p.delta_c1) - p.gamma51
 
 
 def _tee(gamma_c, delta2, delta3, p: SystemParams):
+    """Three-photon damped detuning T = G - i(delta_p + delta2 + delta3)."""
     return gamma_c - 1j * (p.delta_p + delta2 + delta3)
+
+
+def _upsilon(delta3, p: SystemParams):
+    """Damped detunings U21 and U31 of the coupling arm."""
+    return -1j * delta3 - p.gamma21, -1j * delta3 - p.gamma31
 
 
 def d_function(delta2, delta3, p: SystemParams):
@@ -128,13 +88,14 @@ def chi1(delta2, delta3, p: SystemParams):
 def chi2(delta2, p: SystemParams):
     """Linear response of the second signal arm (depends on delta2 only).
 
-    The arr_ij combinations cancel delta3 exactly, so any delta3 may be used
-    internally; 0 is passed.
+    R21 = U21 + i(delta_p + delta2 + delta3) and R31 cancel delta3 exactly,
+    so any delta3 may be used internally; 0 is passed.
     """
     delta3 = 0.0
     g41, g51 = _pump_rates(p)
-    r21 = (-1j * delta3 - p.gamma21) + 1j * (p.delta_p + delta2 + delta3)
-    r31 = (-1j * delta3 - p.gamma31) + 1j * (p.delta_p + delta2 + delta3)
+    u21, u31 = _upsilon(delta3, p)
+    r21 = u21 + 1j * (p.delta_p + delta2 + delta3)
+    r31 = u31 + 1j * (p.delta_p + delta2 + delta3)
     u42s = np.conj(-1j * delta2 - p.gamma42)
     u52s = np.conj(1j * (p.delta_c1 - delta2) - p.gamma52)
     u53s = np.conj(1j * (p.delta_c1 - delta2) - p.gamma53)
@@ -149,8 +110,7 @@ def chi2(delta2, p: SystemParams):
 
 def chi3(delta3, p: SystemParams):
     """EIT response seen by the slow photon: -i / (U31* + |oc2|^2 / U21*)."""
-    u21s = np.conj(-1j * delta3 - p.gamma21)
-    u31s = np.conj(-1j * delta3 - p.gamma31)
+    u21s, u31s = map(np.conj, _upsilon(delta3, p))
     _check_pole(u21s, "chi3")
     den = u31s + abs(p.omega_c2) ** 2 / u21s
     _check_pole(den, "chi3")
@@ -259,8 +219,7 @@ def _pump_factors(s, p: SystemParams):
 
 def _coupling_factor(delta3, p: SystemParams):
     """F2(delta3) = U21* U31* + |oc2|^2, so that D = F1(delta2+delta3) F2(delta3)."""
-    u21s = np.conj(-1j * delta3 - p.gamma21)
-    u31s = np.conj(-1j * delta3 - p.gamma31)
+    u21s, u31s = map(np.conj, _upsilon(delta3, p))
     return u21s * u31s + abs(p.omega_c2) ** 2
 
 

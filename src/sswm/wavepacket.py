@@ -159,22 +159,20 @@ def hybrid_loss_rate(p: SystemParams) -> float:
     return att / eit_dispersion(p).group_delay
 
 
-def wavepacket_hybrid(tau12, tau13, p: SystemParams, ideal_rect: bool = False,
-                      gamma_e3: float | None = None):
+def wavepacket_hybrid(tau12, tau13, p: SystemParams, ideal_rect: bool = False):
     """Hybrid-regime amplitude: chi5 along tau12, a rectangle along tau13.
 
     B = (O1/2 cos(O1 t12/2) + g_e3 sin(O1 t12/2)) Theta(t12) Theta(s)
         * Pi(t13; 0, L/nu3) * e^(-loss*t13 - g_e1*t12).
-    g_e3 defaults to gamma51 - gamma_e1, the coefficient filling the same
-    structural slot in the conditional rate; override if needed.  The closed
-    form contains no early-time precursor by construction: that feature only
-    emerges from the numeric transform.
+    g_e3 = gamma51 - gamma_e1, the coefficient filling the same structural
+    slot in the conditional rate.  The closed form contains no early-time
+    precursor by construction: that feature only emerges from the numeric
+    transform.
     """
     _check_regime(p, Regime.HYBRID)
     s = effective_splittings(p)
     disp = eit_dispersion(p)
-    if gamma_e3 is None:
-        gamma_e3 = p.gamma51 - s.gamma_e1
+    gamma_e3 = p.gamma51 - s.gamma_e1
     t12_s = np.asarray(tau12, dtype=float)
     t13_s = np.asarray(tau13, dtype=float)
     t12 = t12_s * p.gamma31_si
@@ -188,35 +186,24 @@ def wavepacket_hybrid(tau12, tau13, p: SystemParams, ideal_rect: bool = False,
     return float(out) if out.ndim == 0 else out
 
 
-def rcc_hybrid(tau12, tau13, p: SystemParams, ideal_rect: bool = False,
-               gamma_e3: float | None = None):
+def rcc_hybrid(tau12, tau13, p: SystemParams, ideal_rect: bool = False):
     """Hybrid-regime rate: |wavepacket_hybrid|^2."""
-    amp = wavepacket_hybrid(tau12, tau13, p, ideal_rect=ideal_rect, gamma_e3=gamma_e3)
+    amp = wavepacket_hybrid(tau12, tau13, p, ideal_rect=ideal_rect)
     return np.abs(amp) ** 2
 
 
-def _default_cascade_profile(p: SystemParams):
-    s = effective_splittings(p)
-
-    def profile(tau13):
-        t = np.asarray(tau13, dtype=float) * p.gamma31_si
-        val = (1.0 - np.cos(s.omega_e2 * t)) * np.exp(-2 * s.gamma_e2 * t)
-        return np.where(t >= 0, val, 0.0)
-
-    return profile
-
-
-def rcc_cascaded_stub(tau12, tau13, p: SystemParams, profile=None):
+def rcc_cascaded_stub(tau12, tau13, p: SystemParams):
     """Cascaded-source reference: a rate that factorizes by construction.
 
-    Returns rcc_cond12(tau12) * m(tau13) for a configurable 1D profile m
-    (default: the second-arm damped-oscillation envelope).  Used as the
+    Returns rcc_cond12(tau12) * m(tau13) with m the second-arm damped
+    oscillation (1 - cos(O2 t13)) e^(-2 g_e2 t13) Theta(t13).  Used as the
     zero-residual baseline for the factorizability contrast.
     """
-    if profile is None:
-        profile = _default_cascade_profile(p)
+    s = effective_splittings(p)
     r12 = rcc_cond12(tau12, p)
-    m = profile(tau13)
+    t = np.asarray(tau13, dtype=float) * p.gamma31_si
+    val = (1.0 - np.cos(s.omega_e2 * t)) * np.exp(-2 * s.gamma_e2 * t)
+    m = np.where(t >= 0, val, 0.0)
     return r12 * m
 
 

@@ -196,15 +196,15 @@ def test_group_delay_scaling():
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         SystemParams(gamma21=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         SystemParams(omega_c1=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         SystemParams(length_L=-1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         SystemParams(optical_depth=-3.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         SystemParams(delta_p=float("nan"))
 
 

@@ -2,8 +2,7 @@
 import numpy as np
 import pytest
 
-from sswm.analysis import (extract_period, first_antinode_offset, fit_coherence_time,
-                           fit_trace, TimeTrace)
+from sswm.analysis import extract_period, first_antinode_offset, fit_coherence_time
 from sswm.oracle import OracleConfig, rcc_cond_numeric, rcc_numeric
 from sswm.params import SystemParams
 from sswm.scenarios import load_scenario, scenario_report
@@ -41,15 +40,6 @@ def test_dephasing_sensitivity_of_coherence():
     assert tau_c13 == pytest.approx(expected, rel=0.1)
     tr12 = rcc_cond_numeric("tau12", p_bad, cfg)
     assert extract_period(tr12) == pytest.approx(21e-9, abs=1e-9)  # unaffected
-
-
-def test_fit_trace_attaches_observables():
-    t = np.linspace(0, 600e-9, 8000)
-    y = np.exp(-t / 90e-9) * (1 + np.cos(2 * np.pi * t / 30e-9)) / 2
-    fitted = fit_trace(TimeTrace(t_axis=t, values=y))
-    assert fitted.fitted["period_s"] == pytest.approx(30e-9, rel=0.02)
-    assert fitted.fitted["coherence_time_s"] == pytest.approx(90e-9, rel=0.03)
-    assert fitted.fitted["coherence_mode"] == "envelope_slope"
 
 
 def test_patch_singular_helper():

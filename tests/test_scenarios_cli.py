@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -89,6 +90,59 @@ def test_run_scenario_fig2(tmp_path):
     text = (tmp_path / "fig2_chi5_grid.csv").read_text()
     assert text.startswith("# scenario: fig2")
     assert "delta2_gamma31,delta3_gamma31,abs_value" in text
+
+
+CELL = r"-?\d\.\d{12}e[+-]\d{2}"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name, outputs, axes, column, key", [
+    ("fig2", ("chi5_grid",), ("delta2_gamma31", "delta3_gamma31"), "abs_value", "abs_chi5"),
+    ("fig3a", ("rcc2d_numeric", "rcc2d_analytic"), ("tau12_s", "tau13_s"), "value", "values"),
+    ("fig3c", ("trace_tau12_numeric", "trace_tau13_numeric", "trace_tau12_analytic",
+               "trace_tau13_analytic"), ("t_s",), "value", "value"),
+], ids=["fig2", "fig3a", "fig3c"])
+def test_export_layout(tmp_path, fmt, name, outputs, axes, column, key):
+    # header lines, column line or JSON keys, and .12e long-form CSV cells
+    from dataclasses import replace
+
+    sc = replace(small(load_scenario(name), n_points=256), outputs=outputs)
+    paths = run_scenario(sc, tmp_path, fmt=fmt)
+    assert [p.name for p in paths] == [f"{name}_{o}.{fmt}" for o in outputs]
+    for path, out in zip(paths, outputs):
+        header = [f"scenario: {name}", f"params_hash: {sc.params.content_hash()}"]
+        if out == "chi5_grid":
+            header += [f"normalization: {CELL}", r"n_peaks: \d+"]
+        elif out.startswith("rcc2d_"):
+            header += [f"normalization: {CELL}"]
+        else:
+            header += [f"quantity: {out}"]
+        if fmt == "json":
+            payload = json.loads(path.read_text())
+            assert sorted(payload) == sorted(("header", key) + axes)
+            lines = payload["header"]
+            shape = np.shape(payload[key])
+            assert shape == tuple(len(payload[a]) for a in axes) and min(shape) > 1
+        else:
+            text = path.read_text().splitlines()
+            lines = [ln[2:] for ln in text[:len(header)]]
+            assert text[len(header)] == ",".join(axes + (column,))
+            rows = text[len(header) + 1:]
+            row = re.compile(",".join([CELL] * (len(axes) + 1)))
+            assert all(row.fullmatch(r) for r in rows)
+            n_axis = [len({r.split(",")[k] for r in rows}) for k in range(len(axes))]
+            assert len(rows) == math.prod(n_axis) and min(n_axis) > 1
+        assert len(lines) == len(header)
+        assert all(re.fullmatch(h, ln) for h, ln in zip(header, lines))
+
+
+def test_directory_named_like_a_preset(tmp_path, monkeypatch):
+    # exporting a preset into a directory named after it does not shadow it
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "fig3c").mkdir()
+    assert load_scenario("fig3c").name == "fig3c"
+    assert main(["simulate", "--scenario", "fig3c", "--out", "fig3c", "--grid-n", "256"]) == 0
+    assert (tmp_path / "fig3c" / "fig3c_trace_tau13_numeric.csv").exists()
 
 
 def test_run_scenario_deterministic(tmp_path):

@@ -8,9 +8,9 @@ from scipy.optimize import brentq
 
 from sswm.errors import ValidationError
 from sswm.params import SystemParams, effective_splittings
-from sswm.susceptibility import (SpectralGrid, chi1, chi3, chi5, complex_rates,
-                                 d_function, delta_k, find_resonances, phi,
-                                 phi_of_dkl, spectral_grid)
+from sswm.susceptibility import (SpectralGrid, _pump_rates, _tee, _upsilon, chi1,
+                                 chi2, chi3, chi5, d_function, delta_k,
+                                 find_resonances, phi, phi_of_dkl, spectral_grid)
 
 FIG2 = SystemParams(omega_c1=40.0, omega_c2=40.0)
 
@@ -31,12 +31,46 @@ rate_params = st.fixed_dictionaries({
 @given(rate_params, st.floats(-80, 80), st.floats(-80, 80))
 @settings(max_examples=60, deadline=None)
 def test_rates_damping_sign(kw, d2, d3):
+    # every dressed-rate helper (G41, G51, T41, T51, U21, U31) damps
     p = SystemParams(**kw)
-    r = complex_rates(d2, d3, p)
-    for name in ("gamma41_c", "gamma51_c", "gamma54_c", "upsilon21", "upsilon31",
-                 "upsilon42", "upsilon52", "upsilon53", "tee_41", "tee_51",
-                 "tee_54", "arr_21", "arr_31"):
-        assert getattr(r, name).real < 0
+    g41, g51 = _pump_rates(p)
+    rates = [g41, g51, _tee(g41, d2, d3, p), _tee(g51, d2, d3, p), *_upsilon(d3, p)]
+    for r in rates:
+        assert r.real < 0
+
+
+def _rel(a, b):
+    return abs(a - b) / abs(b)
+
+
+@given(rate_params, st.floats(-80, 80), st.floats(-80, 80))
+@settings(max_examples=60, deadline=None)
+def test_chi_linear_match_their_definitions(kw, d2, d3):
+    # chi1..chi3 against their defining expressions, every rate written out
+    p = SystemParams(**kw)
+    g41 = 1j * p.delta_p - p.gamma41
+    g51 = 1j * (p.delta_p + p.delta_c1) - p.gamma51
+    g54 = 1j * p.delta_c1 - p.gamma54
+    three = 1j * (p.delta_p + d2 + d3)
+    oc1, oc2, op = abs(p.omega_c1) ** 2, abs(p.omega_c2) ** 2, abs(p.omega_p) ** 2
+    want1 = -1j * op * oc1 / ((g54 - three) * (g41 * g51 + oc1)
+                              * ((g41 - three) * (g51 - three) + oc1))
+    assert _rel(chi1(d2, d3, p), want1) <= 1e-12
+
+    r21 = -1j * d3 - p.gamma21 + three
+    r31 = -1j * d3 - p.gamma31 + three
+    u42s = np.conj(-1j * d2 - p.gamma42)
+    u52s = np.conj(1j * (p.delta_c1 - d2) - p.gamma52)
+    u53s = np.conj(1j * (p.delta_c1 - d2) - p.gamma53)
+    bracket = u52s * u53s + oc2
+    want2 = (1j * op * g51 * r31 * bracket
+             / ((g41 * g51 + oc1) * (r21 * r31 + oc2) * (u53s * oc1 + u42s * bracket)))
+    assert _rel(chi2(d2, p), want2) <= 1e-12
+
+    u21s = np.conj(-1j * d3 - p.gamma21)
+    u31s = np.conj(-1j * d3 - p.gamma31)
+    want3 = -1j / (u31s + oc2 / u21s)
+    assert _rel(chi3(d3, p), want3) <= 1e-12
 
 
 def test_chi5_central_symmetry():

@@ -164,14 +164,15 @@ def test_hybrid_loss_rate_scale():
     assert abs(lossy) == pytest.approx(abs(ideal) * math.exp(-rate * t13), rel=1e-9)
 
 
-def test_hybrid_gamma_e3_default_and_override():
+def test_hybrid_gamma_e3_constant():
+    # the sin(O1 t12/2) coefficient is gamma51 - gamma_e1
     s = effective_splittings(HYB)
-    default = wavepacket_hybrid(20e-9, 100e-9, HYB, ideal_rect=True)
-    explicit = wavepacket_hybrid(20e-9, 100e-9, HYB, ideal_rect=True,
-                                 gamma_e3=HYB.gamma51 - s.gamma_e1)
-    assert default == explicit
-    other = wavepacket_hybrid(20e-9, 100e-9, HYB, ideal_rect=True, gamma_e3=0.0)
-    assert other != default
+    t12 = 20e-9 * G
+    o1, g_e3 = s.omega_e1, HYB.gamma51 - s.gamma_e1
+    want = ((o1 / 2 * math.cos(o1 * t12 / 2) + g_e3 * math.sin(o1 * t12 / 2))
+            * math.exp(-s.gamma_e1 * t12))
+    assert wavepacket_hybrid(20e-9, 100e-9, HYB, ideal_rect=True) == pytest.approx(
+        want, rel=1e-12)
 
 
 def test_hybrid_integrated_profile_flat_when_delay_dominates():
@@ -195,14 +196,14 @@ def test_cascaded_stub_factorizes_exactly():
     assert factorizability_residual(grid) < 1e-12
 
 
-def test_cascaded_stub_custom_profile():
-    def box(t13):
-        t13 = np.asarray(t13, dtype=float)
-        return ((t13 >= 0) & (t13 <= 100e-9)).astype(float)
-
-    val = rcc_cascaded_stub(5e-9, 50e-9, P, profile=box)
-    assert val == pytest.approx(rcc_cond12(5e-9, P))
-    assert rcc_cascaded_stub(5e-9, 150e-9, P, profile=box) == 0.0
+def test_cascaded_stub_second_arm_profile():
+    # rcc_cond12(tau12) times the damped second-arm oscillation in tau13
+    s = effective_splittings(P)
+    t13 = 50e-9 * G
+    m = (1 - math.cos(s.omega_e2 * t13)) * math.exp(-2 * s.gamma_e2 * t13)
+    val = rcc_cascaded_stub(5e-9, 50e-9, P)
+    assert val == pytest.approx(rcc_cond12(5e-9, P) * m, rel=1e-12)
+    assert rcc_cascaded_stub(5e-9, -1e-9, P) == 0.0
 
 
 def test_triphoton_landscape_not_factorizable():
