@@ -8,6 +8,13 @@ the conjugated spectrum in the lower half plane this lands the support on
 quadrature is a uniform Riemann sum realized as an FFT (the spectra are
 smooth Lorentzian products; the refinement test governs accuracy), and
 results are bitwise-reproducible for a fixed configuration.
+
+The rate grid is |fft2|^2 of the samples: the linear phase that places the
+amplitude on the shifted spectral axes has modulus one and drops out.  Each
+conditional trace is that grid integrated over the other delay, which equals
+the defining transform-square-integrate order by the discrete Parseval
+identity along the integrated axis; `rcc_cond_numeric` keeps the literal
+1D order as the reference.
 """
 from __future__ import annotations
 
@@ -17,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import TimeTrace
+from .analysis import TimeTrace, trace_from_grid
 from .errors import ValidationError
 from .params import SystemParams, effective_splittings, eit_dispersion
 from .susceptibility import SpectralGrid, spectral_grid
@@ -76,18 +83,34 @@ def sampled_spectrum(p: SystemParams, cfg: OracleConfig) -> SpectralGrid:
     grid = spectral_grid(p, extent, n, force_phi_unity=cfg.force_phi_unity,
                          ideal_rect=cfg.ideal_rect)
     if cfg.tukey_alpha > 0:
-        from scipy.signal.windows import tukey  # ~1 s import, needed only here
-
-        w = tukey(n, cfg.tukey_alpha)
+        w = _tukey(n, cfg.tukey_alpha)
+        values = grid.values  # a fresh array: taper it in place
+        values *= w[:, None]
+        values *= w[None, :]
         grid = SpectralGrid(
             delta2_axis=grid.delta2_axis,
             delta3_axis=grid.delta3_axis,
-            values=grid.values * w[:, None] * w[None, :],
+            values=values,
             params_hash=grid.params_hash,
             n_singular_replaced=grid.n_singular_replaced,
             meta={**grid.meta, "tukey_alpha": cfg.tukey_alpha},
         )
     return grid
+
+
+def _tukey(n: int, alpha: float) -> np.ndarray:
+    """The symmetric Tukey window of `scipy.signal.windows.tukey(n, alpha)`,
+    0 < alpha <= 1, written with the same expressions in the same order so
+    the samples are bitwise equal (alpha = 1 is scipy's Hann branch)."""
+    if alpha >= 1.0:
+        return 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n))
+    k = np.arange(n, dtype=np.float64)
+    width = int(math.floor(alpha * (n - 1) / 2.0))
+    n1, n3 = k[:width + 1], k[n - width - 1:]
+    w = np.ones(n)
+    w[:width + 1] = 0.5 * (1 + np.cos(np.pi * (-1 + 2.0 * n1 / alpha / (n - 1))))
+    w[n - width - 1:] = 0.5 * (1 + np.cos(np.pi * (-2.0 / alpha + 1 + 2.0 * n3 / alpha / (n - 1))))
+    return w
 
 
 def _time_axis(n: int, spacing: float, gamma31_si: float) -> np.ndarray:
@@ -108,8 +131,9 @@ def wavepacket_numeric(p: SystemParams, cfg: OracleConfig | None = None) -> Wave
 
 def rcc_numeric(p: SystemParams, cfg: OracleConfig | None = None,
                 normalize: bool = True) -> WavepacketGrid:
-    """|wavepacket_numeric|^2, peak-normalized on request."""
-    return _rate(wavepacket_numeric(p, cfg), normalize)
+    """|wavepacket_numeric|^2, peak-normalized on request (taken straight
+    from the fft2, without the unit-modulus phase factor)."""
+    return _rate_grid(sampled_spectrum(p, cfg or OracleConfig()), p.gamma31_si, normalize)
 
 
 def rcc_cond_numeric(which: str, p: SystemParams,
@@ -140,14 +164,25 @@ def _amplitude(grid: SpectralGrid, gamma31_si: float) -> WavepacketGrid:
                           kind="amplitude", normalization=None)
 
 
-def _rate(amp: WavepacketGrid, normalize: bool = True) -> WavepacketGrid:
-    vals = np.abs(amp.values) ** 2
+def _rate_grid(grid: SpectralGrid, gamma31_si: float,
+               normalize: bool = True) -> WavepacketGrid:
+    # (Re^2 + Im^2) of the fft2 times dd^4, shifted as a real array; the
+    # phase factor of _amplitude has modulus one and is skipped
+    n = len(grid.delta2_axis)
+    dd = float(grid.delta2_axis[1] - grid.delta2_axis[0])
+    F = np.fft.fft2(grid.values)
+    vals = F.real ** 2
+    vals += F.imag ** 2
+    del F
+    vals *= dd**4
+    vals = np.fft.fftshift(vals)
     norm = None
     if normalize:
         norm = float(vals.max())
-        vals = vals / norm
-    return WavepacketGrid(tau12_axis=amp.tau12_axis, tau13_axis=amp.tau13_axis,
-                          values=vals, kind="rate", normalization=norm)
+        vals /= norm
+    t = _time_axis(n, dd, gamma31_si)
+    return WavepacketGrid(tau12_axis=t, tau13_axis=t.copy(), values=vals,
+                          kind="rate", normalization=norm)
 
 
 def _check_which(which: str) -> None:
@@ -176,13 +211,17 @@ class OracleRun:
     """The numeric products of one (params, config) pair, from one spectrum.
 
     The constructor samples chi5*Phi once (`sampled_spectrum`) and derives
-    what the caller asks for: the peak-normalized rate grid (`rate`, as
-    `rcc_numeric`; None when `rate` is false) and the peak-normalized
-    conditional traces listed in `traces` (as `rcc_cond_numeric`), through
-    the same transforms as those functions, so the products are bitwise
-    equal to theirs.  Neither the spectrum nor the complex amplitude
-    outlives the constructor: a 2048^2 complex grid is 64 MB, and the run
-    keeps only what it was asked for.
+    what the caller asks for: the peak-normalized rate grid (`rate`; None
+    when `rate` is false) and the peak-normalized conditional traces listed
+    in `traces`.  The rate goes through the same transform as `rcc_numeric`
+    and is bitwise equal to it.  With the rate, the run makes one fft2 and
+    nothing else: each trace is the rate integrated over the other delay
+    (`trace_from_grid`), equal to `rcc_cond_numeric` up to rounding by the
+    discrete Parseval identity.  Without it, each trace is the 1D
+    transform of `rcc_cond_numeric`, which costs less than an fft2.
+    Neither the spectrum nor the transform outlives the constructor: a
+    2048^2 complex grid is 64 MB, and the run keeps only what it was asked
+    for.
     """
 
     def __init__(self, p: SystemParams, cfg: OracleConfig | None = None, *,
@@ -190,8 +229,12 @@ class OracleRun:
         for which in traces:
             _check_which(which)
         grid = sampled_spectrum(p, cfg or OracleConfig())
-        self._traces = {w: _conditional(grid, w, p.gamma31_si) for w in traces}
-        self.rate = _rate(_amplitude(grid, p.gamma31_si)) if rate else None
+        if rate:
+            self.rate = _rate_grid(grid, p.gamma31_si)
+            self._traces = {w: trace_from_grid(self.rate, w) for w in traces}
+        else:
+            self.rate = None
+            self._traces = {w: _conditional(grid, w, p.gamma31_si) for w in traces}
 
     def trace(self, which: str) -> TimeTrace:
         """The peak-normalized conditional trace along `which`."""

@@ -1,7 +1,11 @@
 """OracleRun: one spectrum per (params, config), shared by every consumer."""
 import gc
+import os
+import subprocess
+import sys
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,9 +50,41 @@ def test_products_equal_standalone_transforms(p, tukey_alpha, force_phi_unity, i
     for name in ("tau12_axis", "tau13_axis", "values"):
         assert np.array_equal(getattr(run.rate, name), getattr(ref, name))
     for which in ("tau12", "tau13"):
+        # the run integrates its rate grid (Parseval), the reference the
+        # 1D transforms: equal up to rounding
         tr = rcc_cond_numeric(which, p, cfg)
         assert np.array_equal(run.trace(which).t_axis, tr.t_axis)
-        assert np.array_equal(run.trace(which).values, tr.values)
+        assert np.max(np.abs(run.trace(which).values - tr.values)) <= 1e-13
+
+
+def test_rate_run_makes_one_fft2_and_no_1d_fft(monkeypatch):
+    calls = []
+
+    def counting(name):
+        real = getattr(np.fft, name)
+
+        def transform(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return transform
+
+    for name in ("fft", "fft2"):
+        monkeypatch.setattr(np.fft, name, counting(name))
+    OracleRun(HYB, OracleConfig(extent=32.0, n_points=256), traces=("tau12", "tau13"))
+    assert calls == ["fft2"]
+
+
+def test_tapered_run_loads_no_scipy():
+    src = str(Path(sswm.oracle.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, warnings; warnings.simplefilter('ignore')\n"
+            "from sswm.oracle import OracleConfig, OracleRun\n"
+            "from sswm.params import SystemParams\n"
+            "OracleRun(SystemParams(), OracleConfig(n_points=256, tukey_alpha=0.1),"
+            " traces=('tau12', 'tau13'))\n"
+            "sys.exit(int('scipy' in sys.modules))")
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_run_holds_only_what_was_asked(builds):
