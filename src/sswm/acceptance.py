@@ -4,9 +4,9 @@ with its tolerance pinned, shared heavy artifacts computed once.
 Oracle configuration used throughout: the default extent rule with a
 Tukey(0.1) spectral taper.  The taper keeps truncation sidelobes inside the
 causality budget while moving fitted periods by well under the documented
-0.5% window sensitivity.  Comparisons against closed forms exclude a 2.5-cell
-band around the tau12 = 0 support jump, where a band-limited transform
-necessarily takes midpoint values.
+0.5% window sensitivity.  Comparisons against closed forms exclude a band of
+`oracle.EDGE_HALFWIDTH_CELLS` cells around the tau12 = 0 support jump, where a
+band-limited transform necessarily takes midpoint values.
 """
 from __future__ import annotations
 
@@ -19,8 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis
-from .oracle import (OracleConfig, OracleRun, normalized_l2_error, rcc_cond_numeric,
-                     support_edge_mask)
+from .errors import ConfigError
+from .oracle import (EDGE_HALFWIDTH_CELLS, OracleConfig, OracleRun, normalized_l2_error,
+                     rcc_cond_numeric, support_edge_mask)
 from .params import SystemParams, derived_frequencies, effective_splittings
 from .susceptibility import find_resonances, spectral_grid
 from .wavepacket import analytic_rate_grid, rcc_chi5, rcc_cond12, wavepacket_chi5
@@ -117,7 +118,7 @@ def c03_oracle_equivalence(ctx: AcceptanceContext) -> CriterionResult:
 
     tr = ctx.chi5_run.trace("tau12")
     ana12 = rcc_cond12(tr.t_axis, ctx.p_chi5, normalize=True)
-    keep = np.abs(tr.t_axis) > 2.5 * tr.dt
+    keep = np.abs(tr.t_axis) > EDGE_HALFWIDTH_CELLS * tr.dt
     err1d = normalized_l2_error(tr.values, ana12 / ana12.max(), keep)
     ok = err2d < 0.05 and err1d < 0.05
     return CriterionResult(
@@ -274,15 +275,17 @@ def report_lines(results: list[CriterionResult]) -> list[str]:
     return [r.line() for r in results] + [f"{n_pass}/{len(results)} criteria passed"]
 
 
-def run_acceptance(subset: list[str] | None = None,
-                   out_dir: Path | None = None,
-                   context: AcceptanceContext | None = None) -> list[CriterionResult]:
-    """Run (a subset of) the criteria; with `out_dir`, also write their
-    `report_lines` to acceptance_report.txt there."""
-    ctx = context or AcceptanceContext()
+def run_acceptance(out_dir: Path, subset: list[str] | None = None) -> list[CriterionResult]:
+    """Run (a subset of) the criteria and write their `report_lines` to
+    acceptance_report.txt in `out_dir`; ConfigError names unknown ids."""
+    valid = [cid for cid, _, _ in CRITERIA]
+    unknown = [cid for cid in subset or () if cid not in valid]
+    if unknown:
+        raise ConfigError(f"unknown criterion id(s) {', '.join(map(repr, unknown))}; "
+                          f"valid ids: {', '.join(valid)}")
+    ctx = AcceptanceContext()
     results = [fn(ctx) for cid, fn, _ in CRITERIA if subset is None or cid in subset]
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "acceptance_report.txt").write_text("\n".join(report_lines(results)) + "\n")
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "acceptance_report.txt").write_text("\n".join(report_lines(results)) + "\n")
     return results

@@ -21,6 +21,12 @@ ENVELOPE_RESIDUAL_MAX = 0.15
 #: span is treated as rectangular (width mode).
 RECT_SPAN_RATIO = 0.6
 
+#: The precursor window: maxima at tau13 in [0, PRECURSOR_WINDOW * L/nu3].
+PRECURSOR_WINDOW = 0.05
+
+#: A precursor maximum exceeds this multiple of the mid-rectangle median.
+PRECURSOR_PROMINENCE = 1.5
+
 
 @dataclass(frozen=True)
 class TimeTrace:
@@ -85,26 +91,14 @@ class ObservableReport:
         return out
 
 
-def _median3(y: np.ndarray) -> np.ndarray:
-    if len(y) < 3:
-        return y
-    stacked = np.vstack([y[:-2], y[1:-1], y[2:]])
-    out = y.copy()
-    out[1:-1] = np.median(stacked, axis=0)
-    return out
-
-
-def local_maxima(tr: TimeTrace, floor_frac: float = MAXIMA_FLOOR,
-                 median_filter: bool = False) -> np.ndarray:
-    """Interior 3-point maxima above floor_frac*peak, parabolically refined.
+def local_maxima(tr: TimeTrace) -> np.ndarray:
+    """Interior 3-point maxima above MAXIMA_FLOOR*peak, parabolically refined.
 
     Returns an (n, 2) array of (time, value).  The refinement fits a parabola
     through the three samples around each maximum; positions are accurate to
     a small fraction of a sample for smooth oscillations.
     """
     y = np.asarray(tr.values, dtype=float)
-    if median_filter:
-        y = _median3(y)
     t = tr.t_axis
     peak = y.max()
     if peak <= 0:
@@ -112,38 +106,12 @@ def local_maxima(tr: TimeTrace, floor_frac: float = MAXIMA_FLOOR,
     out = []
     dt = tr.dt
     for i in range(1, len(y) - 1):
-        if y[i] > y[i - 1] and y[i] >= y[i + 1] and y[i] > floor_frac * peak:
+        if y[i] > y[i - 1] and y[i] >= y[i + 1] and y[i] > MAXIMA_FLOOR * peak:
             den = y[i - 1] - 2 * y[i] + y[i + 1]
             off = 0.5 * (y[i - 1] - y[i + 1]) / den if den != 0 else 0.0
             off = float(np.clip(off, -0.5, 0.5))
             out.append((t[i] + off * dt, y[i] - 0.25 * (y[i - 1] - y[i + 1]) * off))
     return np.array(out) if out else np.empty((0, 2))
-
-
-def _spectral_period(tr: TimeTrace) -> float | None:
-    """Period of the dominant oscillation line, skipping the envelope lobe.
-
-    The decaying envelope dominates the low-frequency bins; the oscillation
-    line is the spectral maximum beyond the first local minimum of the
-    magnitude spectrum.
-    """
-    y = np.asarray(tr.values, dtype=float)
-    y = y - y.mean()
-    spec = np.abs(np.fft.rfft(y))
-    if len(spec) < 4:
-        return None
-    k_min = None
-    for k in range(1, len(spec) - 1):
-        if spec[k] <= spec[k - 1] and spec[k] <= spec[k + 1]:
-            k_min = k
-            break
-    if k_min is None or k_min + 1 >= len(spec):
-        return None
-    k_dom = k_min + int(np.argmax(spec[k_min:]))
-    if k_dom == 0 or spec[k_dom] == 0:
-        return None
-    freqs = np.fft.rfftfreq(len(y), d=tr.dt)
-    return 1.0 / freqs[k_dom]
 
 
 def _dominant_spacing_cluster(diffs: np.ndarray) -> np.ndarray:
@@ -165,29 +133,14 @@ def _dominant_spacing_cluster(diffs: np.ndarray) -> np.ndarray:
     return np.asarray(best)
 
 
-def period_fit(tr: TimeTrace) -> dict:
-    """Mean spacing of successive refined maxima (dominant spacing cluster).
-
-    The dominant-frequency spectral line is returned alongside as an
-    independent cross-check value.
-    """
+def extract_period(tr: TimeTrace) -> float:
+    """Oscillation period in seconds: the mean spacing of successive refined
+    maxima, taken over the dominant spacing cluster."""
     pk = local_maxima(tr)
     if len(pk) < 3:
         raise InsufficientExtremaError(
             f"period fit needs >= 3 maxima, found {len(pk)}")
-    keep = _dominant_spacing_cluster(np.diff(pk[:, 0]))
-    spectral = _spectral_period(tr)
-    return {
-        "period_s": float(keep.mean()),
-        "spectral_period_s": None if spectral is None else float(spectral),
-        "n_maxima": int(len(pk)),
-        "n_spacings_used": int(len(keep)),
-    }
-
-
-def extract_period(tr: TimeTrace) -> float:
-    """Oscillation period in seconds (see period_fit for the method)."""
-    return period_fit(tr)["period_s"]
+    return float(_dominant_spacing_cluster(np.diff(pk[:, 0])).mean())
 
 
 def _halfmax_span(t: np.ndarray, y: np.ndarray, level: float) -> float:
@@ -307,11 +260,6 @@ def width_at_half_max(tr: TimeTrace) -> float:
 # grid functionals
 
 
-def _cell_area(grid) -> float:
-    return float((grid.tau12_axis[1] - grid.tau12_axis[0])
-                 * (grid.tau13_axis[1] - grid.tau13_axis[0]))
-
-
 def factorizability_residual(grid) -> float:
     """L1 distance between the unit-mass rate and the product of its marginals.
 
@@ -340,8 +288,9 @@ def ordering_violation_mass(grid) -> float:
     return float(r[np.broadcast_to(bad, r.shape)].sum() / total)
 
 
-def trace_from_grid(grid, axis: str = "tau13", normalize: bool = True) -> TimeTrace:
-    """Integrate the 2D rate over the other axis (the conditional profile)."""
+def trace_from_grid(grid, axis: str = "tau13") -> TimeTrace:
+    """Integrate the 2D rate over the other axis (the conditional profile),
+    peak-normalized."""
     r = np.asarray(grid.values, dtype=float)
     if axis == "tau13":
         vals = r.sum(axis=0) * float(grid.tau12_axis[1] - grid.tau12_axis[0])
@@ -351,31 +300,27 @@ def trace_from_grid(grid, axis: str = "tau13", normalize: bool = True) -> TimeTr
         t = grid.tau12_axis
     else:
         raise ValidationError("axis must be 'tau12' or 'tau13'")
-    if normalize and vals.max() > 0:
+    if vals.max() > 0:
         vals = vals / vals.max()
     return TimeTrace(t_axis=np.asarray(t, dtype=float), values=vals)
 
 
-def near_diagonal_trace(grid, cells: int = 1, normalize: bool = True) -> TimeTrace:
-    """The tau13 profile one step off the diagonal: values at
-    tau13 = tau12 + cells*dt as a function of tau13, starting at tau12 = 0.
+def near_diagonal_trace(grid) -> TimeTrace:
+    """The peak-normalized tau13 profile one step off the diagonal: values
+    at tau13 = tau12 + dt as a function of tau13, starting at tau12 = 0.
 
     This is the cut adjacent to the (0, 0) corner where the early-time
     feature of the numeric wavepacket lives (the closed hybrid form is
     identically oscillation-free there).
     """
-    if cells < 1:
-        raise ValidationError("cells must be >= 1")
     r = np.asanyarray(grid.values)
-    if np.iscomplexobj(r):
-        r = np.abs(r) ** 2
     t12 = np.asarray(grid.tau12_axis)
     i0 = int(np.argmin(np.abs(t12)))
-    n = min(r.shape[0], r.shape[1] - cells)
+    n = min(r.shape[0], r.shape[1] - 1)
     rows = np.arange(i0, n)
-    vals = r[rows, rows + cells].astype(float)
-    t = np.asarray(grid.tau13_axis)[rows + cells]
-    if normalize and vals.max() > 0:
+    vals = r[rows, rows + 1].astype(float)
+    t = np.asarray(grid.tau13_axis)[rows + 1]
+    if vals.max() > 0:
         vals = vals / vals.max()
     return TimeTrace(t_axis=t, values=vals)
 
@@ -389,26 +334,24 @@ def first_antinode_offset(grid, p) -> int:
     return 1
 
 
-def diagonal_offset_trace(grid, row_offset: int, normalize: bool = True) -> TimeTrace:
-    """Rate along s = tau13 - tau12 at fixed tau12 = row_offset cells > 0."""
+def diagonal_offset_trace(grid, row_offset: int) -> TimeTrace:
+    """Peak-normalized rate along s = tau13 - tau12 at fixed tau12 =
+    row_offset cells > 0."""
     r = np.asanyarray(grid.values)
-    if np.iscomplexobj(r):
-        r = np.abs(r) ** 2
     t12 = np.asarray(grid.tau12_axis)
     i0 = int(np.argmin(np.abs(t12)))
     i = i0 + row_offset
     ks = np.arange(0, r.shape[1] - i)
     vals = r[i, i + ks].astype(float)
     s_axis = np.asarray(grid.tau13_axis)[i + ks] - t12[i]
-    if normalize and vals.max() > 0:
+    if vals.max() > 0:
         vals = vals / vals.max()
     return TimeTrace(t_axis=s_axis, values=vals)
 
 
-def detect_precursor(tr: TimeTrace, derived, window_frac: float = 0.05,
-                     prominence: float = 1.5) -> bool:
-    """True when an interior local maximum inside [0, window_frac * L/nu3]
-    exceeds `prominence` times the trace median over [0.2, 0.8] * L/nu3.
+def detect_precursor(tr: TimeTrace, derived) -> bool:
+    """True when an interior local maximum inside [0, PRECURSOR_WINDOW * L/nu3]
+    exceeds PRECURSOR_PROMINENCE times the trace median over [0.2, 0.8] * L/nu3.
     """
     T = derived.group_delay
     if T is None or T <= 0:
@@ -421,7 +364,7 @@ def detect_precursor(tr: TimeTrace, derived, window_frac: float = 0.05,
     pk = local_maxima(tr)
     if len(pk) == 0:
         return False
-    early = pk[(pk[:, 0] >= 0) & (pk[:, 0] <= window_frac * T)]
+    early = pk[(pk[:, 0] >= 0) & (pk[:, 0] <= PRECURSOR_WINDOW * T)]
     if len(early) == 0:
         return False
-    return bool(early[:, 1].max() > prominence * baseline)
+    return bool(early[:, 1].max() > PRECURSOR_PROMINENCE * baseline)

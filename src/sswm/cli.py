@@ -113,8 +113,7 @@ def main(argv: list[str] | None = None) -> int:
                 return EXIT_OK
             subset = (None if args.criteria is None
                       else [c.strip() for c in args.criteria.split(",")])
-            results = run_acceptance(subset=subset,
-                                     out_dir=_out_dir(args.out))
+            results = run_acceptance(_out_dir(args.out), subset=subset)
             for line in report_lines(results):
                 print(line)
             return EXIT_OK if all(r.passed for r in results) else EXIT_COMPUTE

@@ -30,6 +30,9 @@ from .params import SystemParams, effective_splittings, eit_dispersion
 from .susceptibility import SpectralGrid, spectral_grid
 from .wavepacket import WavepacketGrid
 
+#: Half-width in cells of the tau12 = 0 band that closed-form comparisons drop.
+EDGE_HALFWIDTH_CELLS = 2.5
+
 
 @dataclass(frozen=True)
 class OracleConfig:
@@ -197,7 +200,10 @@ def _conditional(grid: SpectralGrid, which: str, gamma31_si: float,
     dd = float(grid.delta2_axis[1] - grid.delta2_axis[0])
     axis = 0 if which == "tau12" else 1
     G = np.fft.fft(grid.values, axis=axis)
-    R = (np.abs(G) ** 2).sum(axis=1 - axis) * dd**3
+    sq = G.real ** 2
+    sq += G.imag ** 2
+    del G
+    R = sq.sum(axis=1 - axis) * dd**3
     R = np.fft.fftshift(R)
     t = _time_axis(n, dd, gamma31_si)
     if normalize:
@@ -276,16 +282,15 @@ def normalized_l2_error(test: np.ndarray, reference: np.ndarray,
     return math.sqrt(float(((t - r) ** 2).sum())) / denom
 
 
-def support_edge_mask(wp_tau12_axis: np.ndarray, wp_tau13_axis: np.ndarray,
-                      halfwidth_cells: float = 2.5) -> np.ndarray:
+def support_edge_mask(wp_tau12_axis: np.ndarray, wp_tau13_axis: np.ndarray) -> np.ndarray:
     """Mask that drops the transition band around the tau12 = 0 support jump.
 
     A band-limited discrete transform necessarily takes midpoint values
     across a step discontinuity; comparisons against the closed forms
-    therefore exclude samples within `halfwidth_cells` of tau12 = 0 (the only
-    jump line; the rate is continuous across tau13 = tau12).
+    therefore exclude samples within EDGE_HALFWIDTH_CELLS of tau12 = 0 (the
+    only jump line; the rate is continuous across tau13 = tau12).
     """
     dt = float(wp_tau12_axis[1] - wp_tau12_axis[0])
     t12 = np.asarray(wp_tau12_axis)[:, None]
-    keep = np.abs(t12) > halfwidth_cells * dt
+    keep = np.abs(t12) > EDGE_HALFWIDTH_CELLS * dt
     return np.broadcast_to(keep, (len(wp_tau12_axis), len(wp_tau13_axis)))

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis
-from .errors import ConfigError, SswmError, ValidationError
+from .errors import ConfigError, OverdampedError, SswmError, ValidationError
 from .oracle import OracleConfig, OracleRun, default_extent
 from .params import SystemParams, derived_frequencies, Regime
 from .susceptibility import find_resonances, spectral_grid
@@ -203,8 +203,6 @@ def serialize_config(sc: Scenario) -> str:
         value = getattr(sc.params, fname)
         if fname == "omega21" and value is None:
             lines.append("params.omega21 = auto")
-        elif fname in ("gamma31_si", "omega31", "length_L", "optical_depth", "dipole_scale"):
-            lines.append(f"params.{fname} = {value!r}")
         else:
             lines.append(f"params.{fname} = {_fmt_value(fname, value)}")
     lines.append(f"oracle.extent = {'auto' if sc.oracle.extent is None else repr(sc.oracle.extent) + 'gamma31'}")
@@ -294,9 +292,12 @@ def _trace_direction(output: str) -> str:
     return "tau12" if "tau12" in output else "tau13"
 
 
-def _report_traces(p: SystemParams) -> tuple[str, ...]:
-    # the chi5 branch of the report reads tau13 off the 2D rate grid
-    if derived_frequencies(p).regime is Regime.CHI5_DOMINATED:
+def _report_traces(regime: Regime) -> tuple[str, ...]:
+    # the chi5 branch of the report reads tau13 off the 2D rate grid; no
+    # branch fits an overdamped arm, so that fails before any sampling
+    if regime is Regime.OVERDAMPED:
+        raise OverdampedError("observable report undefined for overdamped arms")
+    if regime is Regime.CHI5_DOMINATED:
         return ("tau12",)
     return ("tau12", "tau13")
 
@@ -309,7 +310,7 @@ def _scenario_run(sc: Scenario, traces: tuple[str, ...] = ()) -> OracleRun | Non
     for out in sc.outputs:
         if out == "report":
             rate = True
-            want += _report_traces(sc.params)
+            want += _report_traces(derived_frequencies(sc.params).regime)
         elif out in ("rcc2d_numeric", "rcc2d_analytic"):
             rate = True  # the analytic grid is evaluated on the numeric time axes
         elif out.startswith("trace_") and out.endswith("numeric"):
@@ -323,12 +324,14 @@ def scenario_report(sc: Scenario, run: OracleRun | None = None) -> analysis.Obse
     """Fitted observables of one scenario (numeric route).
 
     `run` must hold the rate grid and the traces of `_report_traces`; by
-    default one is made for the report alone.
+    default one is made for the report alone.  OverdampedError for an
+    overdamped arm.
     """
     p = sc.params
     d = derived_frequencies(p)
+    traces = _report_traces(d.regime)
     if run is None:
-        run = OracleRun(p, sc.oracle, traces=_report_traces(p))
+        run = OracleRun(p, sc.oracle, traces=traces)
     notes = {
         "regime": d.regime.value,
         "entanglement": "n/a" if d.entanglement is None else d.entanglement.value,

@@ -23,6 +23,9 @@ POLE_FLOOR = 1e-30
 #: |dk*L| below this switches the detuning function to its series form.
 PHI_SERIES_CUTOFF = 1e-6
 
+#: Channel peaks of |chi5| exceed this fraction of its maximum; sidelobes do not.
+RESONANCE_FLOOR = 0.25
+
 
 def _pump_rates(p: SystemParams) -> tuple[complex, complex]:
     """Bare damped detunings G41 and G51 of the pump arm."""
@@ -358,12 +361,11 @@ def _patch_singular(vals: np.ndarray, bad: np.ndarray) -> np.ndarray:
     return out
 
 
-def find_resonances(grid: SpectralGrid, threshold: float = 0.25) -> list[dict]:
-    """Interior local maxima of |values| above threshold*global max.
+def find_resonances(grid: SpectralGrid) -> list[dict]:
+    """Interior local maxima of |values| above RESONANCE_FLOOR*global max.
 
     3x3-neighbourhood maxima, returned sorted by magnitude (descending) as
-    dicts with delta2/delta3 coordinates and magnitude.  The 0.25 threshold
-    separates the four channel peaks without admitting ringing sidelobes.
+    dicts with delta2/delta3 coordinates and magnitude.
     """
     mag = np.abs(grid.values)
     if mag.size == 0 or not np.any(mag > 0):
@@ -381,7 +383,7 @@ def find_resonances(grid: SpectralGrid, threshold: float = 0.25) -> list[dict]:
     # strict on the lexicographically earlier side to avoid plateau doubles
     neighborhood_max &= core > mag[:-2, 1:-1]
     neighborhood_max &= core > mag[1:-1, :-2]
-    neighborhood_max &= core > threshold * peak
+    neighborhood_max &= core > RESONANCE_FLOOR * peak
     for i, j in np.argwhere(neighborhood_max):
         hits.append({
             "delta2": float(grid.delta2_axis[i + 1]),

@@ -209,19 +209,17 @@ def rcc_cascaded_stub(tau12, tau13, p: SystemParams):
 
 def analytic_rate_grid(p: SystemParams, tau12_axis: np.ndarray,
                        tau13_axis: np.ndarray, which: str = "chi5",
-                       normalize: bool = True, **kwargs) -> WavepacketGrid:
-    """Evaluate one of the closed-form rates on an explicit time grid."""
+                       **kwargs) -> WavepacketGrid:
+    """One closed-form rate on an explicit time grid, peak-normalized."""
     fn = {"chi5": rcc_chi5, "hybrid": rcc_hybrid, "cascaded": rcc_cascaded_stub}
     if which not in fn:
         raise ValidationError(f"unknown analytic rate {which!r}")
     t12 = np.asarray(tau12_axis, dtype=float)[:, None]
     t13 = np.asarray(tau13_axis, dtype=float)[None, :]
     vals = fn[which](t12, t13, p, **kwargs)
-    norm = None
-    if normalize:
-        norm = float(vals.max())
-        if norm > 0:
-            vals = vals / norm
+    norm = float(vals.max())
+    if norm > 0:
+        vals = vals / norm
     return WavepacketGrid(
         tau12_axis=np.asarray(tau12_axis, dtype=float),
         tau13_axis=np.asarray(tau13_axis, dtype=float),

@@ -115,21 +115,6 @@ def test_period_scaling_across_couplings():
         assert extract_period(tr) == pytest.approx(expected, rel=0.03)
 
 
-def test_spectral_cross_check_within_one_bin():
-    # the dominant nonzero-frequency component of the conditional trace sits
-    # on the closed-form splitting to within one discrete bin
-    from sswm.analysis import period_fit
-
-    p = SystemParams()
-    t = np.linspace(0, 500e-9, 20000)
-    tr = TimeTrace(t_axis=t, values=rcc_cond12(t, p))
-    pf = period_fit(tr)
-    f_spectral = 1.0 / pf["spectral_period_s"]
-    f_expected = derived_frequencies(p).omega_e1 * G / (2 * math.pi)
-    bin_width = 1.0 / (t[-1] - t[0])
-    assert abs(f_spectral - f_expected) <= bin_width
-
-
 def test_factorizability_separable_and_stub():
     t = np.linspace(0, 1, 301)
     f = np.exp(-3 * t) * (1 + np.cos(40 * t))

@@ -230,7 +230,7 @@ def test_sweep_rejects_bad_input(tmp_path):
 
 
 def test_cli_import_skips_scipy_signal():
-    # the Tukey window is imported only by runs that use it
+    # the Tukey taper is built in numpy, so no run imports scipy.signal
     src = str(Path(sswm.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -248,6 +248,45 @@ def test_cli_acceptance_list(capsys):
     assert main(["acceptance", "--criteria", "list"]) == 0
     out = capsys.readouterr().out
     assert "C1:" in out and "C12:" in out
+
+
+@pytest.mark.parametrize("ids,unknown", [("C99", "C99"), ("c7,C12", "c7")])
+def test_cli_acceptance_unknown_criteria_exit_2(ids, unknown, tmp_path, capsys):
+    # a mistyped id is refused, not dropped into a vacuous 0/0 or 1/1 pass
+    assert main(["acceptance", "--criteria", ids, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and repr(unknown) in err and "C12" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_acceptance_subset(tmp_path, capsys):
+    assert main(["acceptance", "--criteria", "C7,C12", "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert out == (tmp_path / "acceptance_report.txt").read_text()
+    lines = out.splitlines()
+    assert [ln.split()[1] for ln in lines[:2]] == ["C7", "C12"]
+    assert lines[2:] == ["2/2 criteria passed"]
+
+
+def test_cli_overdamped_report_fails_before_sampling(tmp_path, monkeypatch, capsys):
+    # no report branch fits an overdamped arm: a compute error naming the
+    # cause, raised before the spectrum is sampled
+    from dataclasses import replace
+
+    import sswm.oracle
+
+    calls, real = [], sswm.oracle.spectral_grid
+    monkeypatch.setattr(sswm.oracle, "spectral_grid",
+                        lambda *a, **k: calls.append(a) or real(*a, **k))
+    sc = load_scenario("fig3d")
+    sc = replace(sc, params=sc.params.with_(omega_c1=0.2, omega_c2=0.2),
+                 outputs=("report",))
+    cfg = tmp_path / "overdamped.cfg"
+    cfg.write_text(serialize_config(sc))
+    assert main(["simulate", "--scenario", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("compute error: ") and "overdamped arms" in err
+    assert calls == []
 
 
 def test_cli_simulate_and_exit_codes(tmp_path, capsys):
