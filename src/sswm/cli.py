@@ -117,18 +117,16 @@ def main(argv: list[str] | None = None) -> int:
             for line in report_lines(results):
                 print(line)
             return EXIT_OK if all(r.passed for r in results) else EXIT_COMPUTE
-        sc = load_scenario(args.scenario)
-        sc = _apply_overrides(sc, args)
+        sc = _apply_overrides(load_scenario(args.scenario), args)
         if args.command == "simulate":
-            paths = run_scenario(sc, _out_dir(args.out), fmt=args.format)
-            for p in paths:
-                print(f"wrote {p}")
-            return EXIT_OK
-        if args.command == "sweep":
+            paths, lines = run_scenario(sc, _out_dir(args.out), fmt=args.format)
+            lines += [f"wrote {p}" for p in paths]
+        else:  # sweep
             values = _parse_sweep_values(args.values, sc)
-            run_sweep(sc, args.param, values, _out_dir(args.out), fmt=args.format)
-            return EXIT_OK
-        raise ConfigError(f"unknown command {args.command!r}")
+            _, lines = run_sweep(sc, args.param, values, _out_dir(args.out), fmt=args.format)
+        for line in lines:
+            print(line)
+        return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -87,17 +87,10 @@ def sampled_spectrum(p: SystemParams, cfg: OracleConfig) -> SpectralGrid:
                          ideal_rect=cfg.ideal_rect)
     if cfg.tukey_alpha > 0:
         w = _tukey(n, cfg.tukey_alpha)
-        values = grid.values  # a fresh array: taper it in place
+        # a fresh array: taper it in place (through a name, as grid is frozen)
+        values = grid.values
         values *= w[:, None]
         values *= w[None, :]
-        grid = SpectralGrid(
-            delta2_axis=grid.delta2_axis,
-            delta3_axis=grid.delta3_axis,
-            values=values,
-            params_hash=grid.params_hash,
-            n_singular_replaced=grid.n_singular_replaced,
-            meta={**grid.meta, "tukey_alpha": cfg.tukey_alpha},
-        )
     return grid
 
 

@@ -228,7 +228,7 @@ def channel_spectrum(d: DerivedFrequencies) -> list[ChannelSpec]:
     return out
 
 
-def derived_frequencies(p: SystemParams, tol: float = 1e-3) -> DerivedFrequencies:
+def derived_frequencies(p: SystemParams) -> DerivedFrequencies:
     """Merge splittings + dispersion and attach regime/entanglement labels."""
     s = effective_splittings(p)
     e = eit_dispersion(p)
@@ -243,5 +243,5 @@ def derived_frequencies(p: SystemParams, tol: float = 1e-3) -> DerivedFrequencie
         merged,
         regime=classify_regime(merged),
         regime_tie=not merged.overdamped and _is_tie(merged),
-        entanglement=None if merged.overdamped else classify_entanglement(merged, tol),
+        entanglement=None if merged.overdamped else classify_entanglement(merged),
     )

@@ -320,18 +320,15 @@ def _scenario_run(sc: Scenario, traces: tuple[str, ...] = ()) -> OracleRun | Non
     return OracleRun(sc.params, sc.oracle, rate=rate, traces=tuple(dict.fromkeys(want)))
 
 
-def scenario_report(sc: Scenario, run: OracleRun | None = None) -> analysis.ObservableReport:
+def scenario_report(sc: Scenario, run: OracleRun) -> analysis.ObservableReport:
     """Fitted observables of one scenario (numeric route).
 
-    `run` must hold the rate grid and the traces of `_report_traces`; by
-    default one is made for the report alone.  OverdampedError for an
-    overdamped arm.
+    `run` must hold the rate grid and the traces of `_report_traces`, as
+    `_scenario_run` makes it.  OverdampedError for an overdamped arm.
     """
     p = sc.params
     d = derived_frequencies(p)
-    traces = _report_traces(d.regime)
-    if run is None:
-        run = OracleRun(p, sc.oracle, traces=traces)
+    _report_traces(d.regime)  # OverdampedError before any fit
     notes = {
         "regime": d.regime.value,
         "entanglement": "n/a" if d.entanglement is None else d.entanglement.value,
@@ -377,12 +374,16 @@ def scenario_report(sc: Scenario, run: OracleRun | None = None) -> analysis.Obse
 
 
 def run_scenario(sc: Scenario, out_dir: Path, fmt: str = "csv",
-                 run: OracleRun | None = None) -> list[Path]:
-    """Produce every requested output file; returns the paths written.
+                 run: OracleRun | None = None) -> tuple[list[Path], list[str]]:
+    """Produce every requested output file; returns the paths written and
+    the lines to show (the observable report and the chi5 peak table).
 
     Every numeric output reads the one oracle run `run`, made by
-    `_scenario_run` unless the caller passes one holding what the outputs need.
+    `_scenario_run` unless the caller passes one holding what the outputs
+    need; `out_dir` is made only once that run exists.
     """
+    if run is None:
+        run = _scenario_run(sc)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     p = sc.params
@@ -394,19 +395,15 @@ def run_scenario(sc: Scenario, out_dir: Path, fmt: str = "csv",
         tmax = sc.tmax_ns * 1e-9
     ext = "json" if fmt == "json" else "csv"
     written: list[Path] = []
-    if run is None:
-        run = _scenario_run(sc)
+    lines: list[str] = []
 
     for out in sc.outputs:
         path = out_dir / f"{sc.name}_{out}.{ext}"
         if out == "report":
-            rep = scenario_report(sc, run)
-            text = "\n".join(rep.lines()) + "\n"
+            rep = scenario_report(sc, run).lines()
             path = out_dir / f"{sc.name}_report.txt"
-            path.write_text(text)
-            print(f"[{sc.name}] observable report")
-            for line in rep.lines():
-                print("  " + line)
+            path.write_text("\n".join(rep) + "\n")
+            lines += [f"[{sc.name}] observable report"] + ["  " + ln for ln in rep]
         elif out == "chi5_grid":
             extent = sc.oracle.extent
             if extent is None:
@@ -418,9 +415,9 @@ def run_scenario(sc: Scenario, out_dir: Path, fmt: str = "csv",
             axes = [("delta2_gamma31", sg.delta2_axis), ("delta3_gamma31", sg.delta3_axis)]
             step = max(1, len(sg.delta2_axis) // 1024)  # cap csv size; full grid in json
             _write_export(path, hdr, axes, mag, "abs_value", "abs_chi5", fmt, step)
-            print(f"[{sc.name}] chi5 grid: {len(peaks)} resonance peaks")
-            for pk in peaks:
-                print(f"  delta2 = {pk['delta2']:+9.3f}, delta3 = {pk['delta3']:+9.3f} gamma31")
+            lines.append(f"[{sc.name}] chi5 grid: {len(peaks)} resonance peaks")
+            lines += [f"  delta2 = {pk['delta2']:+9.3f}, delta3 = {pk['delta3']:+9.3f} gamma31"
+                      for pk in peaks]
         elif out.startswith("rcc2d_"):
             grid = run.rate
             if out == "rcc2d_analytic":
@@ -437,7 +434,7 @@ def run_scenario(sc: Scenario, out_dir: Path, fmt: str = "csv",
             _write_export(path, header + [f"quantity: {out}"], [("t_s", tr.t_axis)],
                           tr.values, "value", "value", fmt)
         written.append(path)
-    return written
+    return written, lines
 
 
 def _analytic_trace(p: SystemParams, which: str, ideal_rect: bool) -> analysis.TimeTrace:
@@ -461,8 +458,9 @@ def _analytic_grid(p: SystemParams, tau12_axis, tau13_axis, ideal_rect: bool):
 
 
 def run_sweep(sc: Scenario, param: str, values: list, out_dir: Path,
-              fmt: str = "csv") -> Path:
-    """One scenario per value plus a summary table of fitted observables."""
+              fmt: str = "csv") -> tuple[Path, list[str]]:
+    """One scenario per value, then a summary table of fitted observables
+    written after the last point; returns its path and the lines to show."""
     if param not in SWEEPABLE:
         raise ConfigError(f"parameter {param!r} is not sweepable; allowed: {SWEEPABLE}")
     if not values:
@@ -473,8 +471,6 @@ def run_sweep(sc: Scenario, param: str, values: list, out_dir: Path,
             points.append((v, sc.params.with_(**{param: v})))
         except ValidationError as exc:
             raise ConfigError(f"sweep value {param} = {v!r}: {exc}") from exc
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     trace_outputs = [o for o in sc.outputs if o.startswith("trace_")]
     if not trace_outputs:
         trace_outputs = ["trace_tau12_numeric"]
@@ -504,16 +500,12 @@ def run_sweep(sc: Scenario, param: str, values: list, out_dir: Path,
             if which == "tau13":
                 row["tau13_width_ns"] = analysis.width_at_half_max(tr) * 1e9
         rows.append(row)
-    summary = out_dir / f"{sc.name}_sweep_{param}.csv"
+    summary = Path(out_dir) / f"{sc.name}_sweep_{param}.csv"
     cols = list(rows[0].keys())
     lines = [f"# sweep of {param} on scenario {sc.name}", ",".join(["param_" + param if c == "value" else c for c in cols])]
-    for row in rows:
-        lines.append(",".join(_fmt_cell(row[c]) for c in cols))
+    lines += [",".join(_fmt_cell(row[c]) for c in cols) for row in rows]
     summary.write_text("\n".join(lines) + "\n")
-    print(f"sweep summary -> {summary}")
-    for line in lines[1:]:
-        print("  " + line)
-    return summary
+    return summary, [f"sweep summary -> {summary}"] + ["  " + ln for ln in lines[1:]]
 
 
 def _value_tag(v) -> str:

@@ -9,7 +9,7 @@ so each symbol has a single definition.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -194,7 +194,6 @@ class SpectralGrid:
     values: np.ndarray
     params_hash: str = ""
     n_singular_replaced: int = 0
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         for ax in (self.delta2_axis, self.delta3_axis):
@@ -342,8 +341,6 @@ def spectral_grid(
         values=vals,
         params_hash=p.content_hash(),
         n_singular_replaced=n_bad,
-        meta={"extent": extent, "n_points": n_points,
-              "force_phi_unity": force_phi_unity, "ideal_rect": ideal_rect},
     )
 
 

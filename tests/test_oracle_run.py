@@ -120,7 +120,7 @@ def test_run_scenario_builds_one_spectrum(builds, tmp_path):
     sc = replace(sc, oracle=replace(sc.oracle, n_points=512),
                  outputs=("report", "rcc2d_numeric", "rcc2d_analytic",
                           "trace_tau12_numeric", "trace_tau13_numeric"))
-    paths = run_scenario(sc, tmp_path)
+    paths, _ = run_scenario(sc, tmp_path)
     assert len(paths) == 5 and all(p.exists() for p in paths)
     assert len(builds) == 1
 

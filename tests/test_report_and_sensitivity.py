@@ -5,7 +5,7 @@ import pytest
 from sswm.analysis import extract_period, first_antinode_offset, fit_coherence_time
 from sswm.oracle import OracleConfig, rcc_cond_numeric, rcc_numeric
 from sswm.params import SystemParams
-from sswm.scenarios import load_scenario, scenario_report
+from sswm.scenarios import _scenario_run, load_scenario, scenario_report
 from sswm.susceptibility import _patch_singular
 from sswm.analysis import diagonal_offset_trace
 
@@ -17,7 +17,7 @@ def test_fig3a_report_headline_values():
 
     sc = load_scenario("fig3a")
     sc = replace(sc, oracle=replace(sc.oracle, n_points=1024))
-    rep = scenario_report(sc)
+    rep = scenario_report(sc, _scenario_run(sc))
     assert rep.period12 == pytest.approx(21e-9, abs=1e-9)
     assert rep.tau_c_12 == pytest.approx(48e-9, rel=0.10)
     assert rep.tau_c_13 == pytest.approx(52e-9, rel=0.10)

@@ -85,7 +85,7 @@ def small(sc: Scenario, n_points: int = 512, **okw) -> Scenario:
 
 def test_run_scenario_fig2(tmp_path):
     sc = small(load_scenario("fig2"))
-    paths = run_scenario(sc, tmp_path)
+    paths, _ = run_scenario(sc, tmp_path)
     assert all(p.exists() for p in paths)
     text = (tmp_path / "fig2_chi5_grid.csv").read_text()
     assert text.startswith("# scenario: fig2")
@@ -107,7 +107,7 @@ def test_export_layout(tmp_path, fmt, name, outputs, axes, column, key):
     from dataclasses import replace
 
     sc = replace(small(load_scenario(name), n_points=256), outputs=outputs)
-    paths = run_scenario(sc, tmp_path, fmt=fmt)
+    paths, _ = run_scenario(sc, tmp_path, fmt=fmt)
     assert [p.name for p in paths] == [f"{name}_{o}.{fmt}" for o in outputs]
     for path, out in zip(paths, outputs):
         header = [f"scenario: {name}", f"params_hash: {sc.params.content_hash()}"]
@@ -147,14 +147,14 @@ def test_directory_named_like_a_preset(tmp_path, monkeypatch):
 
 def test_run_scenario_deterministic(tmp_path):
     sc = small(load_scenario("fig3c"))
-    out1 = run_scenario(sc, tmp_path / "a")[0].read_bytes()
-    out2 = run_scenario(sc, tmp_path / "b")[0].read_bytes()
+    out1 = run_scenario(sc, tmp_path / "a")[0][0].read_bytes()
+    out2 = run_scenario(sc, tmp_path / "b")[0][0].read_bytes()
     assert out1 == out2
 
 
 def test_run_scenario_json(tmp_path):
     sc = small(load_scenario("fig3c"))
-    path = run_scenario(sc, tmp_path, fmt="json")[0]
+    path = run_scenario(sc, tmp_path, fmt="json")[0][0]
     payload = json.loads(path.read_text())
     assert len(payload["t_s"]) == len(payload["value"]) == 512
 
@@ -162,7 +162,7 @@ def test_run_scenario_json(tmp_path):
 def test_sweep_summary_coupling(tmp_path):
     # period column follows the closed-form splitting for each coupling value
     sc = small(load_scenario("fig3b"), n_points=1024)
-    summary = run_sweep(sc, "omega_c1", [2.0, 4.0, 8.0], tmp_path)
+    summary, _ = run_sweep(sc, "omega_c1", [2.0, 4.0, 8.0], tmp_path)
     rows = [r for r in summary.read_text().splitlines() if r and not r.startswith("#")]
     header = rows[0].split(",")
     icol = header.index("tau12_period_ns")
@@ -176,7 +176,7 @@ def test_sweep_summary_coupling(tmp_path):
 def test_sweep_od_width_column(tmp_path):
     # the tau13 width column follows the group-delay rectangle lengths
     sc = small(load_scenario("fig3f"), n_points=1024, ideal_rect=True)
-    summary = run_sweep(sc, "optical_depth", [37.0, 74.0, 111.0], tmp_path)
+    summary, _ = run_sweep(sc, "optical_depth", [37.0, 74.0, 111.0], tmp_path)
     rows = [r for r in summary.read_text().splitlines() if r and not r.startswith("#")]
     icol = rows[0].split(",").index("tau13_width_ns")
     for row, target in zip(rows[1:], (245.0, 490.0, 735.0)):
@@ -204,7 +204,7 @@ def test_sweep_row_survives_failed_coherence_fit(tmp_path, monkeypatch):
 
     sc = replace(small(load_scenario("fig3f"), n_points=256, ideal_rect=True),
                  outputs=("trace_tau13_numeric",))
-    summary = run_sweep(sc, "optical_depth", [37.0, 74.0], tmp_path)
+    summary, _ = run_sweep(sc, "optical_depth", [37.0, 74.0], tmp_path)
     rows = [r.split(",") for r in summary.read_text().splitlines()
             if r and not r.startswith("#")]
     header = rows[0]
@@ -223,6 +223,35 @@ def test_sweep_rejects_bad_input(tmp_path):
 
     with pytest.raises(ValidationError):
         run_sweep(sc, "optical_depth", [], tmp_path)
+
+
+def test_run_scenario_and_sweep_print_nothing(tmp_path, capsys):
+    # the library returns the lines to show; only the CLI writes to stdout
+    from dataclasses import replace
+
+    paths, lines = run_scenario(small(load_scenario("fig3a")), tmp_path / "a")
+    report = (tmp_path / "a" / "fig3a_report.txt").read_text().splitlines()
+    assert lines == ["[fig3a] observable report"] + ["  " + ln for ln in report]
+    assert (tmp_path / "a" / "fig3a_report.txt") in paths
+    paths, lines = run_scenario(small(load_scenario("fig2"), n_points=256), tmp_path / "b")
+    n_peaks = re.fullmatch(r"\[fig2\] chi5 grid: (\d+) resonance peaks", lines[0]).group(1)
+    assert f"# n_peaks: {n_peaks}" in paths[0].read_text().splitlines()
+    assert len(lines) == 1 + int(n_peaks)
+    sc = replace(small(load_scenario("fig3f"), n_points=256, ideal_rect=True),
+                 outputs=("trace_tau13_numeric",))
+    summary, lines = run_sweep(sc, "optical_depth", [37.0, 74.0], tmp_path / "c")
+    table = summary.read_text().splitlines()
+    assert lines == [f"sweep summary -> {summary}"] + ["  " + ln for ln in table[1:]]
+    assert capsys.readouterr().out == ""
+
+
+def test_only_the_cli_prints():
+    import ast
+
+    for path in Path(sswm.__file__).parent.glob("*.py"):
+        calls = [node for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print"]
+        assert path.name == "cli.py" or not calls, f"{path.name} prints"
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +316,7 @@ def test_cli_overdamped_report_fails_before_sampling(tmp_path, monkeypatch, caps
     err = capsys.readouterr().err
     assert err.startswith("compute error: ") and "overdamped arms" in err
     assert calls == []
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_simulate_and_exit_codes(tmp_path, capsys):
@@ -294,6 +324,28 @@ def test_cli_simulate_and_exit_codes(tmp_path, capsys):
                "--grid-n", "512"])
     assert rc == 0
     assert (tmp_path / "fig3c_trace_tau13_numeric.csv").exists()
+
+
+def test_cli_simulate_prints_report_then_paths(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", "fig3a", "--grid-n", "512", "--out", str(out)]) == 0
+    report = (out / "fig3a_report.txt").read_text().splitlines()
+    names = {"report": "fig3a_report.txt"}
+    paths = [out / names.get(o, f"fig3a_{o}.csv") for o in load_scenario("fig3a").outputs]
+    assert capsys.readouterr().out.splitlines() == (
+        ["[fig3a] observable report"] + ["  " + ln for ln in report]
+        + [f"wrote {p}" for p in paths])
+
+
+def test_cli_sweep_prints_summary_table(tmp_path, capsys):
+    assert main(["sweep", "--scenario", "fig3f", "--param", "optical_depth",
+                 "--values", "37,74", "--ideal-rect", "--grid-n", "256",
+                 "--out", str(tmp_path)]) == 0
+    summary = tmp_path / "fig3f_sweep_optical_depth.csv"
+    table = summary.read_text().splitlines()
+    assert table[0].startswith("# ")
+    assert capsys.readouterr().out.splitlines() == (
+        [f"sweep summary -> {summary}"] + ["  " + ln for ln in table[1:]])
 
 
 def test_cli_config_error_exit_2(tmp_path, capsys):
@@ -343,7 +395,7 @@ def test_cli_values_keep_their_meaning(tmp_path, monkeypatch):
 
     seen = []
     monkeypatch.setattr(sswm.cli, "run_sweep",
-                        lambda sc, param, values, out, fmt: seen.append(values))
+                        lambda sc, param, values, out, fmt: seen.append(values) or (None, []))
     assert main(["sweep", "--scenario", "fig3b", "--param", "omega_c1",
                  "--values", "2gamma31, 4,8.5gamma31", "--out", str(tmp_path)]) == 0
     assert seen == [[2.0, 4.0, 8.5]]
