@@ -157,7 +157,6 @@ def _halfmax_span(t: np.ndarray, y: np.ndarray, level: float) -> float:
                 frac = (level - y[i - 1]) / (y[i] - y[i - 1])
                 start = t[i - 1] + frac * (t[i] - t[i - 1])
         elif not a and start is not None:
-            end = t[i - 1]
             frac = (y[i - 1] - level) / (y[i - 1] - y[i])
             end = t[i - 1] + frac * (t[i] - t[i - 1])
             total += end - start
@@ -165,14 +164,6 @@ def _halfmax_span(t: np.ndarray, y: np.ndarray, level: float) -> float:
     if start is not None:
         total += t[-1] - start
     return float(total)
-
-
-def _looks_rectangular(tr: TimeTrace) -> bool:
-    y = np.asarray(tr.values, dtype=float)
-    peak = y.max()
-    span_half = _halfmax_span(tr.t_axis, y, 0.5 * peak)
-    span_tenth = _halfmax_span(tr.t_axis, y, 0.1 * peak)
-    return span_tenth > 0 and span_half / span_tenth >= RECT_SPAN_RATIO
 
 
 def coherence_fit(tr: TimeTrace) -> CoherenceFit:
@@ -189,16 +180,18 @@ def coherence_fit(tr: TimeTrace) -> CoherenceFit:
        has no single slope; its 1/e point is the portable number.)
     """
     y = np.asarray(tr.values, dtype=float)
-    if y.max() <= 0:
+    peak = y.max()
+    if peak <= 0:
         raise ZeroMassError("coherence fit on an identically zero trace")
-    if _looks_rectangular(tr):
-        width = _halfmax_span(tr.t_axis, y, 0.5 * y.max())
+    width = _halfmax_span(tr.t_axis, y, 0.5 * peak)
+    span_tenth = _halfmax_span(tr.t_axis, y, 0.1 * peak)
+    if span_tenth > 0 and width / span_tenth >= RECT_SPAN_RATIO:
         return CoherenceFit(time_s=width, mode="width", residual=0.0, n_maxima=0)
 
     pk = local_maxima(tr)
     if len(pk) < 3:
         # monotone decay: every sample above the floor is an envelope point
-        sel = y > MAXIMA_FLOOR * y.max()
+        sel = y > MAXIMA_FLOOR * peak
         if not _is_monotone_decay(y, sel):
             raise InsufficientExtremaError(
                 "trace has neither >= 3 maxima nor monotone decay")

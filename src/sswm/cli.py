@@ -8,36 +8,19 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
-from .errors import ConfigError, SswmError, ValidationError
-from .scenarios import (SWEEPABLE, _parse_number, builtin_scenario_names,
-                        load_scenario, run_scenario, run_sweep)
+from .errors import ConfigError, SswmError
+from .scenarios import (SWEEPABLE, builtin_scenario_names, load_scenario,
+                        parse_sweep_values, run_scenario, run_sweep)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_COMPUTE = 3
 
-
-def _apply_overrides(sc, args):
-    okw = {}
-    if args.grid_n is not None:
-        okw["n_points"] = args.grid_n
-    if args.extent is not None:
-        okw["extent"] = (None if args.extent.strip().lower() == "auto"
-                         else _parse_number(args.extent, "--extent", None,
-                                            sc.params.gamma31_si, frequency=True))
-    if args.force_phi_unity:
-        okw["force_phi_unity"] = True
-    if args.ideal_rect:
-        okw["ideal_rect"] = True
-    if okw:
-        try:
-            sc = replace(sc, oracle=replace(sc.oracle, **okw))
-        except ValidationError as exc:
-            raise ConfigError(f"oracle override: {exc}") from exc
-    return sc
+#: Each oracle flag (its argparse dest) and the config key whose line it replaces.
+_ORACLE_FLAGS = {"grid_n": "oracle.n_points", "extent": "oracle.extent",
+                 "force_phi_unity": "oracle.force_phi_unity", "ideal_rect": "oracle.ideal_rect"}
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -46,11 +29,12 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", default=None, help="output directory "
                      "(default: $SSWM_OUT_DIR or ./sswm_out)")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--ideal-rect", action="store_true",
+    # the oracle flags keep their text: parse_config reads it as a config line
+    sub.add_argument("--ideal-rect", action="store_const", const="true",
                      help="drop the EIT loss term of the detuning function")
-    sub.add_argument("--force-phi-unity", action="store_true",
+    sub.add_argument("--force-phi-unity", action="store_const", const="true",
                      help="replace the detuning function by 1")
-    sub.add_argument("--grid-n", type=int, default=None,
+    sub.add_argument("--grid-n", default=None,
                      help="spectral samples per axis (power of two)")
     sub.add_argument("--extent", default=None,
                      help="spectral half width, e.g. '64gamma31' or 'auto'")
@@ -89,14 +73,6 @@ def _out_dir(arg) -> Path:
     return Path(os.environ.get("SSWM_OUT_DIR", "sswm_out"))
 
 
-def _parse_sweep_values(text: str, sc) -> list[float]:
-    # '<x>gamma31' is x gamma31 units; a plain number is taken as it stands
-    # (gamma31 units for a frequency), unlike a plain number in a config file
-    return [_parse_number(piece, "--values", None, sc.params.gamma31_si,
-                          frequency=piece.strip().endswith("gamma31"))
-            for piece in text.split(",") if piece.strip()]
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -117,12 +93,14 @@ def main(argv: list[str] | None = None) -> int:
             for line in report_lines(results):
                 print(line)
             return EXIT_OK if all(r.passed for r in results) else EXIT_COMPUTE
-        sc = _apply_overrides(load_scenario(args.scenario), args)
+        overrides = {key: (getattr(args, dest), "--" + dest.replace("_", "-"))
+                     for dest, key in _ORACLE_FLAGS.items() if getattr(args, dest) is not None}
+        sc = load_scenario(args.scenario, overrides)
         if args.command == "simulate":
             paths, lines = run_scenario(sc, _out_dir(args.out), fmt=args.format)
             lines += [f"wrote {p}" for p in paths]
         else:  # sweep
-            values = _parse_sweep_values(args.values, sc)
+            values = parse_sweep_values(args.values, sc)
             _, lines = run_sweep(sc, args.param, values, _out_dir(args.out), fmt=args.format)
         for line in lines:
             print(line)

@@ -27,7 +27,7 @@ import numpy as np
 from .analysis import TimeTrace, trace_from_grid
 from .errors import ValidationError
 from .params import SystemParams, effective_splittings, eit_dispersion
-from .susceptibility import SpectralGrid, spectral_grid
+from .susceptibility import SpectralGrid, check_grid, spectral_grid
 from .wavepacket import WavepacketGrid
 
 #: Half-width in cells of the tau12 = 0 band that closed-form comparisons drop.
@@ -52,12 +52,9 @@ class OracleConfig:
     ideal_rect: bool = False
 
     def __post_init__(self) -> None:
-        if self.n_points < 256 or (self.n_points & (self.n_points - 1)) != 0:
-            raise ValidationError("n_points must be a power of two >= 256")
+        check_grid(self.extent, self.n_points)
         if not 0.0 <= self.tukey_alpha <= 1.0:
             raise ValidationError("tukey_alpha must lie in [0, 1]")
-        if self.extent is not None and not (0 < self.extent < math.inf):
-            raise ValidationError("extent must be positive and finite")
 
 
 def default_extent(p: SystemParams) -> float:
@@ -69,7 +66,7 @@ def default_extent(p: SystemParams) -> float:
     return 4 * max(cands)
 
 
-def _resolve(p: SystemParams, cfg: OracleConfig) -> tuple[float, int]:
+def _resolve(p: SystemParams, cfg: OracleConfig) -> float:
     extent = cfg.extent if cfg.extent is not None else default_extent(p)
     s = effective_splittings(p)
     spacing = 2 * extent / cfg.n_points
@@ -77,16 +74,15 @@ def _resolve(p: SystemParams, cfg: OracleConfig) -> tuple[float, int]:
         warnings.warn(
             f"grid spacing {spacing:.3g} does not resolve the narrower "
             f"linewidth / 4 = {min(s.gamma_e1, s.gamma_e2) / 4:.3g}", stacklevel=3)
-    return extent, cfg.n_points
+    return extent
 
 
 def sampled_spectrum(p: SystemParams, cfg: OracleConfig) -> SpectralGrid:
     """chi5*Phi samples (window applied) ready for the discrete transform."""
-    extent, n = _resolve(p, cfg)
-    grid = spectral_grid(p, extent, n, force_phi_unity=cfg.force_phi_unity,
-                         ideal_rect=cfg.ideal_rect)
+    grid = spectral_grid(p, _resolve(p, cfg), cfg.n_points,
+                         force_phi_unity=cfg.force_phi_unity, ideal_rect=cfg.ideal_rect)
     if cfg.tukey_alpha > 0:
-        w = _tukey(n, cfg.tukey_alpha)
+        w = _tukey(cfg.n_points, cfg.tukey_alpha)
         # a fresh array: taper it in place (through a name, as grid is frozen)
         values = grid.values
         values *= w[:, None]
@@ -151,7 +147,7 @@ def _amplitude(grid: SpectralGrid, gamma31_si: float) -> WavepacketGrid:
     # phase-corrected fft2 of the sampled spectrum; see wavepacket_numeric
     n = len(grid.delta2_axis)
     dd = float(grid.delta2_axis[1] - grid.delta2_axis[0])
-    t_dimless = np.fft.fftshift(2 * math.pi * np.fft.fftfreq(n, d=dd))
+    t_dimless = _time_axis(n, dd, 1.0)
     B = np.fft.fftshift(np.fft.fft2(grid.values))
     phase = np.exp(-1j * grid.delta2_axis[0] * (t_dimless[:, None] + t_dimless[None, :]))
     B = B * phase * dd * dd
@@ -262,13 +258,10 @@ def time_power(wp: WavepacketGrid, gamma31_si: float) -> float:
     return mass * dt12 * dt13 / (2 * math.pi) ** 2
 
 
-def normalized_l2_error(test: np.ndarray, reference: np.ndarray,
-                        mask: np.ndarray | None = None) -> float:
-    """||test - reference||_2 / ||reference||_2, optionally masked."""
-    t = np.asarray(test, dtype=float)
-    r = np.asarray(reference, dtype=float)
-    if mask is not None:
-        t, r = t[mask], r[mask]
+def normalized_l2_error(test: np.ndarray, reference: np.ndarray, mask: np.ndarray) -> float:
+    """||test - reference||_2 / ||reference||_2 over the cells of `mask`."""
+    t = np.asarray(test, dtype=float)[mask]
+    r = np.asarray(reference, dtype=float)[mask]
     denom = math.sqrt(float((r**2).sum()))
     if denom == 0:
         raise ValidationError("reference grid has zero norm")

@@ -7,6 +7,7 @@ represented absolutely; all spectra are offsets from the carriers.
 """
 from __future__ import annotations
 
+import cmath
 import enum
 import hashlib
 import math
@@ -18,6 +19,14 @@ C_LIGHT = 2.99792458e8  # m/s
 
 #: Default reference rate: 2*pi*3 MHz, a typical alkali D-line dephasing.
 DEFAULT_GAMMA31_SI = 2 * math.pi * 3e6
+
+
+#: Fields that must be > 0: the reference rate, the eight dephasings, the
+#: cell length and the carrier.
+_POSITIVE = ("gamma31_si", "gamma21", "gamma31", "gamma41", "gamma42", "gamma51",
+             "gamma52", "gamma53", "gamma54", "length_L", "omega31")
+#: Fields that must be nonzero: the couplings (complex allowed) and the prefactor.
+_NONZERO = ("omega_c1", "omega_c2", "dipole_scale")
 
 
 class Regime(enum.Enum):
@@ -33,7 +42,9 @@ class Entanglement(enum.Enum):
 
 @dataclass(frozen=True)
 class SystemParams:
-    """All physical inputs, validated once at construction.
+    """All physical inputs, validated once at construction: every field is
+    finite (`omega21` may be None), the _POSITIVE fields are > 0, the
+    _NONZERO fields are nonzero and `optical_depth` is >= 0.
 
     Rates, Rabi frequencies and detunings are in units of gamma31 (so
     gamma31 == 1 by definition); Rabi frequencies may be complex.
@@ -66,25 +77,18 @@ class SystemParams:
     dipole_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (self.gamma31_si > 0 and math.isfinite(self.gamma31_si)):
-            raise ValidationError("gamma31_si must be positive and finite")
-        for name in ("gamma21", "gamma31", "gamma41", "gamma42", "gamma51",
-                     "gamma52", "gamma53", "gamma54"):
+        for name in self.__dataclass_fields__:
             v = getattr(self, name)
-            if not (v > 0 and math.isfinite(v)):
-                raise ValidationError(f"{name} must be > 0, got {v!r}")
-        for name in ("omega_c1", "omega_c2"):
-            if not abs(getattr(self, name)) > 0:
-                raise ValidationError(f"|{name}| must be > 0")
-        if not self.length_L > 0:
-            raise ValidationError("length_L must be > 0")
+            if v is not None and not cmath.isfinite(v):
+                raise ValidationError(f"{name} must be finite, got {v!r}")
+        for name in _POSITIVE:
+            if getattr(self, name) <= 0:
+                raise ValidationError(f"{name} must be > 0, got {getattr(self, name)!r}")
+        for name in _NONZERO:
+            if getattr(self, name) == 0:
+                raise ValidationError(f"{name} must be nonzero")
         if self.optical_depth < 0:
-            raise ValidationError("optical_depth must be >= 0")
-        for name in ("omega_p", "omega_c1", "omega_c2", "delta_p", "delta_c1",
-                     "delta_c2", "dipole_scale", "omega31"):
-            v = complex(getattr(self, name))
-            if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-                raise ValidationError(f"{name} must be finite")
+            raise ValidationError(f"optical_depth must be >= 0, got {self.optical_depth!r}")
 
     @property
     def omega21_si(self) -> float:
@@ -131,7 +135,6 @@ class DerivedFrequencies:
     delta_omega_g: float | None = None
     delta_omega_t: float | None = None
     regime: Regime | None = None
-    regime_tie: bool = False
     entanglement: Entanglement | None = None
 
     @property
@@ -242,6 +245,5 @@ def derived_frequencies(p: SystemParams) -> DerivedFrequencies:
     return replace(
         merged,
         regime=classify_regime(merged),
-        regime_tie=not merged.overdamped and _is_tie(merged),
         entanglement=None if merged.overdamped else classify_entanglement(merged),
     )

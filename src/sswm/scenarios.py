@@ -5,7 +5,8 @@ Config grammar: one `key = value` per line, `#` comments.  Frequency-typed
 values accept either `<x>gamma31` multiples or plain SI rad/s; lengths are
 meters.  Built-in presets cover both operating regimes; auxiliary quantities
 (atomic density, cell length in cm) ride along as metadata only, the optical
-depth is always a direct input.
+depth is always a direct input.  The CLI's oracle flags and sweep values
+are parsed by the same rules (`parse_config` overrides, `parse_sweep_values`).
 """
 from __future__ import annotations
 
@@ -62,6 +63,9 @@ class Scenario:
     tmax_ns: float | None = None
 
     def __post_init__(self) -> None:
+        # the name prefixes every output file name
+        if not self.name or any(c in self.name for c in "/\\"):
+            raise ConfigError(f"scenario name {self.name!r} is empty or holds '/' or '\\'")
         for o in self.outputs:
             if o not in OUTPUT_KINDS:
                 raise ConfigError(f"unknown output kind {o!r}")
@@ -94,20 +98,28 @@ def _parse_number(text: str, key: str, where: str | None, gamma31_si: float,
     return val * scale
 
 
-def parse_config(text: str, source: str = "<config>") -> Scenario:
-    """Parse a scenario file; raises ConfigError with line/key context."""
-    raw: dict[str, tuple[str, int]] = {}
+def parse_config(text: str, source: str = "<config>",
+                 overrides: dict[str, tuple[str, str]] | None = None) -> Scenario:
+    """Parse a scenario file; raises ConfigError with line/key context.
+
+    `overrides` maps key -> (value text, where): each sets that key as its
+    line would, and its errors name `where` (a CLI flag) instead of a line.
+    """
+    raw: dict[str, tuple[str, str]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
+        where = f"{source}: line {lineno}"
         if "=" not in stripped:
-            raise ConfigError(f"{source}: line {lineno}: expected 'key = value'")
+            raise ConfigError(f"{where}: expected 'key = value'")
         key, _, value = stripped.partition("=")
         key = key.strip()
         if key in raw:
-            raise ConfigError(f"{source}: line {lineno}: duplicate key {key!r}")
-        raw[key] = (value.strip(), lineno)
+            raise ConfigError(f"{where}: duplicate key {key!r}")
+        raw[key] = (value.strip(), where)
+    for key, (value, where) in (overrides or {}).items():
+        raw[key] = (value.strip(), where)
 
     missing = [k for k in REQUIRED_KEYS if k not in raw]
     if missing:
@@ -115,11 +127,12 @@ def parse_config(text: str, source: str = "<config>") -> Scenario:
 
     gamma31_si = SystemParams().gamma31_si
     if "params.gamma31_si" in raw:
-        value, lineno = raw["params.gamma31_si"]
-        where = f"{source}: line {lineno}"
+        value, where = raw["params.gamma31_si"]
         gamma31_si = _parse_number(value, "params.gamma31_si", where, 0.0, frequency=False)
-        if not (math.isfinite(gamma31_si) and gamma31_si > 0):
-            raise ConfigError(f"{where}: params.gamma31_si must be positive and finite")
+        try:  # every other frequency is converted with it
+            SystemParams(gamma31_si=gamma31_si)
+        except ValidationError as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
 
     pkw: dict = {"gamma31_si": gamma31_si}
     okw: dict = {}
@@ -129,8 +142,7 @@ def parse_config(text: str, source: str = "<config>") -> Scenario:
     name = None
 
     param_fields = set(SystemParams.__dataclass_fields__)
-    for key, (value, lineno) in raw.items():
-        where = f"{source}: line {lineno}"
+    for key, (value, where) in raw.items():
         if key == "name":
             name = value
         elif key == "outputs":
@@ -225,22 +237,37 @@ def builtin_scenario_names() -> list[str]:
     return sorted(p.name[:-4] for p in root.iterdir() if p.name.endswith(".cfg"))
 
 
-def load_scenario(name_or_path: str) -> Scenario:
+def load_scenario(name_or_path: str,
+                  overrides: dict[str, tuple[str, str]] | None = None) -> Scenario:
     """Load a config file by path (a `.cfg` name or an existing file), else a
-    preset by name; a directory named like a preset does not shadow it."""
+    preset by name; a directory named like a preset does not shadow it.
+    `overrides` go to parse_config."""
     path = Path(name_or_path)
     if path.suffix == ".cfg" or path.is_file():
         try:
             text = path.read_text()
         except OSError as exc:
             raise ConfigError(f"cannot read scenario file {name_or_path!r}: {exc}") from exc
-        return parse_config(text, source=str(path))
+        return parse_config(text, str(path), overrides)
     resource = importlib.resources.files("sswm") / "scenarios" / f"{name_or_path}.cfg"
     if not resource.is_file():
         raise ConfigError(
             f"unknown scenario {name_or_path!r}; built-ins: "
             f"{', '.join(builtin_scenario_names())}")
-    return parse_config(resource.read_text(), source=f"builtin:{name_or_path}")
+    return parse_config(resource.read_text(), f"builtin:{name_or_path}", overrides)
+
+
+def parse_sweep_values(text: str, sc: Scenario) -> list[float]:
+    """The comma-separated values of `sweep --values`; ConfigError if one is
+    malformed or none is given.  '<x>gamma31' is x gamma31 units; a plain
+    number is taken as it stands (gamma31 units for a frequency), unlike a
+    plain number in a config file."""
+    values = [_parse_number(piece, "--values", None, sc.params.gamma31_si,
+                            frequency=piece.strip().endswith("gamma31"))
+              for piece in text.split(",") if piece.strip()]
+    if not values:
+        raise ConfigError(f"--values: no sweep value in {text!r}")
+    return values
 
 
 # ---------------------------------------------------------------------------

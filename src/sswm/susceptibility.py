@@ -8,6 +8,7 @@ so each symbol has a single definition.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -206,6 +207,15 @@ class SpectralGrid:
             raise ValidationError("value array shape must match axis lengths")
 
 
+def check_grid(extent: float | None, n_points: int) -> None:
+    """The grid-shape rule: ValidationError unless n_points is a power of two
+    >= 256 and extent is None (resolved later) or 0 < extent < inf."""
+    if n_points < 256 or (n_points & (n_points - 1)) != 0:
+        raise ValidationError("n_points must be a power of two >= 256")
+    if extent is not None and not 0 < extent < math.inf:
+        raise ValidationError("extent must be positive and finite")
+
+
 def _fft_axis(extent: float, n: int) -> np.ndarray:
     step = 2 * extent / n
     return -extent + step * np.arange(n)
@@ -288,9 +298,7 @@ def spectral_grid(
 ) -> SpectralGrid:
     """Sample chi5*Phi on the FFT-ready grid [-extent, extent) x n_points.
 
-    n_points must be a power of two >= 256.  Parameters with any vanishing
-    dephasing rate would put poles of D on the real axis and are rejected for
-    grid work (scalar evaluation stays legal).
+    extent and n_points must pass check_grid.
 
     The grid is filled from 1D evaluations.  Both axes are
     -extent + step*arange(n), so delta2 + delta3 takes only the 2n-1 values
@@ -316,12 +324,7 @@ def spectral_grid(
     This factorization only speeds up the sampling.  The oracle transforms
     the sampled product as an unstructured 2D array and does not use it.
     """
-    if n_points < 256 or (n_points & (n_points - 1)) != 0:
-        raise ValidationError("n_points must be a power of two >= 256")
-    if extent <= 0:
-        raise ValidationError("extent must be > 0")
-    if min(p.gamma21, p.gamma31, p.gamma41, p.gamma51) <= 0:
-        raise ValidationError("grid sampling requires strictly positive dephasing")
+    check_grid(extent, n_points)
     s = effective_splittings(p)
     needed = [s.omega_e1, s.omega_e2]
     if not force_phi_unity and p.optical_depth > 0:

@@ -86,7 +86,6 @@ def test_regime_tie_resolves_hybrid():
     od = 4 * math.pi * abs(p0.omega_c2) ** 2 / target
     d = derived_frequencies(p0.with_(optical_depth=od))
     assert d.regime is Regime.HYBRID
-    assert d.regime_tie
 
 
 def test_regime_overdamped():
@@ -206,6 +205,21 @@ def test_params_validation():
         SystemParams(optical_depth=-3.0)
     with pytest.raises(ValidationError):
         SystemParams(delta_p=float("nan"))
+
+
+@given(st.sampled_from(sorted(SystemParams.__dataclass_fields__)),
+       st.sampled_from([math.nan, math.inf, -math.inf]))
+@settings(max_examples=200, deadline=None)
+def test_params_reject_every_nonfinite_field(name, value):
+    with pytest.raises(ValidationError, match=f"{name} must be finite"):
+        SystemParams(**{name: value})
+
+
+@pytest.mark.parametrize("name,value", [("omega31", 0.0), ("omega31", -1.0),
+                                        ("dipole_scale", 0.0)])
+def test_params_reject_out_of_range(name, value):
+    with pytest.raises(ValidationError, match=name):
+        SystemParams(**{name: value})
 
 
 def test_content_hash_stability():

@@ -367,25 +367,47 @@ def _preset_with(tmp_path, *pairs: str) -> str:
     return str(path)
 
 
-@pytest.mark.parametrize("argv", [
-    ["simulate", "--scenario", "fig3a", "--extent", "foo"],
-    ["simulate", "--scenario", "fig3a", "--extent", "nan"],
-    ["simulate", "--scenario", "fig3a", "--grid-n", "1000"],
-    ["sweep", "--scenario", "fig3f", "--param", "optical_depth", "--values", "37,abc"],
-    ["sweep", "--scenario", "fig3f", "--param", "optical_depth", "--values", "-5"],
-    ["sweep", "--scenario", "fig3f", "--param", "omega_c1", "--values", "2gamma31,xgamma31"],
-    ["simulate", "--scenario", ("oracle.n_points", "abc")],
-    ["simulate", "--scenario", ("oracle.tukey_alpha", "q")],
-    ["simulate", "--scenario", ("outputs.tmin_ns", "x")],
-    ["simulate", "--scenario", ("params.gamma31_si", "zz")],
-    ["simulate", "--scenario", ("params.gamma31_si", "0", "params.omega_c1", "5e7")],
+@pytest.mark.parametrize("argv,names", [
+    (["simulate", "--scenario", "fig3a", "--extent", "foo"], "--extent"),
+    (["simulate", "--scenario", "fig3a", "--extent", "nan"], "extent"),
+    (["simulate", "--scenario", "fig3a", "--grid-n", "1000"], "n_points"),
+    (["sweep", "--scenario", "fig3f", "--param", "optical_depth", "--values", "37,abc"],
+     "--values"),
+    (["sweep", "--scenario", "fig3f", "--param", "optical_depth", "--values", "-5"],
+     "optical_depth"),
+    (["sweep", "--scenario", "fig3f", "--param", "omega_c1", "--values", "2gamma31,xgamma31"],
+     "--values"),
+    (["simulate", "--scenario", ("oracle.n_points", "abc")], "oracle.n_points"),
+    (["simulate", "--scenario", ("oracle.tukey_alpha", "q")], "oracle.tukey_alpha"),
+    (["simulate", "--scenario", ("outputs.tmin_ns", "x")], "outputs.tmin_ns"),
+    (["simulate", "--scenario", ("params.gamma31_si", "zz")], "params.gamma31_si"),
+    (["simulate", "--scenario", ("params.gamma31_si", "0", "params.omega_c1", "5e7")],
+     "gamma31_si"),
+    (["simulate", "--grid-n", "256", "--scenario", ("params.optical_depth", "inf")],
+     "optical_depth"),
+    (["sweep", "--scenario", "fig3f", "--grid-n", "256", "--param", "optical_depth",
+      "--values", "inf"], "optical_depth"),
+    (["simulate", "--grid-n", "256", "--scenario", ("params.omega31", "0")], "omega31"),
+    (["simulate", "--grid-n", "256", "--scenario", ("params.optical_depth", "nan")],
+     "optical_depth"),
+    (["simulate", "--grid-n", "256", "--scenario", ("params.length_L", "inf")], "length_L"),
+    (["simulate", "--grid-n", "256", "--scenario", ("params.omega21", "nan")], "omega21"),
+    (["simulate", "--grid-n", "256", "--scenario", ("params.dipole_scale", "0")],
+     "dipole_scale"),
+    (["sweep", "--scenario", "fig3f", "--grid-n", "256", "--param", "optical_depth",
+      "--values", ""], "--values"),
+    (["simulate", "--grid-n", "256", "--scenario", ("name", "a/b")], "name"),
 ], ids=["extent", "extent-nan", "grid-n", "values-word", "values-negative-od", "values-gamma31-word",
-        "n_points", "tukey_alpha", "tmin_ns", "gamma31_si", "gamma31_si-zero"])
-def test_cli_malformed_input_exit_2(argv, tmp_path, capsys):
-    # every malformed flag or config line is a config error, never a traceback
+        "n_points", "tukey_alpha", "tmin_ns", "gamma31_si", "gamma31_si-zero",
+        "od-inf", "values-od-inf", "omega31-zero", "od-nan", "length_L-inf", "omega21-nan",
+        "dipole_scale-zero", "values-empty", "name-slash"])
+def test_cli_malformed_input_exit_2(argv, names, tmp_path, capsys):
+    # every malformed flag or config line is a config error naming the key
+    # or flag, never a traceback
     argv = [_preset_with(tmp_path, *a) if isinstance(a, tuple) else a for a in argv]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err.startswith("config error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and names in err
     assert not (tmp_path / "out").exists()  # refused before any work
 
 
@@ -405,10 +427,10 @@ def test_cli_unknown_scenario_exit_2(tmp_path):
     assert main(["simulate", "--scenario", "nope", "--out", str(tmp_path)]) == 2
 
 
-def test_cli_sweep_empty_values_exit_3(tmp_path):
+def test_cli_sweep_empty_values_exit_2(tmp_path):
     rc = main(["sweep", "--scenario", "fig3f", "--param", "optical_depth",
                "--values", "", "--out", str(tmp_path)])
-    assert rc == 3
+    assert rc == 2
 
 
 def test_cli_overrides(tmp_path):

@@ -188,6 +188,12 @@ def test_spectral_grid_validation():
         spectral_grid(FIG2, -5.0, 512)
 
 
+@pytest.mark.parametrize("extent", [math.nan, math.inf, -math.inf])
+def test_spectral_grid_rejects_nonfinite_extent(extent):
+    with pytest.raises(ValidationError, match="extent must be positive and finite"):
+        spectral_grid(FIG2, extent, 256)
+
+
 def test_spectral_grid_warns_small_extent():
     with pytest.warns(UserWarning, match="extent"):
         spectral_grid(FIG2, 10.0, 256, force_phi_unity=True)
