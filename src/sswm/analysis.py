@@ -27,6 +27,9 @@ PRECURSOR_WINDOW = 0.05
 #: A precursor maximum exceeds this multiple of the mid-rectangle median.
 PRECURSOR_PROMINENCE = 1.5
 
+#: Rows per block when factorizability_residual subtracts the marginal product.
+RESIDUAL_BLOCK_ROWS = 64
+
 
 @dataclass(frozen=True)
 class TimeTrace:
@@ -265,8 +268,12 @@ def factorizability_residual(grid) -> float:
     if total <= 0:
         raise ZeroMassError("factorizability on a zero-mass grid")
     rn = r / total
-    product = np.outer(rn.sum(axis=1), rn.sum(axis=0))
-    return float(np.abs(rn - product).sum())
+    m12, m13 = rn.sum(axis=1), rn.sum(axis=0)
+    # rn - outer(m12, m13) in row blocks, in place: one grid of temporaries
+    for start in range(0, len(m12), RESIDUAL_BLOCK_ROWS):
+        rows = slice(start, start + RESIDUAL_BLOCK_ROWS)
+        rn[rows] -= np.outer(m12[rows], m13)
+    return float(np.abs(rn, out=rn).sum())
 
 
 def ordering_violation_mass(grid) -> float:

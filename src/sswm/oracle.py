@@ -60,10 +60,8 @@ class OracleConfig:
 def default_extent(p: SystemParams) -> float:
     """4x the largest of (Omega_e1, Omega_e2, dw_g, 2*gamma_e1, 2*gamma_e2)."""
     s = effective_splittings(p)
-    cands = [s.omega_e1, s.omega_e2, 2 * s.gamma_e1, 2 * s.gamma_e2]
-    if p.optical_depth > 0:
-        cands.append(eit_dispersion(p).delta_omega_g)
-    return 4 * max(cands)
+    return 4 * max(s.omega_e1, s.omega_e2, 2 * s.gamma_e1, 2 * s.gamma_e2,
+                   eit_dispersion(p).delta_omega_g)
 
 
 def _resolve(p: SystemParams, cfg: OracleConfig) -> float:
@@ -124,7 +122,9 @@ def wavepacket_numeric(p: SystemParams, cfg: OracleConfig | None = None) -> Wave
 def rcc_numeric(p: SystemParams, cfg: OracleConfig | None = None,
                 normalize: bool = True) -> WavepacketGrid:
     """|wavepacket_numeric|^2, peak-normalized on request (taken straight
-    from the fft2, without the unit-modulus phase factor)."""
+    from the fft2, without the unit-modulus phase factor).  The spectrum is
+    sampled for this call and transformed in place, so the call holds that
+    complex array and the real rate grid, nothing larger."""
     return _rate_grid(sampled_spectrum(p, cfg or OracleConfig()), p.gamma31_si, normalize)
 
 
@@ -137,10 +137,11 @@ def rcc_cond_numeric(which: str, p: SystemParams,
 
     which = "tau12": inner transform over delta2 at fixed delta3;
     which = "tau13": inner transform over delta3 at fixed delta2.
+    The spectrum sampled for this call is transformed in place.
     """
     _check_which(which)
     grid = sampled_spectrum(p, cfg or OracleConfig())
-    return _conditional(grid, which, p.gamma31_si, normalize)
+    return _conditional(grid, which, p.gamma31_si, normalize, in_place=True)
 
 
 def _amplitude(grid: SpectralGrid, gamma31_si: float) -> WavepacketGrid:
@@ -158,16 +159,24 @@ def _amplitude(grid: SpectralGrid, gamma31_si: float) -> WavepacketGrid:
 
 def _rate_grid(grid: SpectralGrid, gamma31_si: float,
                normalize: bool = True) -> WavepacketGrid:
-    # (Re^2 + Im^2) of the fft2 times dd^4, shifted as a real array; the
-    # phase factor of _amplitude has modulus one and is skipped
+    # (Re^2 + Im^2) of the fft2 times dd^4, the phase factor of _amplitude
+    # having modulus one.  The transform overwrites grid.values, which the
+    # caller owns and no longer reads; each quadrant of the squared
+    # magnitude lands where fftshift puts it, so no shifted copy is made.
     n = len(grid.delta2_axis)
     dd = float(grid.delta2_axis[1] - grid.delta2_axis[0])
-    F = np.fft.fft2(grid.values)
-    vals = F.real ** 2
-    vals += F.imag ** 2
+    F = np.fft.fft2(grid.values, out=grid.values)
+    np.square(F.imag, out=F.imag)
+    vals = np.empty((n, n))
+    halves = (slice(None, n // 2), slice(n // 2, None))
+    for i in (0, 1):
+        for j in (0, 1):
+            # fftshift (n even) moves quadrant (i, j) to (1 - i, 1 - j)
+            quad = vals[halves[1 - i], halves[1 - j]]
+            np.square(F.real[halves[i], halves[j]], out=quad)
+            quad += F.imag[halves[i], halves[j]]
     del F
     vals *= dd**4
-    vals = np.fft.fftshift(vals)
     norm = None
     if normalize:
         norm = float(vals.max())
@@ -183,14 +192,17 @@ def _check_which(which: str) -> None:
 
 
 def _conditional(grid: SpectralGrid, which: str, gamma31_si: float,
-                 normalize: bool = True) -> TimeTrace:
-    # 1D transform along one detuning, |.|^2, then the sum over the other
+                 normalize: bool = True, in_place: bool = False) -> TimeTrace:
+    # 1D transform along one detuning, |.|^2, then the sum over the other;
+    # in_place transforms grid.values itself, for a caller that no longer
+    # reads the spectrum
     n = len(grid.delta2_axis)
     dd = float(grid.delta2_axis[1] - grid.delta2_axis[0])
     axis = 0 if which == "tau12" else 1
-    G = np.fft.fft(grid.values, axis=axis)
+    G = np.fft.fft(grid.values, axis=axis, out=grid.values if in_place else None)
+    np.square(G.imag, out=G.imag)
     sq = G.real ** 2
-    sq += G.imag ** 2
+    sq += G.imag
     del G
     R = sq.sum(axis=1 - axis) * dd**3
     R = np.fft.fftshift(R)
@@ -214,9 +226,11 @@ class OracleRun:
     (`trace_from_grid`), equal to `rcc_cond_numeric` up to rounding by the
     discrete Parseval identity.  Without it, each trace is the 1D
     transform of `rcc_cond_numeric`, which costs less than an fft2.
-    Neither the spectrum nor the transform outlives the constructor: a
-    2048^2 complex grid is 64 MB, and the run keeps only what it was asked
-    for.
+    The run owns its spectrum and transforms it in place: the fft2 of the
+    rate, or the 1D transform of the last trace (earlier traces transform
+    a copy).  So a 2048^2 run holds the 64 MB complex spectrum and at most
+    one 2048^2 temporary beside it.  Neither outlives the constructor; the
+    run keeps only what it was asked for.
     """
 
     def __init__(self, p: SystemParams, cfg: OracleConfig | None = None, *,
@@ -229,7 +243,9 @@ class OracleRun:
             self._traces = {w: trace_from_grid(self.rate, w) for w in traces}
         else:
             self.rate = None
-            self._traces = {w: _conditional(grid, w, p.gamma31_si) for w in traces}
+            last = len(traces) - 1
+            self._traces = {w: _conditional(grid, w, p.gamma31_si, in_place=i == last)
+                            for i, w in enumerate(traces)}
 
     def trace(self, which: str) -> TimeTrace:
         """The peak-normalized conditional trace along `which`."""

@@ -22,9 +22,10 @@ DEFAULT_GAMMA31_SI = 2 * math.pi * 3e6
 
 
 #: Fields that must be > 0: the reference rate, the eight dephasings, the
-#: cell length and the carrier.
+#: cell length, the optical depth (every run evaluates the EIT dispersion,
+#: which has no OD = 0 limit) and the carrier.
 _POSITIVE = ("gamma31_si", "gamma21", "gamma31", "gamma41", "gamma42", "gamma51",
-             "gamma52", "gamma53", "gamma54", "length_L", "omega31")
+             "gamma52", "gamma53", "gamma54", "length_L", "optical_depth", "omega31")
 #: Fields that must be nonzero: the couplings (complex allowed) and the prefactor.
 _NONZERO = ("omega_c1", "omega_c2", "dipole_scale")
 
@@ -43,8 +44,8 @@ class Entanglement(enum.Enum):
 @dataclass(frozen=True)
 class SystemParams:
     """All physical inputs, validated once at construction: every field is
-    finite (`omega21` may be None), the _POSITIVE fields are > 0, the
-    _NONZERO fields are nonzero and `optical_depth` is >= 0.
+    finite (`omega21` may be None), the _POSITIVE fields (`optical_depth`
+    among them) are > 0 and the _NONZERO fields are nonzero.
 
     Rates, Rabi frequencies and detunings are in units of gamma31 (so
     gamma31 == 1 by definition); Rabi frequencies may be complex.
@@ -87,8 +88,6 @@ class SystemParams:
         for name in _NONZERO:
             if getattr(self, name) == 0:
                 raise ValidationError(f"{name} must be nonzero")
-        if self.optical_depth < 0:
-            raise ValidationError(f"optical_depth must be >= 0, got {self.optical_depth!r}")
 
     @property
     def omega21_si(self) -> float:
@@ -170,8 +169,6 @@ def eit_dispersion(p: SystemParams) -> DerivedFrequencies:
     delta_omega_t = |omega_c2|^2/sqrt(2*OD*gamma31^2), both returned in
     gamma31 units.
     """
-    if p.optical_depth <= 0:
-        raise ValidationError("optical_depth must be > 0 to evaluate EIT dispersion")
     oc2_si = abs(p.omega_c2) * p.gamma31_si
     delay = p.length_L / C_LIGHT + p.optical_depth * p.gamma31_si / (2 * oc2_si**2)
     return DerivedFrequencies(

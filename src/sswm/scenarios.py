@@ -69,6 +69,13 @@ class Scenario:
         for o in self.outputs:
             if o not in OUTPUT_KINDS:
                 raise ConfigError(f"unknown output kind {o!r}")
+        for key, v in (("outputs.tmin_ns", self.tmin_ns), ("outputs.tmax_ns", self.tmax_ns)):
+            if v is not None and not math.isfinite(v):
+                raise ConfigError(f"{key} must be finite, got {v!r}")
+        if self.tmin_ns is not None and self.tmax_ns is not None \
+                and not self.tmin_ns < self.tmax_ns:
+            raise ConfigError(f"outputs.tmin_ns ({self.tmin_ns!r}) must be below "
+                              f"outputs.tmax_ns ({self.tmax_ns!r})")
 
 
 def _parse_number(text: str, key: str, where: str | None, gamma31_si: float,
@@ -452,6 +459,7 @@ def run_scenario(sc: Scenario, out_dir: Path, fmt: str = "csv",
             t12, t13, vals = _crop_grid(grid, tmin, tmax)
             _write_export(path, header + [f"normalization: {grid.normalization:.12e}"],
                           [("tau12_s", t12), ("tau13_s", t13)], vals, "value", "values", fmt)
+            del grid, vals  # later outputs do not read the analytic grid
         elif out.startswith("trace_"):
             which = _trace_direction(out)
             if out.endswith("numeric"):

@@ -24,6 +24,9 @@ POLE_FLOOR = 1e-30
 #: |dk*L| below this switches the detuning function to its series form.
 PHI_SERIES_CUTOFF = 1e-6
 
+#: Rows of delta2 per block when Phi is multiplied into the chi5 grid.
+PHI_BLOCK_ROWS = 128
+
 #: Channel peaks of |chi5| exceed this fraction of its maximum; sidelobes do not.
 RESONANCE_FLOOR = 0.25
 
@@ -266,27 +269,39 @@ def _chi5_on_grid(p: SystemParams, extent: float, d: np.ndarray) -> tuple[np.nda
     return _patch_singular(vals, bad), int(bad.sum())
 
 
-def _phi_on_grid(d: np.ndarray, p: SystemParams, ideal_rect: bool) -> np.ndarray:
-    """Phi on the square grid d x d from the additive split dk = a(d2) + c(d3).
+def _multiply_phi(vals: np.ndarray, d: np.ndarray, p: SystemParams,
+                  ideal_rect: bool) -> None:
+    """Multiply Phi on the square grid d x d into `vals`, in place, in blocks
+    of PHI_BLOCK_ROWS rows of delta2.
 
-    exp(i dk L) is the outer product of two 1D exponentials; only the final
-    division by z = i dk L is 2D, with the series branch on the masked cells.
+    The mismatch splits additively, dk = a(d2) + c(d3), so exp(i dk L) is
+    the outer product of two 1D exponentials; only the division by
+    z = i dk L is 2D, with the series branch on the masked cells.  Each
+    block evaluates the whole-grid expressions on its rows, so the product
+    is bitwise that of a single block while the temporaries stay at
+    PHI_BLOCK_ROWS rows.
     """
     a, c = _delta_k_parts(d, d, p)
     if ideal_rect:
         c = np.real(c)
+    ea = np.exp(1j * (a * p.length_L))
+    ec = np.exp(1j * (c * p.length_L))
     n = len(d)
-    z = np.empty((n, n), dtype=complex)
-    np.add.outer(a, c, out=z)
-    z *= 1j * p.length_L
-    out = np.multiply.outer(np.exp(1j * (a * p.length_L)), np.exp(1j * (c * p.length_L)))
-    small = np.abs(z) < PHI_SERIES_CUTOFF
-    z_small = z[small]
-    z[small] = 1.0
-    out -= 1.0
-    out /= z
-    out[small] = 1.0 + z_small / 2 + z_small * z_small / 6
-    return out
+    z_buf = np.empty((min(PHI_BLOCK_ROWS, n), n), dtype=complex)
+    out_buf = np.empty_like(z_buf)
+    for start in range(0, n, PHI_BLOCK_ROWS):
+        rows = slice(start, min(start + PHI_BLOCK_ROWS, n))
+        z, out = z_buf[:rows.stop - start], out_buf[:rows.stop - start]
+        np.add.outer(a[rows], c, out=z)
+        z *= 1j * p.length_L
+        np.multiply.outer(ea[rows], ec, out=out)
+        small = np.abs(z) < PHI_SERIES_CUTOFF
+        z_small = z[small]
+        z[small] = 1.0
+        out -= 1.0
+        out /= z
+        out[small] = 1.0 + z_small / 2 + z_small * z_small / 6
+        vals[rows] *= out
 
 
 def spectral_grid(
@@ -308,8 +323,11 @@ def spectral_grid(
     expression at the bare pump detuning.  The 2D array is a zero-copy
     sliding window of A times B.  The mismatch is additive,
     dk = a(delta2) + c(delta3), so exp(i dk L) is an outer product and only
-    (exp(i dk L) - 1)/(i dk L) is formed in 2D.  The results agree with the
-    direct chi5() and phi() to rounding.
+    (exp(i dk L) - 1)/(i dk L) is formed in 2D, in blocks of PHI_BLOCK_ROWS
+    delta2 rows that are multiplied into the chi5 array in place: the build
+    holds its one n^2 complex output (64 MB at 2048^2) and a few MB of block
+    temporaries.  The results agree with the direct chi5() and phi() to
+    rounding.
 
     Poles are checked in 1D: every cell has |pre*D| = |pre| |F1| |F2| >=
     |pre| min|F1| min|F2|.  Each of pre, F1, F2 is det(y I + M) with y
@@ -327,7 +345,7 @@ def spectral_grid(
     check_grid(extent, n_points)
     s = effective_splittings(p)
     needed = [s.omega_e1, s.omega_e2]
-    if not force_phi_unity and p.optical_depth > 0:
+    if not force_phi_unity:
         needed.append(eit_dispersion(p).delta_omega_g)
     if extent < 4 * max(needed):
         warnings.warn(
@@ -337,7 +355,7 @@ def spectral_grid(
     d = _fft_axis(extent, n_points)
     vals, n_bad = _chi5_on_grid(p, extent, d)
     if not force_phi_unity:
-        vals *= _phi_on_grid(d, p, ideal_rect)
+        _multiply_phi(vals, d, p, ideal_rect)
     return SpectralGrid(
         delta2_axis=d,
         delta3_axis=d.copy(),

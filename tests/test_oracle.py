@@ -4,11 +4,12 @@ import pytest
 from sswm.analysis import (extract_period, fit_coherence_time,
                            near_diagonal_trace, width_at_half_max)
 from sswm.errors import ValidationError
-from sswm.oracle import (OracleConfig, _tukey, default_extent, normalized_l2_error,
-                         rcc_cond_numeric, rcc_numeric, sampled_spectrum,
-                         spectral_power, support_edge_mask, time_power,
-                         wavepacket_numeric)
+from sswm.oracle import (EDGE_HALFWIDTH_CELLS, OracleConfig, OracleRun, _tukey,
+                         default_extent, normalized_l2_error, rcc_cond_numeric,
+                         rcc_numeric, sampled_spectrum, spectral_power,
+                         support_edge_mask, time_power, wavepacket_numeric)
 from sswm.params import SystemParams, effective_splittings
+from sswm.wavepacket import analytic_rate_grid, rcc_cond12
 
 pytestmark = pytest.mark.filterwarnings("ignore:grid spacing")
 
@@ -106,6 +107,21 @@ def test_refinement_convergence():
     sub_a = ra.values[sel_a, sel_a.start:sel_a.stop]
     assert np.allclose(rb.tau12_axis[ib:ib + len(ta)], ta, rtol=0, atol=1e-18)
     assert np.max(np.abs(sub_a - sub_b)) < 0.01
+
+
+def test_4096_grid_matches_closed_forms_under_c3_bounds():
+    # the 2048^2 acceptance configuration refined to 4096^2: same extent,
+    # half the spacing, twice the time window, same 5% bounds as C3
+    cfg = OracleConfig(force_phi_unity=True, tukey_alpha=0.1, n_points=4096)
+    run = OracleRun(P, cfg, traces=("tau12",))
+    num = run.rate
+    ana = analytic_rate_grid(P, num.tau12_axis, num.tau13_axis, which="chi5")
+    mask = support_edge_mask(num.tau12_axis, num.tau13_axis)
+    assert normalized_l2_error(num.values, ana.values, mask) < 0.05
+    tr = run.trace("tau12")
+    ana12 = rcc_cond12(tr.t_axis, P, normalize=True)
+    keep = np.abs(tr.t_axis) > EDGE_HALFWIDTH_CELLS * tr.dt
+    assert normalized_l2_error(tr.values, ana12 / ana12.max(), keep) < 0.05
 
 
 def test_window_independence_of_periods():

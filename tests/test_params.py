@@ -60,9 +60,9 @@ def test_group_delay_bandwidth():
 
 
 def test_dispersion_requires_positive_od():
-    p = SystemParams(optical_depth=0.0)
-    with pytest.raises(ValidationError):
-        eit_dispersion(p)
+    # the dispersion has no OD = 0 limit, so the parameter record refuses it
+    with pytest.raises(ValidationError, match="optical_depth must be > 0"):
+        SystemParams(optical_depth=0.0)
 
 
 def test_regime_chi5_dominated():

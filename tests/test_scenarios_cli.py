@@ -397,10 +397,17 @@ def _preset_with(tmp_path, *pairs: str) -> str:
     (["sweep", "--scenario", "fig3f", "--grid-n", "256", "--param", "optical_depth",
       "--values", ""], "--values"),
     (["simulate", "--grid-n", "256", "--scenario", ("name", "a/b")], "name"),
+    (["simulate", "--grid-n", "256", "--scenario", ("params.optical_depth", "0")],
+     "optical_depth"),
+    (["simulate", "--grid-n", "256", "--scenario", ("outputs.tmin_ns", "nan")],
+     "outputs.tmin_ns"),
+    (["simulate", "--grid-n", "256", "--scenario",
+      ("outputs.tmin_ns", "500", "outputs.tmax_ns", "100")], "outputs.tmin_ns"),
 ], ids=["extent", "extent-nan", "grid-n", "values-word", "values-negative-od", "values-gamma31-word",
         "n_points", "tukey_alpha", "tmin_ns", "gamma31_si", "gamma31_si-zero",
         "od-inf", "values-od-inf", "omega31-zero", "od-nan", "length_L-inf", "omega21-nan",
-        "dipole_scale-zero", "values-empty", "name-slash"])
+        "dipole_scale-zero", "values-empty", "name-slash", "od-zero", "tmin_ns-nan",
+        "tmin-above-tmax"])
 def test_cli_malformed_input_exit_2(argv, names, tmp_path, capsys):
     # every malformed flag or config line is a config error naming the key
     # or flag, never a traceback

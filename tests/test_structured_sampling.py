@@ -75,7 +75,8 @@ def test_structured_chi5_matches_direct(kw):
 def test_structured_phi_matches_direct(kw, ideal_rect):
     p = SystemParams(**kw)
     _, d = _grid_axis(p)
-    structured = susceptibility._phi_on_grid(d, p, ideal_rect)
+    structured = np.ones((len(d), len(d)), dtype=complex)
+    susceptibility._multiply_phi(structured, d, p, ideal_rect)
     direct = phi(d[:, None], d[None, :], p, ideal_rect=ideal_rect)
     assert np.all(np.abs(structured - direct) <= _phi_atol(d, p, ideal_rect, direct))
 
