@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import TimeTrace, trace_from_grid
+from .blocks import map_blocks
 from .errors import ValidationError
 from .params import SystemParams, effective_splittings, eit_dispersion
 from .susceptibility import SpectralGrid, check_grid, spectral_grid
@@ -32,6 +33,9 @@ from .wavepacket import WavepacketGrid
 
 #: Half-width in cells of the tau12 = 0 band that closed-form comparisons drop.
 EDGE_HALFWIDTH_CELLS = 2.5
+
+#: Rows per block when normalized_l2_error sums its squares.
+L2_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -81,10 +85,13 @@ def sampled_spectrum(p: SystemParams, cfg: OracleConfig) -> SpectralGrid:
                          force_phi_unity=cfg.force_phi_unity, ideal_rect=cfg.ideal_rect)
     if cfg.tukey_alpha > 0:
         w = _tukey(cfg.n_points, cfg.tukey_alpha)
-        # a fresh array: taper it in place (through a name, as grid is frozen)
-        values = grid.values
-        values *= w[:, None]
-        values *= w[None, :]
+        values = grid.values  # a fresh array: taper it in place
+
+        def taper(rows):
+            block = values[rows]
+            block *= w[rows, None]
+            block *= w[None, :]
+        map_blocks(taper, cfg.n_points, cfg.n_points)
     return grid
 
 
@@ -144,12 +151,23 @@ def rcc_cond_numeric(which: str, p: SystemParams,
     return _conditional(grid, which, p.gamma31_si, normalize, in_place=True)
 
 
+def _fft2(values: np.ndarray) -> np.ndarray:
+    """np.fft.fft2(values, out=values), bitwise: the 1D transform along
+    axis 1 on row blocks, then along axis 0 on column blocks, which is
+    fft2's own order."""
+    n0, n1 = values.shape
+    map_blocks(lambda rows: np.fft.fft(values[rows], axis=1, out=values[rows]), n0, n0)
+    map_blocks(lambda cols: np.fft.fft(values[:, cols], axis=0, out=values[:, cols]), n1, n1)
+    return values
+
+
 def _amplitude(grid: SpectralGrid, gamma31_si: float) -> WavepacketGrid:
-    # phase-corrected fft2 of the sampled spectrum; see wavepacket_numeric
+    # phase-corrected fft2 of the sampled spectrum, which the caller owns and
+    # no longer reads; see wavepacket_numeric
     n = len(grid.delta2_axis)
     dd = float(grid.delta2_axis[1] - grid.delta2_axis[0])
     t_dimless = _time_axis(n, dd, 1.0)
-    B = np.fft.fftshift(np.fft.fft2(grid.values))
+    B = np.fft.fftshift(_fft2(grid.values))
     phase = np.exp(-1j * grid.delta2_axis[0] * (t_dimless[:, None] + t_dimless[None, :]))
     B = B * phase * dd * dd
     t = t_dimless / gamma31_si
@@ -164,19 +182,25 @@ def _rate_grid(grid: SpectralGrid, gamma31_si: float,
     # caller owns and no longer reads; each quadrant of the squared
     # magnitude lands where fftshift puts it, so no shifted copy is made.
     n = len(grid.delta2_axis)
+    h = n // 2
     dd = float(grid.delta2_axis[1] - grid.delta2_axis[0])
-    F = np.fft.fft2(grid.values, out=grid.values)
-    np.square(F.imag, out=F.imag)
+    F = _fft2(grid.values)
     vals = np.empty((n, n))
-    halves = (slice(None, n // 2), slice(n // 2, None))
-    for i in (0, 1):
-        for j in (0, 1):
-            # fftshift (n even) moves quadrant (i, j) to (1 - i, 1 - j)
-            quad = vals[halves[1 - i], halves[1 - j]]
-            np.square(F.real[halves[i], halves[j]], out=quad)
-            quad += F.imag[halves[i], halves[j]]
+    halves = (slice(None, h), slice(h, None))
+
+    def square(rows):
+        # rows of the upper half and their twins h below; fftshift (n even)
+        # swaps the two and moves column half j to 1 - j
+        twins = slice(rows.start + h, rows.stop + h)
+        for src, dst in ((rows, twins), (twins, rows)):
+            np.square(F.imag[src], out=F.imag[src])
+            for j in (0, 1):
+                quad = vals[dst, halves[1 - j]]
+                np.square(F.real[src, halves[j]], out=quad)
+                quad += F.imag[src, halves[j]]
+                quad *= dd**4
+    map_blocks(square, h, h)
     del F
-    vals *= dd**4
     norm = None
     if normalize:
         norm = float(vals.max())
@@ -199,7 +223,14 @@ def _conditional(grid: SpectralGrid, which: str, gamma31_si: float,
     n = len(grid.delta2_axis)
     dd = float(grid.delta2_axis[1] - grid.delta2_axis[0])
     axis = 0 if which == "tau12" else 1
-    G = np.fft.fft(grid.values, axis=axis, out=grid.values if in_place else None)
+    values = grid.values
+    G = values if in_place else np.empty_like(values)
+
+    def transform(lines):
+        # `lines` cut across the transform axis
+        at = (slice(None), lines) if axis == 0 else lines
+        np.fft.fft(values[at], axis=axis, out=G[at])
+    map_blocks(transform, n, n)
     np.square(G.imag, out=G.imag)
     sq = G.real ** 2
     sq += G.imag
@@ -275,13 +306,23 @@ def time_power(wp: WavepacketGrid, gamma31_si: float) -> float:
 
 
 def normalized_l2_error(test: np.ndarray, reference: np.ndarray, mask: np.ndarray) -> float:
-    """||test - reference||_2 / ||reference||_2 over the cells of `mask`."""
-    t = np.asarray(test, dtype=float)[mask]
-    r = np.asarray(reference, dtype=float)[mask]
-    denom = math.sqrt(float((r**2).sum()))
-    if denom == 0:
+    """||test - reference||_2 / ||reference||_2 over the cells of `mask`.
+
+    The squares are summed in blocks of L2_BLOCK_ROWS rows, serially, with
+    the mask as the sums' `where`, so no masked copy or full-size difference
+    is made."""
+    t = np.asarray(test, dtype=float)
+    r = np.asarray(reference, dtype=float)
+    keep = np.broadcast_to(mask, r.shape)
+    err = norm = 0.0
+    for start in range(0, len(r), L2_BLOCK_ROWS):
+        rows = slice(start, start + L2_BLOCK_ROWS)
+        diff = t[rows] - r[rows]
+        err += float(np.square(diff, out=diff).sum(where=keep[rows]))
+        norm += float(np.square(r[rows]).sum(where=keep[rows]))
+    if norm == 0:
         raise ValidationError("reference grid has zero norm")
-    return math.sqrt(float(((t - r) ** 2).sum())) / denom
+    return math.sqrt(err) / math.sqrt(norm)
 
 
 def support_edge_mask(wp_tau12_axis: np.ndarray, wp_tau13_axis: np.ndarray) -> np.ndarray:

@@ -195,6 +195,10 @@ def parse_config(text: str, source: str = "<config>",
                 okw[fname] = value.lower() == "true"
             else:
                 raise ConfigError(f"{where}: unknown oracle key {key!r}")
+            try:  # OracleConfig's rules, named by the line or flag that set the field
+                OracleConfig(**{fname: okw[fname]})
+            except ValidationError as exc:
+                raise ConfigError(f"{where}: {exc}") from exc
         else:
             raise ConfigError(f"{where}: unknown key {key!r}")
 

@@ -9,12 +9,14 @@ so each symbol has a single definition.
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .blocks import map_blocks
 from .errors import SingularPointError, ValidationError
 from .params import C_LIGHT, SystemParams, effective_splittings, eit_dispersion
 
@@ -242,8 +244,8 @@ def _chi5_on_grid(p: SystemParams, extent: float, d: np.ndarray) -> tuple[np.nda
     """chi5 on the square FFT grid d x d as A(delta2+delta3) * B(delta3).
 
     sliding_window_view(A, n)[i, j] is A[i + j], a zero-copy view, so the
-    product allocates the one 2D output.  Returns the samples and the number
-    of cells patched near a pole.
+    product, written in row blocks, allocates the one 2D output.  Returns
+    the samples and the number of cells patched near a pole.
     """
     n = len(d)
     sums = -2 * extent + (2 * extent / n) * np.arange(2 * n - 1)
@@ -263,7 +265,9 @@ def _chi5_on_grid(p: SystemParams, extent: float, d: np.ndarray) -> tuple[np.nda
         f1 = np.where(f1 == 0, 1.0, f1)
         f2 = np.where(f2 == 0, 1.0, f2)
     along_sum = p.dipole_scale * (-1j) * t51s / (pre * f1)
-    vals = sliding_window_view(along_sum, n) * (1.0 / f2)[None, :]
+    window, inv_f2 = sliding_window_view(along_sum, n), 1.0 / f2
+    vals = np.empty((n, n), dtype=complex)
+    map_blocks(lambda rows: np.multiply(window[rows], inv_f2, out=vals[rows]), n, n)
     if bad is None:
         return vals, 0
     return _patch_singular(vals, bad), int(bad.sum())
@@ -278,8 +282,8 @@ def _multiply_phi(vals: np.ndarray, d: np.ndarray, p: SystemParams,
     the outer product of two 1D exponentials; only the division by
     z = i dk L is 2D, with the series branch on the masked cells.  Each
     block evaluates the whole-grid expressions on its rows, so the product
-    is bitwise that of a single block while the temporaries stay at
-    PHI_BLOCK_ROWS rows.
+    is bitwise that of a single block while the blocks in flight hold
+    PHI_BLOCK_ROWS rows of temporaries between them.
     """
     a, c = _delta_k_parts(d, d, p)
     if ideal_rect:
@@ -287,11 +291,16 @@ def _multiply_phi(vals: np.ndarray, d: np.ndarray, p: SystemParams,
     ea = np.exp(1j * (a * p.length_L))
     ec = np.exp(1j * (c * p.length_L))
     n = len(d)
-    z_buf = np.empty((min(PHI_BLOCK_ROWS, n), n), dtype=complex)
-    out_buf = np.empty_like(z_buf)
-    for start in range(0, n, PHI_BLOCK_ROWS):
-        rows = slice(start, min(start + PHI_BLOCK_ROWS, n))
-        z, out = z_buf[:rows.stop - start], out_buf[:rows.stop - start]
+    # each thread reuses its pair of block buffers: fresh ones per block
+    # cost a page fault per page
+    scratch = threading.local()
+
+    def multiply(rows):
+        m = rows.stop - rows.start
+        if len(getattr(scratch, "z", ())) < m:
+            scratch.z = np.empty((m, n), dtype=complex)
+            scratch.out = np.empty_like(scratch.z)
+        z, out = scratch.z[:m], scratch.out[:m]
         np.add.outer(a[rows], c, out=z)
         z *= 1j * p.length_L
         np.multiply.outer(ea[rows], ec, out=out)
@@ -302,6 +311,7 @@ def _multiply_phi(vals: np.ndarray, d: np.ndarray, p: SystemParams,
         out /= z
         out[small] = 1.0 + z_small / 2 + z_small * z_small / 6
         vals[rows] *= out
+    map_blocks(multiply, n, PHI_BLOCK_ROWS)
 
 
 def spectral_grid(

@@ -13,9 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blocks import map_blocks
 from .errors import OverdampedError, ValidationError
-from .params import (Regime, SystemParams, classify_regime, derived_frequencies,
-                     effective_splittings, eit_dispersion)
+from .params import (DerivedFrequencies, Regime, SystemParams, classify_regime,
+                     derived_frequencies, effective_splittings, eit_dispersion)
 
 
 #: tau12 rows per block when analytic_rate_grid evaluates a closed form.
@@ -115,20 +116,27 @@ def rcc_chi5(tau12, tau13, p: SystemParams):
     Equals |wavepacket_chi5|^2 / 2 identically.
     """
     _check_regime(p, Regime.CHI5_DOMINATED)
-    s = effective_splittings(p)
-    t12 = np.asarray(tau12, dtype=float) * p.gamma31_si
-    t13 = np.asarray(tau13, dtype=float) * p.gamma31_si
-    ss = t13 - t12
-    support = (t12 >= 0) & (ss >= 0)
+    out = _chi5_rate(p, effective_splittings(p))(tau12, tau13)
+    return float(out) if out.ndim == 0 else out
+
+
+def _chi5_rate(p: SystemParams, s: DerivedFrequencies):
+    """rcc_chi5's array expressions, with its scalars bound once: pure numpy."""
     o1, o2 = s.omega_e1, s.omega_e2
     b = p.gamma51 - s.gamma_e1
-    bracket = (o1**2 * np.cos(o1 * t12 / 2) ** 2
-               + 2 * o1 * b * np.sin(o1 * t12)
-               + 4 * b**2 * np.sin(o1 * t12 / 2) ** 2)
-    val = (np.exp(-2 * s.gamma_e1 * t12 - 2 * s.gamma_e2 * ss)
-           * bracket * (1.0 - np.cos(o2 * ss)))
-    out = np.where(support, val, 0.0)
-    return float(out) if out.ndim == 0 else out
+
+    def rate(tau12, tau13):
+        t12 = np.asarray(tau12, dtype=float) * p.gamma31_si
+        t13 = np.asarray(tau13, dtype=float) * p.gamma31_si
+        ss = t13 - t12
+        support = (t12 >= 0) & (ss >= 0)
+        bracket = (o1**2 * np.cos(o1 * t12 / 2) ** 2
+                   + 2 * o1 * b * np.sin(o1 * t12)
+                   + 4 * b**2 * np.sin(o1 * t12 / 2) ** 2)
+        val = (np.exp(-2 * s.gamma_e1 * t12 - 2 * s.gamma_e2 * ss)
+               * bracket * (1.0 - np.cos(o2 * ss)))
+        return np.where(support, val, 0.0)
+    return rate
 
 
 def rcc_cond12(tau12, p: SystemParams, normalize: bool = False):
@@ -138,15 +146,23 @@ def rcc_cond12(tau12, p: SystemParams, normalize: bool = False):
     """
     _check_regime(p, Regime.CHI5_DOMINATED)
     s = effective_splittings(p)
-    t = np.asarray(tau12, dtype=float) * p.gamma31_si
+    out = _cond12_rate(p, s)(tau12)
+    if normalize:
+        out = out / s.omega_e1**2  # the origin is the global maximum
+    return float(out) if out.ndim == 0 else out
+
+
+def _cond12_rate(p: SystemParams, s: DerivedFrequencies):
+    """rcc_cond12's array expressions, with its scalars bound once: pure numpy."""
     o1 = s.omega_e1
     b = p.gamma51 - s.gamma_e1
-    val = ((o1 * np.cos(o1 * t / 2) + 2 * b * np.sin(o1 * t / 2)) ** 2
-           * np.exp(-2 * s.gamma_e1 * t))
-    out = np.where(t >= 0, val, 0.0)
-    if normalize:
-        out = out / o1**2  # the origin is the global maximum
-    return float(out) if out.ndim == 0 else out
+
+    def rate(tau12):
+        t = np.asarray(tau12, dtype=float) * p.gamma31_si
+        val = ((o1 * np.cos(o1 * t / 2) + 2 * b * np.sin(o1 * t / 2)) ** 2
+               * np.exp(-2 * s.gamma_e1 * t))
+        return np.where(t >= 0, val, 0.0)
+    return rate
 
 
 def hybrid_loss_rate(p: SystemParams) -> float:
@@ -172,26 +188,39 @@ def wavepacket_hybrid(tau12, tau13, p: SystemParams, ideal_rect: bool = False):
     transform.
     """
     _check_regime(p, Regime.HYBRID)
-    s = effective_splittings(p)
+    out = _hybrid_amplitude(p, effective_splittings(p), ideal_rect)(tau12, tau13)
+    return float(out) if out.ndim == 0 else out
+
+
+def _hybrid_amplitude(p: SystemParams, s: DerivedFrequencies, ideal_rect: bool):
+    """wavepacket_hybrid's array expressions, with its scalars bound once:
+    pure numpy."""
     disp = eit_dispersion(p)
     gamma_e3 = p.gamma51 - s.gamma_e1
-    t12_s = np.asarray(tau12, dtype=float)
-    t13_s = np.asarray(tau13, dtype=float)
-    t12 = t12_s * p.gamma31_si
     o1 = s.omega_e1
-    rect = (t13_s >= 0) & (t13_s <= disp.group_delay)
-    support = (t12 >= 0) & (t13_s >= t12_s) & rect
     loss = 0.0 if ideal_rect else hybrid_loss_rate(p)
-    amp = ((o1 / 2 * np.cos(o1 * t12 / 2) + gamma_e3 * np.sin(o1 * t12 / 2))
-           * np.exp(-loss * t13_s - s.gamma_e1 * t12))
-    out = np.where(support, amp, 0.0)
-    return float(out) if out.ndim == 0 else out
+
+    def amplitude(tau12, tau13):
+        t12_s = np.asarray(tau12, dtype=float)
+        t13_s = np.asarray(tau13, dtype=float)
+        t12 = t12_s * p.gamma31_si
+        rect = (t13_s >= 0) & (t13_s <= disp.group_delay)
+        support = (t12 >= 0) & (t13_s >= t12_s) & rect
+        amp = ((o1 / 2 * np.cos(o1 * t12 / 2) + gamma_e3 * np.sin(o1 * t12 / 2))
+               * np.exp(-loss * t13_s - s.gamma_e1 * t12))
+        return np.where(support, amp, 0.0)
+    return amplitude
 
 
 def rcc_hybrid(tau12, tau13, p: SystemParams, ideal_rect: bool = False):
     """Hybrid-regime rate: |wavepacket_hybrid|^2."""
     amp = wavepacket_hybrid(tau12, tau13, p, ideal_rect=ideal_rect)
     return np.abs(amp) ** 2
+
+
+def _hybrid_rate(p: SystemParams, s: DerivedFrequencies, ideal_rect: bool = False):
+    amplitude = _hybrid_amplitude(p, s, ideal_rect)
+    return lambda tau12, tau13: np.abs(amplitude(tau12, tau13)) ** 2
 
 
 def rcc_cascaded_stub(tau12, tau13, p: SystemParams):
@@ -201,12 +230,29 @@ def rcc_cascaded_stub(tau12, tau13, p: SystemParams):
     oscillation (1 - cos(O2 t13)) e^(-2 g_e2 t13) Theta(t13).  Used as the
     zero-residual baseline for the factorizability contrast.
     """
-    s = effective_splittings(p)
-    r12 = rcc_cond12(tau12, p)
-    t = np.asarray(tau13, dtype=float) * p.gamma31_si
-    val = (1.0 - np.cos(s.omega_e2 * t)) * np.exp(-2 * s.gamma_e2 * t)
-    m = np.where(t >= 0, val, 0.0)
-    return r12 * m
+    _check_regime(p, Regime.CHI5_DOMINATED)  # rcc_cond12's check
+    return _cascaded_rate(p, effective_splittings(p))(tau12, tau13)
+
+
+def _cascaded_rate(p: SystemParams, s: DerivedFrequencies):
+    """rcc_cascaded_stub's array expressions, with its scalars bound once:
+    pure numpy."""
+    cond12 = _cond12_rate(p, s)
+
+    def rate(tau12, tau13):
+        r12 = cond12(tau12)
+        t = np.asarray(tau13, dtype=float) * p.gamma31_si
+        val = (1.0 - np.cos(s.omega_e2 * t)) * np.exp(-2 * s.gamma_e2 * t)
+        m = np.where(t >= 0, val, 0.0)
+        return r12 * m
+    return rate
+
+
+#: Per closed form: the regime its check expects, and the maker of its
+#: block function from (params, splittings, **kwargs).
+_RATE_FORMS = {"chi5": (Regime.CHI5_DOMINATED, _chi5_rate),
+               "hybrid": (Regime.HYBRID, _hybrid_rate),
+               "cascaded": (Regime.CHI5_DOMINATED, _cascaded_rate)}
 
 
 def analytic_rate_grid(p: SystemParams, tau12_axis: np.ndarray,
@@ -214,19 +260,24 @@ def analytic_rate_grid(p: SystemParams, tau12_axis: np.ndarray,
                        **kwargs) -> WavepacketGrid:
     """One closed-form rate on an explicit time grid, peak-normalized.
 
-    The closed form is evaluated elementwise in blocks of RATE_BLOCK_ROWS
-    tau12 rows written into the one output grid, so the temporaries stay
-    at block size and every value equals a whole-grid evaluation bitwise.
+    The regime check (its warning names the caller's line) and the closed
+    form's scalars run once per grid.  Its elementwise expressions are
+    evaluated in blocks of tau12 rows, RATE_BLOCK_ROWS in flight, written
+    into the one output grid, so the temporaries stay at block size and
+    every value equals a whole-grid evaluation bitwise.
     """
-    fn = {"chi5": rcc_chi5, "hybrid": rcc_hybrid, "cascaded": rcc_cascaded_stub}
-    if which not in fn:
+    if which not in _RATE_FORMS:
         raise ValidationError(f"unknown analytic rate {which!r}")
+    regime, form = _RATE_FORMS[which]
+    _check_regime(p, regime)
+    rate = form(p, effective_splittings(p), **kwargs)
     t12 = np.asarray(tau12_axis, dtype=float)
     t13 = np.asarray(tau13_axis, dtype=float)
     vals = np.empty((len(t12), len(t13)))
-    for start in range(0, len(t12), RATE_BLOCK_ROWS):
-        rows = slice(start, start + RATE_BLOCK_ROWS)
-        vals[rows] = fn[which](t12[rows, None], t13[None, :], p, **kwargs)
+
+    def fill(rows):
+        vals[rows] = rate(t12[rows, None], t13[None, :])
+    map_blocks(fill, len(t12), RATE_BLOCK_ROWS)
     norm = float(vals.max())
     if norm > 0:
         vals /= norm

@@ -6,12 +6,15 @@ import sys
 import weakref
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sswm.oracle
-from sswm import analysis
+from sswm import analysis, blocks
 from sswm.acceptance import AcceptanceContext, c08_od_invariance, c11_precursor
 from sswm.errors import ValidationError
 from sswm.oracle import OracleConfig, OracleRun, rcc_cond_numeric, rcc_numeric
@@ -57,21 +60,48 @@ def test_products_equal_standalone_transforms(p, tukey_alpha, force_phi_unity, i
         assert np.max(np.abs(run.trace(which).values - tr.values)) <= 1e-13
 
 
-def test_rate_run_makes_one_fft2_and_no_1d_fft(monkeypatch):
+def test_rate_run_makes_one_2d_transform_and_no_conditional(monkeypatch):
+    # the 2D transform is _fft2, which runs np.fft.fft on row then column
+    # blocks; a rate run calls it once, and makes no other transform
     calls = []
+    inside = []
 
-    def counting(name):
-        real = getattr(np.fft, name)
-
-        def transform(*args, **kwargs):
-            calls.append(name)
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append((name, bool(inside)))
             return real(*args, **kwargs)
-        return transform
+        return wrapper
 
+    real_fft2 = sswm.oracle._fft2
+
+    def helper(values):
+        calls.append(("_fft2", False))
+        inside.append(True)
+        try:
+            return real_fft2(values)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(sswm.oracle, "_fft2", helper)
+    monkeypatch.setattr(sswm.oracle, "_conditional",
+                        counting("_conditional", sswm.oracle._conditional))
     for name in ("fft", "fft2"):
-        monkeypatch.setattr(np.fft, name, counting(name))
+        monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
     OracleRun(HYB, OracleConfig(extent=32.0, n_points=256), traces=("tau12", "tau13"))
-    assert calls == ["fft2"]
+    assert calls[0] == ("_fft2", False)
+    assert calls[1:] and set(calls[1:]) == {("fft", True)}
+
+
+@given(st.sampled_from([1, 2, 3, 8, 256]), st.sampled_from([1, 2, 5, 64, 256]),
+       st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3]))
+@settings(max_examples=30, deadline=None)
+def test_fft2_helper_equals_numpy_fft2_bitwise(n0, n1, seed, workers):
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((n0, n1)) + 1j * rng.standard_normal((n0, n1))
+    want = np.fft.fft2(values)
+    with mock.patch.object(blocks, "workers", lambda: workers):
+        got = sswm.oracle._fft2(values)
+    assert got is values and np.array_equal(got, want)
 
 
 def test_tapered_run_loads_no_scipy():

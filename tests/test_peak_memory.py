@@ -6,7 +6,8 @@ import tracemalloc
 import pytest
 
 from sswm import analysis
-from sswm.oracle import OracleConfig, OracleRun, default_extent
+from sswm.oracle import (OracleConfig, OracleRun, default_extent, normalized_l2_error,
+                         support_edge_mask)
 from sswm.params import SystemParams
 from sswm.susceptibility import spectral_grid
 from sswm.wavepacket import analytic_rate_grid
@@ -57,6 +58,15 @@ def test_oracle_run_with_rate_peak():
 def test_factorizability_residual_peak(hybrid_rate):
     _, rise = _peak_rise(lambda: analysis.factorizability_residual(hybrid_rate))
     assert rise <= 1.25 * REAL_GRID
+
+
+def test_normalized_l2_error_peak(hybrid_rate):
+    # C3's comparison: row blocks and a `where` mask, no masked copies
+    reference = hybrid_rate.values[::-1]
+    mask = support_edge_mask(hybrid_rate.tau12_axis, hybrid_rate.tau13_axis)
+    err, rise = _peak_rise(lambda: normalized_l2_error(hybrid_rate.values, reference, mask))
+    assert err > 0
+    assert rise <= 0.1 * REAL_GRID
 
 
 @pytest.mark.parametrize("p,which", [(SystemParams(), "chi5"), (HYB, "hybrid"),

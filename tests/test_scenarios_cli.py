@@ -371,6 +371,13 @@ def _preset_with(tmp_path, *pairs: str) -> str:
     (["simulate", "--scenario", "fig3a", "--extent", "foo"], "--extent"),
     (["simulate", "--scenario", "fig3a", "--extent", "nan"], "extent"),
     (["simulate", "--scenario", "fig3a", "--grid-n", "1000"], "n_points"),
+    (["simulate", "--scenario", "fig3f", "--grid-n", "1000"],
+     "config error: --grid-n: n_points must be a power of two >= 256"),
+    (["simulate", "--scenario", "fig3f", "--extent", "nan"],
+     "config error: --extent: extent must be positive and finite"),
+    (["sweep", "--scenario", "fig3f", "--extent=-3gamma31", "--param", "optical_depth",
+      "--values", "37"], "config error: --extent: extent must be positive and finite"),
+    (["simulate", "--scenario", ("oracle.n_points", "1000")], ": line "),
     (["sweep", "--scenario", "fig3f", "--param", "optical_depth", "--values", "37,abc"],
      "--values"),
     (["sweep", "--scenario", "fig3f", "--param", "optical_depth", "--values", "-5"],
@@ -403,7 +410,8 @@ def _preset_with(tmp_path, *pairs: str) -> str:
      "outputs.tmin_ns"),
     (["simulate", "--grid-n", "256", "--scenario",
       ("outputs.tmin_ns", "500", "outputs.tmax_ns", "100")], "outputs.tmin_ns"),
-], ids=["extent", "extent-nan", "grid-n", "values-word", "values-negative-od", "values-gamma31-word",
+], ids=["extent", "extent-nan", "grid-n", "grid-n-flag-named", "extent-flag-named",
+        "sweep-extent-flag-named", "n_points-line-named", "values-word", "values-negative-od", "values-gamma31-word",
         "n_points", "tukey_alpha", "tmin_ns", "gamma31_si", "gamma31_si-zero",
         "od-inf", "values-od-inf", "omega31-zero", "od-nan", "length_L-inf", "omega21-nan",
         "dipole_scale-zero", "values-empty", "name-slash", "od-zero", "tmin_ns-nan",
