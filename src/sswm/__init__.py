@@ -12,12 +12,11 @@ from .errors import (ConfigError, InsufficientExtremaError, OverdampedError,
                      SingularPointError, SswmError, ValidationError, ZeroMassError)
 from .oracle import (OracleConfig, OracleRun, default_extent, rcc_cond_numeric,
                      rcc_numeric, wavepacket_numeric)
-from .params import (ChannelSpec, DerivedFrequencies, Entanglement, Regime,
-                     SystemParams, channel_spectrum, classify_entanglement,
-                     classify_regime, derived_frequencies, effective_splittings,
-                     eit_dispersion)
-from .susceptibility import (SpectralGrid, chi1, chi2, chi3, chi5, delta_k,
-                             find_resonances, phi, spectral_grid)
+from .params import (DerivedFrequencies, Entanglement, Regime, SystemParams,
+                     classify_entanglement, classify_regime, derived_frequencies,
+                     effective_splittings, eit_dispersion)
+from .susceptibility import (SpectralGrid, chi3, chi5, delta_k, find_resonances, phi,
+                             spectral_grid)
 from .wavepacket import (ChannelWeights, WavepacketGrid, analytic_rate_grid,
                          channel_weights, rcc_cascaded_stub, rcc_chi5, rcc_cond12,
                          rcc_hybrid, wavepacket_chi5, wavepacket_hybrid)
@@ -25,13 +24,13 @@ from .wavepacket import (ChannelWeights, WavepacketGrid, analytic_rate_grid,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChannelSpec", "ChannelWeights", "CoherenceFit",
-    "ConfigError", "DerivedFrequencies", "Entanglement", "InsufficientExtremaError",
+    "ChannelWeights", "CoherenceFit", "ConfigError", "DerivedFrequencies",
+    "Entanglement", "InsufficientExtremaError",
     "ObservableReport", "OracleConfig", "OracleRun", "OverdampedError", "Regime",
     "SingularPointError", "SpectralGrid", "SswmError", "SystemParams",
     "TimeTrace", "ValidationError", "WavepacketGrid", "ZeroMassError",
-    "analytic_rate_grid", "channel_spectrum", "channel_weights", "chi1", "chi2",
-    "chi3", "chi5", "classify_entanglement", "classify_regime",
+    "analytic_rate_grid", "channel_weights", "chi3", "chi5",
+    "classify_entanglement", "classify_regime",
     "default_extent", "delta_k", "derived_frequencies", "detect_precursor",
     "effective_splittings", "eit_dispersion", "extract_period",
     "factorizability_residual", "find_resonances", "fit_coherence_time",

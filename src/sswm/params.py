@@ -106,15 +106,6 @@ class SystemParams:
 
 
 @dataclass(frozen=True)
-class ChannelSpec:
-    """Peak offsets (from the three carriers) of one mixing channel."""
-
-    omega1_offset: float
-    omega2_offset: float
-    omega3_offset: float
-
-
-@dataclass(frozen=True)
 class DerivedFrequencies:
     """Scalar frequencies derived from SystemParams.
 
@@ -210,22 +201,6 @@ def classify_entanglement(d: DerivedFrequencies, tol: float = 1e-3) -> Entanglem
     if abs(d.omega_e1 - d.omega_e2) <= tol * max(d.omega_e1, d.omega_e2):
         return Entanglement.W_2X3X2
     return Entanglement.NONW_2X4X2
-
-
-def channel_spectrum(d: DerivedFrequencies) -> list[ChannelSpec]:
-    """The four mixing channels as carrier-offset triples.
-
-    omega2 is computed as -(omega1 + omega3), so each energy-conservation sum
-    vanishes to machine precision (one rounding of omega1 + omega3).
-    """
-    if d.overdamped:
-        raise OverdampedError("channel spectrum undefined for overdamped arms")
-    o1, o2 = d.omega_e1 / 2, d.omega_e2 / 2
-    out = []
-    for s1, s3 in ((-1, -1), (+1, -1), (-1, +1), (+1, +1)):
-        w1, w3 = s1 * o1, s3 * o2
-        out.append(ChannelSpec(w1, -(w1 + w3), w3))
-    return out
 
 
 def derived_frequencies(p: SystemParams) -> DerivedFrequencies:

@@ -23,7 +23,7 @@ from .errors import ConfigError, OverdampedError, SswmError, ValidationError
 from .oracle import OracleConfig, OracleRun, default_extent
 from .params import SystemParams, derived_frequencies, Regime
 from .susceptibility import find_resonances, spectral_grid
-from .wavepacket import analytic_rate_grid, rcc_cond12
+from .wavepacket import analytic_rate_grid, analytic_tau13_marginal, rcc_cond12
 
 #: Scenario outputs that can be requested.
 OUTPUT_KINDS = (
@@ -459,7 +459,8 @@ def run_scenario(sc: Scenario, out_dir: Path, fmt: str = "csv",
         elif out.startswith("rcc2d_"):
             grid = run.rate
             if out == "rcc2d_analytic":
-                grid = _analytic_grid(p, grid.tau12_axis, grid.tau13_axis, sc.oracle.ideal_rect)
+                grid = analytic_rate_grid(p, grid.tau12_axis, grid.tau13_axis,
+                                          _analytic_form(p), sc.oracle.ideal_rect)
             t12, t13, vals = _crop_grid(grid, tmin, tmax)
             _write_export(path, header + [f"normalization: {grid.normalization:.12e}"],
                           [("tau12_s", t12), ("tau13_s", t13)], vals, "value", "values", fmt)
@@ -484,16 +485,14 @@ def _analytic_trace(p: SystemParams, which: str, ideal_rect: bool) -> analysis.T
     if which == "tau12":
         vals = rcc_cond12(t, p, normalize=True)
         return analysis.TimeTrace(t_axis=t, values=np.asarray(vals))
-    # tau13: integrate the regime-appropriate closed form over tau12
-    return analysis.trace_from_grid(_analytic_grid(p, t, t, ideal_rect), axis="tau13")
+    # tau13: the regime-appropriate closed form summed over tau12
+    vals = analytic_tau13_marginal(p, t, _analytic_form(p), ideal_rect)
+    return analysis.TimeTrace(t_axis=t, values=vals)
 
 
-def _analytic_grid(p: SystemParams, tau12_axis, tau13_axis, ideal_rect: bool):
-    """The closed-form rate grid of the regime `p` falls in."""
-    if derived_frequencies(p).regime is Regime.HYBRID:
-        return analytic_rate_grid(p, tau12_axis, tau13_axis, which="hybrid",
-                                  ideal_rect=ideal_rect)
-    return analytic_rate_grid(p, tau12_axis, tau13_axis, which="chi5")
+def _analytic_form(p: SystemParams) -> str:
+    """The closed form of the regime `p` falls in."""
+    return "hybrid" if derived_frequencies(p).regime is Regime.HYBRID else "chi5"
 
 
 def run_sweep(sc: Scenario, param: str, values: list, out_dir: Path,

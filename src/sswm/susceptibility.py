@@ -1,4 +1,4 @@
-"""Complex spectral functions: chi5, chi1..chi3, wavenumber mismatch, and the
+"""Complex spectral functions: chi5, chi3, wavenumber mismatch, and the
 longitudinal detuning function, plus grid sampling and peak location.
 
 All detuning arguments (delta2, delta3) are in gamma31 units and may be
@@ -74,47 +74,6 @@ def chi5(delta2, delta3, p: SystemParams):
     den = pre * d_function(delta2, delta3, p)
     _check_pole(den, "chi5")
     return p.dipole_scale * (-1j) * t51s / den
-
-
-def chi1(delta2, delta3, p: SystemParams):
-    """Linear response of the first signal arm.
-
-    Numerator bars read as |omega_p|^2 |omega_c1|^2, the only dimensionally
-    consistent grouping of the source expression's unbalanced bars.
-    """
-    g41, g51 = _pump_rates(p)
-    g54 = 1j * p.delta_c1 - p.gamma54
-    t41 = _tee(g41, delta2, delta3, p)
-    t51 = _tee(g51, delta2, delta3, p)
-    t54 = _tee(g54, delta2, delta3, p)
-    oc1 = abs(p.omega_c1) ** 2
-    den = t54 * (g41 * g51 + oc1) * (t41 * t51 + oc1)
-    _check_pole(den, "chi1")
-    num = -1j * abs(p.omega_p) ** 2 * oc1
-    return p.dipole_scale * num / den
-
-
-def chi2(delta2, p: SystemParams):
-    """Linear response of the second signal arm (depends on delta2 only).
-
-    R21 = U21 + i(delta_p + delta2 + delta3) and R31 cancel delta3 exactly,
-    so any delta3 may be used internally; 0 is passed.
-    """
-    delta3 = 0.0
-    g41, g51 = _pump_rates(p)
-    u21, u31 = _upsilon(delta3, p)
-    r21 = u21 + 1j * (p.delta_p + delta2 + delta3)
-    r31 = u31 + 1j * (p.delta_p + delta2 + delta3)
-    u42s = np.conj(-1j * delta2 - p.gamma42)
-    u52s = np.conj(1j * (p.delta_c1 - delta2) - p.gamma52)
-    u53s = np.conj(1j * (p.delta_c1 - delta2) - p.gamma53)
-    oc1 = abs(p.omega_c1) ** 2
-    oc2 = abs(p.omega_c2) ** 2
-    bracket = u52s * u53s + oc2
-    den = (g41 * g51 + oc1) * (r21 * r31 + oc2) * (u53s * oc1 + u42s * bracket)
-    _check_pole(den, "chi2")
-    num = 1j * abs(p.omega_p) ** 2 * g51 * r31 * bracket
-    return p.dipole_scale * num / den
 
 
 def chi3(delta3, p: SystemParams):
@@ -202,12 +161,8 @@ class SpectralGrid:
     n_singular_replaced: int = 0
 
     def __post_init__(self) -> None:
-        for ax in (self.delta2_axis, self.delta3_axis):
-            steps = np.diff(ax)
-            if not np.all(steps > 0):
-                raise ValidationError("grid axes must be strictly increasing")
-            if np.ptp(steps) > 1e-12 * abs(steps[0]):
-                raise ValidationError("grid axes must be uniform to 1e-12 relative")
+        check_uniform(self.delta2_axis)
+        check_uniform(self.delta3_axis)
         if self.values.shape != (len(self.delta2_axis), len(self.delta3_axis)):
             raise ValidationError("value array shape must match axis lengths")
 
@@ -219,6 +174,20 @@ def check_grid(extent: float | None, n_points: int) -> None:
         raise ValidationError("n_points must be a power of two >= 256")
     if extent is not None and not 0 < extent < math.inf:
         raise ValidationError("extent must be positive and finite")
+
+
+def check_uniform(axis: np.ndarray) -> None:
+    """The uniform-axis rule: ValidationError unless `axis` has at least two
+    points and increases in steps that agree up to the rounding of building
+    it.  An axis of n points within n steps of 0 (an FFT axis, a linspace
+    from 0) holds each point to within eps*n*step (two roundings of at most
+    eps/2 each), so each step to within 2*eps*n*step and their spread to
+    within 4*eps*n*step."""
+    steps = np.diff(axis)
+    if len(steps) == 0 or not np.all(steps > 0):
+        raise ValidationError("grid axes must have two or more strictly increasing points")
+    if np.ptp(steps) > 4 * len(axis) * np.finfo(float).eps * steps[0]:
+        raise ValidationError("grid axes must be uniform to 4*n*eps relative")
 
 
 def _fft_axis(extent: float, n: int) -> np.ndarray:

@@ -3,24 +3,22 @@
 Public time arguments are in seconds; internally times are scaled by
 gamma31_si so the physics stays in gamma31 units.  All functions broadcast
 over numpy arrays.  The step convention is Theta(0) = 1, and rates vanish
-identically outside {tau12 >= 0, tau13 >= tau12}.
+identically outside {tau12 >= 0, tau13 >= tau12}.  The literal forms are
+the reference; grids and marginals are built from each rate's 1D factors.
 """
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .blocks import map_blocks
 from .errors import OverdampedError, ValidationError
-from .params import (DerivedFrequencies, Regime, SystemParams, classify_regime,
-                     derived_frequencies, effective_splittings, eit_dispersion)
-
-
-#: tau12 rows per block when analytic_rate_grid evaluates a closed form.
-RATE_BLOCK_ROWS = 64
+from .params import (Regime, SystemParams, derived_frequencies, effective_splittings,
+                     eit_dispersion)
+from .susceptibility import check_uniform
 
 
 @dataclass(frozen=True)
@@ -65,10 +63,6 @@ class WavepacketGrid:
             raise ValidationError("value array shape must match axis lengths")
         if self.kind == "rate" and np.min(self.values.real) < 0:
             raise ValidationError("rate grids must be non-negative")
-
-    @property
-    def dt(self) -> float:
-        return float(self.tau12_axis[1] - self.tau12_axis[0])
 
 
 def _check_regime(p: SystemParams, expect: Regime) -> None:
@@ -116,27 +110,20 @@ def rcc_chi5(tau12, tau13, p: SystemParams):
     Equals |wavepacket_chi5|^2 / 2 identically.
     """
     _check_regime(p, Regime.CHI5_DOMINATED)
-    out = _chi5_rate(p, effective_splittings(p))(tau12, tau13)
-    return float(out) if out.ndim == 0 else out
-
-
-def _chi5_rate(p: SystemParams, s: DerivedFrequencies):
-    """rcc_chi5's array expressions, with its scalars bound once: pure numpy."""
+    s = effective_splittings(p)
+    t12 = np.asarray(tau12, dtype=float) * p.gamma31_si
+    t13 = np.asarray(tau13, dtype=float) * p.gamma31_si
+    ss = t13 - t12
+    support = (t12 >= 0) & (ss >= 0)
     o1, o2 = s.omega_e1, s.omega_e2
     b = p.gamma51 - s.gamma_e1
-
-    def rate(tau12, tau13):
-        t12 = np.asarray(tau12, dtype=float) * p.gamma31_si
-        t13 = np.asarray(tau13, dtype=float) * p.gamma31_si
-        ss = t13 - t12
-        support = (t12 >= 0) & (ss >= 0)
-        bracket = (o1**2 * np.cos(o1 * t12 / 2) ** 2
-                   + 2 * o1 * b * np.sin(o1 * t12)
-                   + 4 * b**2 * np.sin(o1 * t12 / 2) ** 2)
-        val = (np.exp(-2 * s.gamma_e1 * t12 - 2 * s.gamma_e2 * ss)
-               * bracket * (1.0 - np.cos(o2 * ss)))
-        return np.where(support, val, 0.0)
-    return rate
+    bracket = (o1**2 * np.cos(o1 * t12 / 2) ** 2
+               + 2 * o1 * b * np.sin(o1 * t12)
+               + 4 * b**2 * np.sin(o1 * t12 / 2) ** 2)
+    val = (np.exp(-2 * s.gamma_e1 * t12 - 2 * s.gamma_e2 * ss)
+           * bracket * (1.0 - np.cos(o2 * ss)))
+    out = np.where(support, val, 0.0)
+    return float(out) if out.ndim == 0 else out
 
 
 def rcc_cond12(tau12, p: SystemParams, normalize: bool = False):
@@ -146,23 +133,15 @@ def rcc_cond12(tau12, p: SystemParams, normalize: bool = False):
     """
     _check_regime(p, Regime.CHI5_DOMINATED)
     s = effective_splittings(p)
-    out = _cond12_rate(p, s)(tau12)
-    if normalize:
-        out = out / s.omega_e1**2  # the origin is the global maximum
-    return float(out) if out.ndim == 0 else out
-
-
-def _cond12_rate(p: SystemParams, s: DerivedFrequencies):
-    """rcc_cond12's array expressions, with its scalars bound once: pure numpy."""
+    t = np.asarray(tau12, dtype=float) * p.gamma31_si
     o1 = s.omega_e1
     b = p.gamma51 - s.gamma_e1
-
-    def rate(tau12):
-        t = np.asarray(tau12, dtype=float) * p.gamma31_si
-        val = ((o1 * np.cos(o1 * t / 2) + 2 * b * np.sin(o1 * t / 2)) ** 2
-               * np.exp(-2 * s.gamma_e1 * t))
-        return np.where(t >= 0, val, 0.0)
-    return rate
+    val = ((o1 * np.cos(o1 * t / 2) + 2 * b * np.sin(o1 * t / 2)) ** 2
+           * np.exp(-2 * s.gamma_e1 * t))
+    out = np.where(t >= 0, val, 0.0)
+    if normalize:
+        out = out / o1**2  # the origin is the global maximum
+    return float(out) if out.ndim == 0 else out
 
 
 def hybrid_loss_rate(p: SystemParams) -> float:
@@ -188,39 +167,25 @@ def wavepacket_hybrid(tau12, tau13, p: SystemParams, ideal_rect: bool = False):
     transform.
     """
     _check_regime(p, Regime.HYBRID)
-    out = _hybrid_amplitude(p, effective_splittings(p), ideal_rect)(tau12, tau13)
-    return float(out) if out.ndim == 0 else out
-
-
-def _hybrid_amplitude(p: SystemParams, s: DerivedFrequencies, ideal_rect: bool):
-    """wavepacket_hybrid's array expressions, with its scalars bound once:
-    pure numpy."""
-    disp = eit_dispersion(p)
+    s = effective_splittings(p)
     gamma_e3 = p.gamma51 - s.gamma_e1
+    t12_s = np.asarray(tau12, dtype=float)
+    t13_s = np.asarray(tau13, dtype=float)
+    t12 = t12_s * p.gamma31_si
     o1 = s.omega_e1
+    rect = (t13_s >= 0) & (t13_s <= eit_dispersion(p).group_delay)
+    support = (t12 >= 0) & (t13_s >= t12_s) & rect
     loss = 0.0 if ideal_rect else hybrid_loss_rate(p)
-
-    def amplitude(tau12, tau13):
-        t12_s = np.asarray(tau12, dtype=float)
-        t13_s = np.asarray(tau13, dtype=float)
-        t12 = t12_s * p.gamma31_si
-        rect = (t13_s >= 0) & (t13_s <= disp.group_delay)
-        support = (t12 >= 0) & (t13_s >= t12_s) & rect
-        amp = ((o1 / 2 * np.cos(o1 * t12 / 2) + gamma_e3 * np.sin(o1 * t12 / 2))
-               * np.exp(-loss * t13_s - s.gamma_e1 * t12))
-        return np.where(support, amp, 0.0)
-    return amplitude
+    amp = ((o1 / 2 * np.cos(o1 * t12 / 2) + gamma_e3 * np.sin(o1 * t12 / 2))
+           * np.exp(-loss * t13_s - s.gamma_e1 * t12))
+    out = np.where(support, amp, 0.0)
+    return float(out) if out.ndim == 0 else out
 
 
 def rcc_hybrid(tau12, tau13, p: SystemParams, ideal_rect: bool = False):
     """Hybrid-regime rate: |wavepacket_hybrid|^2."""
     amp = wavepacket_hybrid(tau12, tau13, p, ideal_rect=ideal_rect)
     return np.abs(amp) ** 2
-
-
-def _hybrid_rate(p: SystemParams, s: DerivedFrequencies, ideal_rect: bool = False):
-    amplitude = _hybrid_amplitude(p, s, ideal_rect)
-    return lambda tau12, tau13: np.abs(amplitude(tau12, tau13)) ** 2
 
 
 def rcc_cascaded_stub(tau12, tau13, p: SystemParams):
@@ -231,55 +196,89 @@ def rcc_cascaded_stub(tau12, tau13, p: SystemParams):
     zero-residual baseline for the factorizability contrast.
     """
     _check_regime(p, Regime.CHI5_DOMINATED)  # rcc_cond12's check
-    return _cascaded_rate(p, effective_splittings(p))(tau12, tau13)
+    s = effective_splittings(p)
+    o1, b = s.omega_e1, p.gamma51 - s.gamma_e1
+    t12 = np.asarray(tau12, dtype=float) * p.gamma31_si
+    t13 = np.asarray(tau13, dtype=float) * p.gamma31_si
+    r12 = ((o1 * np.cos(o1 * t12 / 2) + 2 * b * np.sin(o1 * t12 / 2)) ** 2
+           * np.exp(-2 * s.gamma_e1 * t12))
+    m = (1.0 - np.cos(s.omega_e2 * t13)) * np.exp(-2 * s.gamma_e2 * t13)
+    return np.where(t12 >= 0, r12, 0.0) * np.where(t13 >= 0, m, 0.0)
 
 
-def _cascaded_rate(p: SystemParams, s: DerivedFrequencies):
-    """rcc_cascaded_stub's array expressions, with its scalars bound once:
-    pure numpy."""
-    cond12 = _cond12_rate(p, s)
-
-    def rate(tau12, tau13):
-        r12 = cond12(tau12)
-        t = np.asarray(tau13, dtype=float) * p.gamma31_si
-        val = (1.0 - np.cos(s.omega_e2 * t)) * np.exp(-2 * s.gamma_e2 * t)
-        m = np.where(t >= 0, val, 0.0)
-        return r12 * m
-    return rate
+#: The regime each closed form of analytic_rate_grid expects.
+_REGIMES = {"chi5": Regime.CHI5_DOMINATED, "hybrid": Regime.HYBRID,
+            "cascaded": Regime.CHI5_DOMINATED}
 
 
-#: Per closed form: the regime its check expects, and the maker of its
-#: block function from (params, splittings, **kwargs).
-_RATE_FORMS = {"chi5": (Regime.CHI5_DOMINATED, _chi5_rate),
-               "hybrid": (Regime.HYBRID, _hybrid_rate),
-               "cascaded": (Regime.CHI5_DOMINATED, _cascaded_rate)}
+def _factors(p: SystemParams, which: str, t12: np.ndarray, t13: np.ndarray,
+             ideal_rect: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The rate `which` as two non-negative 1D factors of the times t12 and
+    t13 (seconds): r12(tau12) m(tau13) for the cascaded stub; r12(tau12)
+    m(tau13 - tau12) for chi5, m taken at the lags k*dt of one shared uniform
+    axis t12 = t13; a(tau12) g(tau13) for hybrid, whose ordering
+    Theta(tau13 - tau12) the caller applies."""
+    s = effective_splittings(p)
+    o1, b = s.omega_e1, p.gamma51 - s.gamma_e1
+    x12 = t12 * p.gamma31_si
+    if which == "hybrid":
+        a = ((o1 / 2 * np.cos(o1 * x12 / 2) + b * np.sin(o1 * x12 / 2))
+             * np.exp(-s.gamma_e1 * x12))
+        loss = 0.0 if ideal_rect else hybrid_loss_rate(p)
+        rect = (t13 >= 0) & (t13 <= eit_dispersion(p).group_delay)
+        return np.where(x12 >= 0, a, 0.0) ** 2, np.where(rect, np.exp(-loss * t13), 0.0) ** 2
+    if which == "chi5":
+        if not np.array_equal(t12, t13):
+            raise ValidationError("the chi5 closed form needs one shared tau12/tau13 axis")
+        check_uniform(t12)
+        t13 = (t12[-1] - t12[0]) / (len(t12) - 1) * np.arange(len(t12))
+    r12 = ((o1 * np.cos(o1 * x12 / 2) + 2 * b * np.sin(o1 * x12 / 2)) ** 2
+           * np.exp(-2 * s.gamma_e1 * x12))
+    x13 = t13 * p.gamma31_si
+    m = (1.0 - np.cos(s.omega_e2 * x13)) * np.exp(-2 * s.gamma_e2 * x13)
+    return np.where(x12 >= 0, r12, 0.0), np.where(x13 >= 0, m, 0.0)
 
 
 def analytic_rate_grid(p: SystemParams, tau12_axis: np.ndarray,
                        tau13_axis: np.ndarray, which: str = "chi5",
-                       **kwargs) -> WavepacketGrid:
-    """One closed-form rate on an explicit time grid, peak-normalized.
-
-    The regime check (its warning names the caller's line) and the closed
-    form's scalars run once per grid.  Its elementwise expressions are
-    evaluated in blocks of tau12 rows, RATE_BLOCK_ROWS in flight, written
-    into the one output grid, so the temporaries stay at block size and
-    every value equals a whole-grid evaluation bitwise.
-    """
-    if which not in _RATE_FORMS:
+                       ideal_rect: bool = False) -> WavepacketGrid:
+    """One closed-form rate on a time grid, peak-normalized, from its 1D
+    factors after one regime check, whose warning names the caller's line.
+    Row i is row[i] times the tau13 factor (any axes; hybrid keeps tau13 >=
+    tau12 on the axis values), or for chi5 m[j - i], a Toeplitz view of m
+    that is 0 below the diagonal.  `ideal_rect` drops hybrid's loss."""
+    if which not in _REGIMES:
         raise ValidationError(f"unknown analytic rate {which!r}")
-    regime, form = _RATE_FORMS[which]
-    _check_regime(p, regime)
-    rate = form(p, effective_splittings(p), **kwargs)
+    _check_regime(p, _REGIMES[which])
     t12 = np.asarray(tau12_axis, dtype=float)
     t13 = np.asarray(tau13_axis, dtype=float)
-    vals = np.empty((len(t12), len(t13)))
+    row, col = _factors(p, which, t12, t13, ideal_rect)
+    n = len(t12)
+    cols = (sliding_window_view(np.concatenate([np.zeros(n - 1), col]), n)[::-1]
+            if which == "chi5" else np.broadcast_to(col, (n, len(t13))))
+    vals = np.zeros((n, len(t13)))
 
     def fill(rows):
-        vals[rows] = rate(t12[rows, None], t13[None, :])
-    map_blocks(fill, len(t12), RATE_BLOCK_ROWS)
+        ordered = which != "hybrid" or t13 >= t12[rows, None]
+        np.multiply(row[rows, None], cols[rows], out=vals[rows], where=ordered)
+    map_blocks(fill, n, n)
     norm = float(vals.max())
     if norm > 0:
         vals /= norm
     return WavepacketGrid(tau12_axis=t12, tau13_axis=t13, values=vals,
                           kind="rate", normalization=norm)
+
+
+def analytic_tau13_marginal(p: SystemParams, t: np.ndarray, which: str = "chi5",
+                            ideal_rect: bool = False) -> np.ndarray:
+    """analytic_rate_grid(p, t, t, which) summed over tau12, peak-normalized,
+    from the 1D factors alone: chi5's sum is the convolution of r12 with m,
+    hybrid's the running sum of a times g.  No grid is built."""
+    if which not in ("chi5", "hybrid"):
+        raise ValidationError(f"no tau13 marginal for analytic rate {which!r}")
+    _check_regime(p, _REGIMES[which])
+    t = np.asarray(t, dtype=float)
+    row, col = _factors(p, which, t, t, ideal_rect)
+    vals = np.convolve(row, col)[:len(t)] if which == "chi5" else np.cumsum(row) * col
+    peak = vals.max()
+    return vals / peak if peak > 0 else vals

@@ -1,8 +1,10 @@
 """The blocked and in-place paths against their whole-grid, out-of-place
 forms, bitwise, over random parameters: the Phi product of spectral_grid,
-the in-place transforms of the oracle, the marginal subtraction of the
-factorizability residual and the closed-form rate grids; and every stage
-run on the block pool against the same stage on one worker."""
+the in-place transforms of the oracle and the marginal subtraction of the
+factorizability residual; the closed-form grids and tau13 marginals built
+from 1D factors against the literal closed forms, within a rounding
+allowance derived from eps; and every stage run on the block pool against
+the same stage on one worker."""
 import inspect
 import os
 import sys
@@ -17,15 +19,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sswm import analysis, blocks, oracle, susceptibility, wavepacket
-from sswm.errors import SingularPointError
+from sswm.errors import SingularPointError, ValidationError
 from sswm.oracle import (OracleConfig, OracleRun, _rate_grid, default_extent,
                          rcc_cond_numeric, sampled_spectrum, wavepacket_numeric)
-from sswm.params import SystemParams
+from sswm.params import SystemParams, effective_splittings
 from sswm.susceptibility import PHI_SERIES_CUTOFF, spectral_grid
+from sswm.wavepacket import WavepacketGrid
 
 pytestmark = pytest.mark.filterwarnings("ignore:grid spacing", "ignore:extent")
 
 N = 256
+EPS = np.finfo(float).eps
 
 params = st.fixed_dictionaries({
     "gamma21": st.floats(0.005, 0.5),
@@ -129,20 +133,78 @@ def test_blocked_residual_equals_whole_grid(kw):
     assert analysis.factorizability_residual(rate) == want
 
 
+def _rate_atol(p, t):
+    """Rounding allowance per cell of a peak-normalized closed-form grid.
+
+    The factored and direct forms round the same arguments in different
+    orders, fewer than 8 roundings of eps each.  A time carried to
+    eps*max|t| moves each phase or exponent by that much times its rate
+    (O1, O2, 2 g_e1, 2 g_e2, 2 loss), and chi5's expanded bracket cancels
+    terms of size (O1 + 2|g51 - g_e1|)^2 against its peak O1^2.  Each side
+    is then divided by its own rounded peak, which doubles the allowance.
+    """
+    s = effective_splittings(p)
+    x = np.abs(t).max() * p.gamma31_si
+    rates = (s.omega_e1 + s.omega_e2 + 2 * (s.gamma_e1 + s.gamma_e2)
+             + 2 * wavepacket.hybrid_loss_rate(p) / p.gamma31_si)
+    bracket = (1 + 2 * abs(p.gamma51 - s.gamma_e1) / s.omega_e1) ** 2
+    return 2 * 8 * EPS * (bracket + rates * x)
+
+
+def _direct_rate(p, which, t12, t13, ideal_rect):
+    """The literal closed form `which` on the grid t12 x t13."""
+    if which == "hybrid":
+        return wavepacket.rcc_hybrid(t12[:, None], t13[None, :], p, ideal_rect=ideal_rect)
+    fn = {"chi5": wavepacket.rcc_chi5, "cascaded": wavepacket.rcc_cascaded_stub}[which]
+    return fn(t12[:, None], t13[None, :], p)
+
+
 @given(params, st.sampled_from(["chi5", "hybrid", "cascaded"]), st.booleans())
 @settings(max_examples=30, deadline=None)
 def test_blocked_analytic_grid_equals_whole_grid(kw, which, ideal_rect):
+    # the grid assembled from 1D factors against the literal closed form,
+    # within rounding, with the same cells exactly 0; chi5 on one shared
+    # axis, the others on two different axes
     p = SystemParams(**kw)
-    t12 = np.linspace(-20e-9, 600e-9, 3 * wavepacket.RATE_BLOCK_ROWS + 5)
-    t13 = np.linspace(-20e-9, 900e-9, 300)
-    kwargs = {"ideal_rect": ideal_rect} if which == "hybrid" else {}
-    fn = {"chi5": wavepacket.rcc_chi5, "hybrid": wavepacket.rcc_hybrid,
-          "cascaded": wavepacket.rcc_cascaded_stub}[which]
-    want = fn(t12[:, None], t13[None, :], p, **kwargs)
+    t12 = np.linspace(-20e-9, 600e-9, 197)
+    t13 = t12 if which == "chi5" else np.linspace(-20e-9, 900e-9, 300)
+    want = _direct_rate(p, which, t12, t13, ideal_rect)
     norm = float(want.max())
-    got = wavepacket.analytic_rate_grid(p, t12, t13, which=which, **kwargs)
-    assert got.normalization == norm
-    assert np.array_equal(got.values, want / norm if norm > 0 else want)
+    got = wavepacket.analytic_rate_grid(p, t12, t13, which=which, ideal_rect=ideal_rect)
+    atol = _rate_atol(p, t13)
+    assert abs(got.normalization - norm) <= atol * norm
+    assert np.all(np.abs(got.values - (want / norm if norm > 0 else want)) <= atol)
+    assert np.array_equal(got.values == 0, want == 0)
+
+
+def test_chi5_grid_needs_one_shared_uniform_axis():
+    t = np.linspace(-20e-9, 600e-9, 197)
+    bent = np.geomspace(1e-9, 600e-9, 197)
+    for t12, t13 in ((t, np.linspace(-20e-9, 900e-9, 197)), (t, t[:-1]), (bent, bent)):
+        with pytest.raises(ValidationError, match="shared|uniform"):
+            wavepacket.analytic_rate_grid(SystemParams(), t12, t13)
+
+
+@given(params, st.sampled_from(["chi5", "hybrid"]), st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_factored_grid_and_tau13_marginal_match_direct_forms(kw, which, ideal_rect):
+    # on one shared axis: the assembled grid against the literal closed form,
+    # and the marginal from the factors alone against trace_from_grid of the
+    # literal form's grid, whose allowance is the grid's summed over a
+    # column plus the rounding of a running sum of n non-negative terms
+    p = SystemParams(**kw)
+    t = np.linspace(0.0, 900e-9, 300)
+    direct = _direct_rate(p, which, t, t, ideal_rect)
+    grid = wavepacket.analytic_rate_grid(p, t, t, which, ideal_rect)
+    assert np.array_equal(grid.values == 0, direct == 0)
+    want = analysis.trace_from_grid(WavepacketGrid(t, t, direct), axis="tau13")
+    got = wavepacket.analytic_tau13_marginal(p, t, which, ideal_rect)
+    atol = len(t) * 2 * EPS
+    if direct.max() > 0:
+        assert np.all(np.abs(grid.values - direct / direct.max()) <= _rate_atol(p, t))
+        atol += len(t) * _rate_atol(p, t) * direct.max() / direct.sum(axis=0).max()
+    assert np.all(np.abs(got - want.values) <= atol)
+    assert np.array_equal(got == 0, want.values == 0)
 
 
 def _threaded_stages(p, ideal_rect):
@@ -154,7 +216,7 @@ def _threaded_stages(p, ideal_rect):
     out = [sampled_spectrum(p, cfg).values, OracleRun(p, cfg).rate.values,
            wavepacket_numeric(p, cfg).values]
     out += [rcc_cond_numeric(which, p, cfg).values for which in ("tau12", "tau13")]
-    t = np.linspace(-20e-9, 600e-9, 3 * wavepacket.RATE_BLOCK_ROWS + 5)
+    t = np.linspace(-20e-9, 600e-9, 197)
     out += [wavepacket.analytic_rate_grid(p, t, t, which=which).values
             for which in ("chi5", "hybrid", "cascaded")]
     return out
@@ -235,7 +297,7 @@ def test_concurrent_callers_share_the_pool():
 def test_regime_warning_fires_once_at_the_callers_line(workers):
     # the hybrid closed form on chi5-dominated parameters: one advisory per
     # grid, warned from this thread and pointing at the call below
-    t = np.linspace(0.0, 600e-9, 4 * wavepacket.RATE_BLOCK_ROWS)
+    t = np.linspace(0.0, 600e-9, 256)
     seen = []
     with warnings.catch_warnings(), mock.patch.object(blocks, "workers", lambda: workers):
         warnings.simplefilter("always")

@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sswm.errors import OverdampedError, ValidationError
-from sswm.params import (Entanglement, Regime, SystemParams, channel_spectrum,
-                         classify_entanglement, classify_regime,
-                         derived_frequencies, effective_splittings,
+from sswm.params import (Entanglement, Regime, SystemParams, classify_entanglement,
+                         classify_regime, derived_frequencies, effective_splittings,
                          eit_dispersion, C_LIGHT)
 
 GAMMA31_SI = SystemParams().gamma31_si
@@ -121,25 +120,6 @@ def test_entanglement_overdamped_raises():
         classify_entanglement(d)
 
 
-def test_channels_sum_to_zero_machine_precision():
-    d = effective_splittings(SystemParams(omega_c1=7.3, omega_c2=2.6))
-    scale = max(d.omega_e1, d.omega_e2)
-    for ch in channel_spectrum(d):
-        total = ch.omega1_offset + ch.omega2_offset + ch.omega3_offset
-        assert abs(total) <= 4e-16 * scale
-
-
-def test_channels_middle_photon_degeneracy():
-    # equal splittings: the middle-photon offsets collapse to three values
-    p = SystemParams(omega_c1=5.0, omega_c2=5.0, gamma41=1.08, gamma51=0.1)
-    chans = channel_spectrum(effective_splittings(p))
-    mids = {round(c.omega2_offset, 12) for c in chans}
-    assert len(mids) == 3
-    p2 = SystemParams(omega_c1=8.0, omega_c2=2.0)
-    mids2 = {round(c.omega2_offset, 12) for c in channel_spectrum(effective_splittings(p2))}
-    assert len(mids2) == 4
-
-
 underdamped = st.fixed_dictionaries({
     "omega_c1": st.floats(1.2, 50),
     "omega_c2": st.floats(1.2, 50),
@@ -160,10 +140,6 @@ def test_splitting_bound_property(kw):
     if s.omega_e1 == 2 * abs(p.omega_c1):
         # equality only when the dephasing difference is unresolvable
         assert (p.gamma41 - p.gamma51) ** 2 < 1e-15 * 4 * abs(p.omega_c1) ** 2
-    scale = max(s.omega_e1, s.omega_e2)
-    for ch in channel_spectrum(s):
-        total = ch.omega1_offset + ch.omega2_offset + ch.omega3_offset
-        assert abs(total) <= 4e-16 * scale
 
 
 @given(underdamped, st.floats(1e-4, 0.1))

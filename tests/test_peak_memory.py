@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from sswm import analysis
+from sswm import analysis, scenarios
 from sswm.oracle import (OracleConfig, OracleRun, default_extent, normalized_l2_error,
                          support_edge_mask)
 from sswm.params import SystemParams
@@ -76,3 +76,13 @@ def test_analytic_rate_grid_peak(hybrid_rate, p, which):
     grid, rise = _peak_rise(lambda: analytic_rate_grid(p, t, t, which=which))
     assert grid.values.nbytes == REAL_GRID
     assert rise <= 1.25 * REAL_GRID
+
+
+@pytest.mark.parametrize("name", ["fig3f", "fig3a"])
+def test_analytic_tau13_trace_peak(name):
+    # the 4096-point closed-form tau13 marginal (hybrid on fig3f, chi5 on
+    # fig3a) comes from 1D factors: no 4096^2 grid
+    p = scenarios.load_scenario(name).params
+    tr, rise = _peak_rise(lambda: scenarios._analytic_trace(p, "tau13", ideal_rect=False))
+    assert len(tr.values) == 4096
+    assert rise <= 0.01 * 4096 * 4096 * 8

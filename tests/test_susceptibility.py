@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from sswm.errors import ValidationError
+from sswm.oracle import _time_axis, default_extent
 from sswm.params import SystemParams, effective_splittings
-from sswm.susceptibility import (SpectralGrid, _pump_rates, _tee, _upsilon, chi1,
-                                 chi2, chi3, chi5, d_function, delta_k,
+from sswm.scenarios import builtin_scenario_names, load_scenario
+from sswm.susceptibility import (SpectralGrid, _fft_axis, _pump_rates, _tee, _upsilon,
+                                 check_uniform, chi3, chi5, d_function, delta_k,
                                  find_resonances, phi, phi_of_dkl, spectral_grid)
 
 FIG2 = SystemParams(omega_c1=40.0, omega_c2=40.0)
@@ -46,27 +48,9 @@ def _rel(a, b):
 @given(rate_params, st.floats(-80, 80), st.floats(-80, 80))
 @settings(max_examples=60, deadline=None)
 def test_chi_linear_match_their_definitions(kw, d2, d3):
-    # chi1..chi3 against their defining expressions, every rate written out
+    # chi3 against its defining expression, every rate written out
     p = SystemParams(**kw)
-    g41 = 1j * p.delta_p - p.gamma41
-    g51 = 1j * (p.delta_p + p.delta_c1) - p.gamma51
-    g54 = 1j * p.delta_c1 - p.gamma54
-    three = 1j * (p.delta_p + d2 + d3)
-    oc1, oc2, op = abs(p.omega_c1) ** 2, abs(p.omega_c2) ** 2, abs(p.omega_p) ** 2
-    want1 = -1j * op * oc1 / ((g54 - three) * (g41 * g51 + oc1)
-                              * ((g41 - three) * (g51 - three) + oc1))
-    assert _rel(chi1(d2, d3, p), want1) <= 1e-12
-
-    r21 = -1j * d3 - p.gamma21 + three
-    r31 = -1j * d3 - p.gamma31 + three
-    u42s = np.conj(-1j * d2 - p.gamma42)
-    u52s = np.conj(1j * (p.delta_c1 - d2) - p.gamma52)
-    u53s = np.conj(1j * (p.delta_c1 - d2) - p.gamma53)
-    bracket = u52s * u53s + oc2
-    want2 = (1j * op * g51 * r31 * bracket
-             / ((g41 * g51 + oc1) * (r21 * r31 + oc2) * (u53s * oc1 + u42s * bracket)))
-    assert _rel(chi2(d2, p), want2) <= 1e-12
-
+    oc2 = abs(p.omega_c2) ** 2
     u21s = np.conj(-1j * d3 - p.gamma21)
     u31s = np.conj(-1j * d3 - p.gamma31)
     want3 = -1j / (u31s + oc2 / u21s)
@@ -130,13 +114,6 @@ def test_chi3_absorption_never_gain():
     p = SystemParams(omega_c2=2.0, optical_depth=111)
     d3 = np.linspace(-30, 30, 1001)
     assert np.min(np.imag(delta_k(0.0, d3, p))) >= 0
-
-
-def test_chi1_pump_power_scaling():
-    p1 = SystemParams(omega_p=0.5)
-    p2 = SystemParams(omega_p=1.0)
-    d2, d3 = 1.7, -0.9
-    assert abs(chi1(d2, d3, p2)) == pytest.approx(4 * abs(chi1(d2, d3, p1)), rel=1e-12)
 
 
 def test_delta_k_phase_matched_at_origin():
@@ -211,6 +188,28 @@ def test_spectral_grid_axes_uniform():
     assert np.ptp(steps) <= 1e-12 * steps[0]
     assert grid.values.shape == (512, 512)
     assert grid.params_hash == FIG2.content_hash()
+
+
+@pytest.mark.parametrize("name", builtin_scenario_names())
+def test_every_grid_size_passes_the_uniform_axis_rule(name):
+    # the axes alone, at the preset's default extent and every n from 256
+    # to 16384: the spectral axis, the oracle's time axis that the chi5
+    # closed form shares, and the dense axis of the analytic traces
+    p = load_scenario(name).params
+    extent = default_extent(p)
+    for n in 2 ** np.arange(8, 15):
+        check_uniform(_fft_axis(extent, n))
+        check_uniform(_time_axis(n, 2 * extent / n, p.gamma31_si))
+        check_uniform(np.linspace(0.0, 900e-9, n))
+
+
+def test_uniform_axis_rule_rejects_a_non_uniform_axis():
+    axis = _fft_axis(86.9, 2048)
+    bent = axis.copy()
+    bent[1000:] += 1e-9 * (axis[1] - axis[0])  # one step longer by 1e-9
+    for bad in (bent, np.geomspace(1.0, 2.0, 2048), axis[::-1], axis[:1]):
+        with pytest.raises(ValidationError, match="grid axes"):
+            check_uniform(bad)
 
 
 def test_spectral_grid_flip_symmetry_phi_unity():
