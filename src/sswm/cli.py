@@ -54,8 +54,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(swp)
     swp.add_argument("--param", required=True, choices=SWEEPABLE)
     swp.add_argument("--values", required=True,
-                     help="comma-separated values, gamma31 units allowed "
-                          "(e.g. '2gamma31,4gamma31,8gamma31' or '37,74,111')")
+                     help="comma-separated values; a frequency needs the gamma31 "
+                          "suffix (e.g. '2gamma31,4gamma31,8gamma31' or '37,74,111')")
 
     acc = sub.add_parser("acceptance", help="run the acceptance criteria suite")
     acc.add_argument("--criteria", default=None,
@@ -100,7 +100,7 @@ def main(argv: list[str] | None = None) -> int:
             paths, lines = run_scenario(sc, _out_dir(args.out), fmt=args.format)
             lines += [f"wrote {p}" for p in paths]
         else:  # sweep
-            values = parse_sweep_values(args.values, sc)
+            values = parse_sweep_values(args.values, args.param, sc)
             _, lines = run_sweep(sc, args.param, values, _out_dir(args.out), fmt=args.format)
         for line in lines:
             print(line)

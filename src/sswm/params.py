@@ -21,11 +21,11 @@ C_LIGHT = 2.99792458e8  # m/s
 DEFAULT_GAMMA31_SI = 2 * math.pi * 3e6
 
 
-#: Fields that must be > 0: the reference rate, the eight dephasings, the
+#: Fields that must be > 0: the reference rate, the four dephasings, the
 #: cell length, the optical depth (every run evaluates the EIT dispersion,
 #: which has no OD = 0 limit) and the carrier.
-_POSITIVE = ("gamma31_si", "gamma21", "gamma31", "gamma41", "gamma42", "gamma51",
-             "gamma52", "gamma53", "gamma54", "length_L", "optical_depth", "omega31")
+_POSITIVE = ("gamma31_si", "gamma21", "gamma31", "gamma41", "gamma51",
+             "length_L", "optical_depth", "omega31")
 #: Fields that must be nonzero: the couplings (complex allowed) and the prefactor.
 _NONZERO = ("omega_c1", "omega_c2", "dipole_scale")
 
@@ -60,17 +60,11 @@ class SystemParams:
     gamma21: float = 0.02
     gamma31: float = 1.0
     gamma41: float = 1.0
-    gamma42: float = 1.0
     gamma51: float = 0.1
-    gamma52: float = 0.1
-    gamma53: float = 1.0
-    gamma54: float = 1.0
-    omega_p: complex = 0.5
     omega_c1: complex = 8.0
     omega_c2: complex = 8.0
     delta_p: float = -100.0
     delta_c1: float = 0.0
-    delta_c2: float = 0.0
     length_L: float = 0.0015
     optical_depth: float = 37.0
     omega21: float | None = None  # rad/s; None -> delta_p carrier (phase matched)

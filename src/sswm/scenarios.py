@@ -45,11 +45,16 @@ REQUIRED_KEYS = ("name", "params.omega_c1", "params.omega_c2",
                  "params.optical_depth", "params.length_L")
 
 _FREQUENCY_FIELDS = {
-    "gamma21", "gamma31", "gamma41", "gamma42", "gamma51", "gamma52",
-    "gamma53", "gamma54", "omega_p", "omega_c1", "omega_c2",
-    "delta_p", "delta_c1", "delta_c2",
+    "gamma21", "gamma31", "gamma41", "gamma51", "omega_c1", "omega_c2",
+    "delta_p", "delta_c1",
 }
-_COMPLEX_FIELDS = {"omega_p", "omega_c1", "omega_c2"}
+_COMPLEX_FIELDS = {"omega_c1", "omega_c2"}
+
+#: Frequency inputs that no formula of the model reads, each with the value
+#: (gamma31 units) every preset has carried.  A `params.` line may still set
+#: one, so older files parse to the same scenario, but only to that value.
+_RETIRED_PARAMS = {"gamma42": 1.0, "gamma52": 0.1, "gamma53": 1.0, "gamma54": 1.0,
+                   "omega_p": 0.5, "delta_c2": 0.0}
 
 
 @dataclass(frozen=True)
@@ -162,6 +167,13 @@ def parse_config(text: str, source: str = "<config>",
             meta[key[5:]] = value
         elif key.startswith("params."):
             fname = key[7:]
+            if fname in _RETIRED_PARAMS:
+                kept = _RETIRED_PARAMS[fname]
+                if _parse_number(value, key, where, gamma31_si, frequency=True,
+                                 allow_complex=fname == "omega_p") != kept:
+                    raise ConfigError(f"{where}: {key!r} is not part of the model; a file "
+                                      f"may set it only to {kept!r}gamma31, got {value!r}")
+                continue
             if fname not in param_fields:
                 raise ConfigError(f"{where}: unknown parameter {key!r}")
             if fname == "gamma31_si":
@@ -268,17 +280,22 @@ def load_scenario(name_or_path: str,
     return parse_config(resource.read_text(), f"builtin:{name_or_path}", overrides)
 
 
-def parse_sweep_values(text: str, sc: Scenario) -> list[float]:
-    """The comma-separated values of `sweep --values`; ConfigError if one is
-    malformed or none is given.  '<x>gamma31' is x gamma31 units; a plain
-    number is taken as it stands (gamma31 units for a frequency), unlike a
-    plain number in a config file."""
-    values = [_parse_number(piece, "--values", None, sc.params.gamma31_si,
-                            frequency=piece.strip().endswith("gamma31"))
-              for piece in text.split(",") if piece.strip()]
-    if not values:
+def parse_sweep_values(text: str, param: str, sc: Scenario) -> list[float]:
+    """The comma-separated values of `sweep --values` for `param`;
+    ConfigError if one is malformed or none is given.  Each value is read as
+    its config line would be, except that a frequency needs the gamma31
+    suffix: '<x>gamma31' is x gamma31 units, and a plain number is refused."""
+    frequency = param in _FREQUENCY_FIELDS
+    pieces = [piece.strip() for piece in text.split(",") if piece.strip()]
+    if not pieces:
         raise ConfigError(f"--values: no sweep value in {text!r}")
-    return values
+    for piece in pieces:
+        if frequency and not piece.endswith("gamma31"):
+            raise ConfigError(f"--values: {piece!r} for {param} has no unit: it could mean "
+                              f"SI rad/s, as in a config file, or gamma31 units; write "
+                              f"{piece + 'gamma31'!r} for gamma31 units")
+    return [_parse_number(piece, "--values", None, sc.params.gamma31_si, frequency)
+            for piece in pieces]
 
 
 # ---------------------------------------------------------------------------

@@ -157,7 +157,6 @@ class SpectralGrid:
     delta2_axis: np.ndarray
     delta3_axis: np.ndarray
     values: np.ndarray
-    params_hash: str = ""
     n_singular_replaced: int = 0
 
     def __post_init__(self) -> None:
@@ -339,7 +338,6 @@ def spectral_grid(
         delta2_axis=d,
         delta3_axis=d.copy(),
         values=vals,
-        params_hash=p.content_hash(),
         n_singular_replaced=n_bad,
     )
 

@@ -8,12 +8,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import sswm
 from sswm.cli import main
 from sswm.errors import ConfigError
+from sswm.oracle import OracleConfig
 from sswm.params import SystemParams, effective_splittings
-from sswm.scenarios import (Scenario, builtin_scenario_names, load_scenario,
+from sswm.scenarios import (OUTPUT_KINDS, Scenario, builtin_scenario_names, load_scenario,
                             parse_config, run_scenario, run_sweep,
                             serialize_config)
 
@@ -35,6 +38,54 @@ def test_round_trip_identity(name):
     assert sc2.oracle == sc.oracle
     assert sc2.outputs == sc.outputs
     assert sc2.meta == sc.meta
+
+
+PERFBENCH_PRESETS = sorted(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "presets").glob("*.cfg"))
+
+
+@pytest.mark.parametrize("path", PERFBENCH_PRESETS, ids=lambda p: p.stem)
+def test_retired_lines_at_their_value_load_the_builtin(path):
+    # the benchmark's preset copies carry the six retired params lines, each
+    # at its one accepted value, and load to the same scenario as the builtin
+    assert load_scenario(str(path)) == load_scenario(path.stem)
+
+
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_NONZERO = st.one_of(_FINITE, st.complex_numbers(allow_nan=False, allow_infinity=False)
+                     ).filter(lambda v: v != 0)
+_WORD = st.text("abcdefghijklmnopqrstuvwxyz0123456789_.-", min_size=1, max_size=10)
+
+
+@st.composite
+def scenarios(draw) -> Scenario:
+    params = SystemParams(
+        gamma31_si=draw(_POSITIVE), gamma21=draw(_POSITIVE), gamma31=draw(_POSITIVE),
+        gamma41=draw(_POSITIVE), gamma51=draw(_POSITIVE), omega_c1=draw(_NONZERO),
+        omega_c2=draw(_NONZERO), delta_p=draw(_FINITE), delta_c1=draw(_FINITE),
+        length_L=draw(_POSITIVE), optical_depth=draw(_POSITIVE),
+        omega21=draw(st.none() | _FINITE), omega31=draw(_POSITIVE),
+        dipole_scale=draw(_FINITE.filter(lambda v: v != 0)))
+    oracle = OracleConfig(
+        extent=draw(st.none() | _POSITIVE), n_points=2 ** draw(st.integers(8, 14)),
+        tukey_alpha=draw(st.floats(0.0, 1.0)), force_phi_unity=draw(st.booleans()),
+        ideal_rect=draw(st.booleans()))
+    tmin, tmax = draw(st.none() | _FINITE), draw(st.none() | _FINITE)
+    if tmin is not None and tmax is not None:
+        tmin, tmax = sorted((tmin, tmax))
+        assume(tmin < tmax)
+    return Scenario(name=draw(_WORD), params=params, oracle=oracle,
+                    outputs=tuple(draw(st.lists(st.sampled_from(OUTPUT_KINDS), max_size=4))),
+                    meta=draw(st.dictionaries(_WORD, _WORD, max_size=3)),
+                    tmin_ns=tmin, tmax_ns=tmax)
+
+
+@given(scenarios())
+@settings(max_examples=150, deadline=None)
+def test_round_trip_random_scenarios(sc):
+    # every field of a random scenario survives its canonical text
+    assert parse_config(serialize_config(sc), source="round-trip") == sc
 
 
 def test_preset_physics():
@@ -367,6 +418,13 @@ def _preset_with(tmp_path, *pairs: str) -> str:
     return str(path)
 
 
+#: Each input the model no longer has, at a value other than its one
+#: accepted (retired) value.
+RETIRED_AT_OTHER_VALUES = {"gamma42": "2gamma31", "gamma52": "1gamma31",
+                           "gamma53": "0.5gamma31", "gamma54": "2gamma31",
+                           "omega_p": "(0.5+1j)gamma31", "delta_c2": "5gamma31"}
+
+
 @pytest.mark.parametrize("argv,names", [
     (["simulate", "--scenario", "fig3a", "--extent", "foo"], "--extent"),
     (["simulate", "--scenario", "fig3a", "--extent", "nan"], "extent"),
@@ -410,12 +468,15 @@ def _preset_with(tmp_path, *pairs: str) -> str:
      "outputs.tmin_ns"),
     (["simulate", "--grid-n", "256", "--scenario",
       ("outputs.tmin_ns", "500", "outputs.tmax_ns", "100")], "outputs.tmin_ns"),
+    *[(["simulate", "--grid-n", "256", "--scenario", (f"params.{key}", value)],
+       f"'params.{key}' is not part of the model")
+      for key, value in RETIRED_AT_OTHER_VALUES.items()],
 ], ids=["extent", "extent-nan", "grid-n", "grid-n-flag-named", "extent-flag-named",
         "sweep-extent-flag-named", "n_points-line-named", "values-word", "values-negative-od", "values-gamma31-word",
         "n_points", "tukey_alpha", "tmin_ns", "gamma31_si", "gamma31_si-zero",
         "od-inf", "values-od-inf", "omega31-zero", "od-nan", "length_L-inf", "omega21-nan",
         "dipole_scale-zero", "values-empty", "name-slash", "od-zero", "tmin_ns-nan",
-        "tmin-above-tmax"])
+        "tmin-above-tmax", *(f"retired-{key}" for key in RETIRED_AT_OTHER_VALUES)])
 def test_cli_malformed_input_exit_2(argv, names, tmp_path, capsys):
     # every malformed flag or config line is a config error naming the key
     # or flag, never a traceback
@@ -426,16 +487,29 @@ def test_cli_malformed_input_exit_2(argv, names, tmp_path, capsys):
     assert not (tmp_path / "out").exists()  # refused before any work
 
 
-def test_cli_values_keep_their_meaning(tmp_path, monkeypatch):
-    # a plain sweep value is taken as it stands, '<x>gamma31' is x gamma31
+def test_cli_values_keep_their_meaning(tmp_path, monkeypatch, capsys):
+    # '<x>gamma31' is x gamma31 units and a plain optical depth is taken as
+    # it stands; a plain frequency, SI rad/s in a config file, is refused
     import sswm.cli
 
     seen = []
     monkeypatch.setattr(sswm.cli, "run_sweep",
                         lambda sc, param, values, out, fmt: seen.append(values) or (None, []))
     assert main(["sweep", "--scenario", "fig3b", "--param", "omega_c1",
-                 "--values", "2gamma31, 4,8.5gamma31", "--out", str(tmp_path)]) == 0
-    assert seen == [[2.0, 4.0, 8.5]]
+                 "--values", "2gamma31, 4gamma31,8.5gamma31", "--out", str(tmp_path)]) == 0
+    assert main(["sweep", "--scenario", "fig3f", "--param", "optical_depth",
+                 "--values", "37, 74", "--out", str(tmp_path)]) == 0
+    assert seen == [[2.0, 4.0, 8.5], [37.0, 74.0]]
+    for param in ("omega_c1", "omega_c2", "delta_p"):
+        assert main(["sweep", "--scenario", "fig3b", "--param", param,
+                     "--values", "2gamma31, 4", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: --values: '4' for {param} has no unit")
+        assert "SI rad/s" in err and "gamma31 units" in err and "'4gamma31'" in err
+    assert main(["sweep", "--scenario", "fig3f", "--param", "optical_depth",
+                 "--values", "37gamma31", "--out", str(tmp_path)]) == 2
+    assert "does not take gamma31 units" in capsys.readouterr().err
+    assert seen == [[2.0, 4.0, 8.5], [37.0, 74.0]]
 
 
 def test_cli_unknown_scenario_exit_2(tmp_path):

@@ -20,11 +20,7 @@ FIG2 = SystemParams(omega_c1=40.0, omega_c2=40.0)
 rate_params = st.fixed_dictionaries({
     "gamma21": st.floats(0.005, 1.5),
     "gamma41": st.floats(0.01, 2.0),
-    "gamma42": st.floats(0.01, 2.0),
     "gamma51": st.floats(0.01, 2.0),
-    "gamma52": st.floats(0.01, 2.0),
-    "gamma53": st.floats(0.01, 2.0),
-    "gamma54": st.floats(0.01, 2.0),
     "delta_p": st.floats(-150, 150),
     "delta_c1": st.floats(-30, 30),
 })
@@ -187,7 +183,6 @@ def test_spectral_grid_axes_uniform():
     steps = np.diff(grid.delta2_axis)
     assert np.ptp(steps) <= 1e-12 * steps[0]
     assert grid.values.shape == (512, 512)
-    assert grid.params_hash == FIG2.content_hash()
 
 
 @pytest.mark.parametrize("name", builtin_scenario_names())
