@@ -336,11 +336,13 @@ def first_antinode_offset(grid, p) -> int:
 
 def diagonal_offset_trace(grid, row_offset: int) -> TimeTrace:
     """Peak-normalized rate along s = tau13 - tau12 at fixed tau12 =
-    row_offset cells > 0."""
+    row_offset cells > 0; ValidationError if that row is off the grid."""
     r = np.asanyarray(grid.values)
     t12 = np.asarray(grid.tau12_axis)
     i0 = int(np.argmin(np.abs(t12)))
     i = i0 + row_offset
+    if not i0 < i < min(r.shape):
+        raise ValidationError(f"tau12 offset of {row_offset} cells lies off the grid")
     ks = np.arange(0, r.shape[1] - i)
     vals = r[i, i + ks].astype(float)
     s_axis = np.asarray(grid.tau13_axis)[i + ks] - t12[i]

@@ -68,14 +68,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _out_dir(arg) -> Path:
-    if arg:
-        return Path(arg)
-    return Path(os.environ.get("SSWM_OUT_DIR", "sswm_out"))
+    """--out, else $SSWM_OUT_DIR, else ./sswm_out; ConfigError, before any
+    work, if it or a parent exists and is not a directory."""
+    source = "--out" if arg else "SSWM_OUT_DIR"
+    path = Path(arg or os.environ.get(source, "sswm_out"))
+    for q in (path, *path.parents):
+        if q.is_dir():
+            break
+        if q.exists() or q.is_symlink():
+            raise ConfigError(f"{source}: {str(q)!r} exists and is not a directory")
+    return path
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for dest, value in vars(args).items():
+            if isinstance(value, list):  # argparse reads '--flag=--' as an empty list
+                raise ConfigError(f"--{dest.replace('_', '-')}: expected one value, got '--'")
         if args.command == "list-scenarios":
             for name in builtin_scenario_names():
                 print(name)
@@ -93,15 +103,16 @@ def main(argv: list[str] | None = None) -> int:
             for line in report_lines(results):
                 print(line)
             return EXIT_OK if all(r.passed for r in results) else EXIT_COMPUTE
+        out = _out_dir(args.out)
         overrides = {key: (getattr(args, dest), "--" + dest.replace("_", "-"))
                      for dest, key in _ORACLE_FLAGS.items() if getattr(args, dest) is not None}
         sc = load_scenario(args.scenario, overrides)
         if args.command == "simulate":
-            paths, lines = run_scenario(sc, _out_dir(args.out), fmt=args.format)
+            paths, lines = run_scenario(sc, out, fmt=args.format)
             lines += [f"wrote {p}" for p in paths]
         else:  # sweep
             values = parse_sweep_values(args.values, args.param, sc)
-            _, lines = run_sweep(sc, args.param, values, _out_dir(args.out), fmt=args.format)
+            _, lines = run_sweep(sc, args.param, values, out, fmt=args.format)
         for line in lines:
             print(line)
         return EXIT_OK
@@ -110,6 +121,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     except SswmError as exc:
         print(f"compute error: {exc}", file=sys.stderr)
+        return EXIT_COMPUTE
+    except ArithmeticError as exc:  # inputs so large or small that float arithmetic fails
+        print(f"compute error: out of floating-point range: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
 
 

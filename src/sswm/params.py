@@ -1,8 +1,9 @@
 """Physical parameter record and derived scalar frequencies.
 
 Internal unit convention: every rate, Rabi frequency and detuning is stored
-dimensionless in units of the reference dephasing rate gamma31; `gamma31_si`
-(rad/s) converts to and from SI on input/output.  Optical carriers are never
+dimensionless in units of the reference dephasing rate gamma31, which is
+therefore the constant GAMMA31 = 1 and not an input; `gamma31_si` (rad/s)
+converts to and from SI on input/output.  Optical carriers are never
 represented absolutely; all spectra are offsets from the carriers.
 """
 from __future__ import annotations
@@ -20,14 +21,17 @@ C_LIGHT = 2.99792458e8  # m/s
 #: Default reference rate: 2*pi*3 MHz, a typical alkali D-line dephasing.
 DEFAULT_GAMMA31_SI = 2 * math.pi * 3e6
 
+#: The reference dephasing rate gamma31 in its own units: the unit of every
+#: rate, Rabi frequency and detuning.
+GAMMA31 = 1.0
 
-#: Fields that must be > 0: the reference rate, the four dephasings, the
-#: cell length, the optical depth (every run evaluates the EIT dispersion,
-#: which has no OD = 0 limit) and the carrier.
-_POSITIVE = ("gamma31_si", "gamma21", "gamma31", "gamma41", "gamma51",
-             "length_L", "optical_depth", "omega31")
-#: Fields that must be nonzero: the couplings (complex allowed) and the prefactor.
-_NONZERO = ("omega_c1", "omega_c2", "dipole_scale")
+
+#: Fields that must be > 0: the reference rate, the three other dephasings,
+#: the cell length and the optical depth (every run evaluates the EIT
+#: dispersion, which has no OD = 0 limit).
+_POSITIVE = ("gamma31_si", "gamma21", "gamma41", "gamma51", "length_L", "optical_depth")
+#: Fields that must be nonzero: the couplings (complex allowed).
+_NONZERO = ("omega_c1", "omega_c2")
 
 
 class Regime(enum.Enum):
@@ -47,18 +51,17 @@ class SystemParams:
     finite (`omega21` may be None), the _POSITIVE fields (`optical_depth`
     among them) are > 0 and the _NONZERO fields are nonzero.
 
-    Rates, Rabi frequencies and detunings are in units of gamma31 (so
-    gamma31 == 1 by definition); Rabi frequencies may be complex.
+    Rates, Rabi frequencies and detunings are in units of gamma31, which is
+    the constant GAMMA31 and not a field; Rabi frequencies may be complex.
     `optical_depth` is a direct input: the microscopic dipole data needed to
-    derive it are not part of this model.  `dipole_scale` stands in for the
-    overall dimensional prefactor of every susceptibility (atom density,
-    dipole products, hbar, epsilon_0); rate outputs are peak-normalized
-    before comparison, so only relative spectra matter.
+    derive it are not part of this model.  The susceptibilities carry no
+    dimensional prefactor (atom density, dipole products, hbar, epsilon_0):
+    rate outputs are peak-normalized before comparison, so only relative
+    spectra matter.
     """
 
     gamma31_si: float = DEFAULT_GAMMA31_SI
     gamma21: float = 0.02
-    gamma31: float = 1.0
     gamma41: float = 1.0
     gamma51: float = 0.1
     omega_c1: complex = 8.0
@@ -68,8 +71,6 @@ class SystemParams:
     length_L: float = 0.0015
     optical_depth: float = 37.0
     omega21: float | None = None  # rad/s; None -> delta_p carrier (phase matched)
-    omega31: float = 2.414e15  # rad/s; cancels out of every observable here
-    dipole_scale: float = 1.0
 
     def __post_init__(self) -> None:
         for name in self.__dataclass_fields__:
@@ -130,17 +131,17 @@ def effective_splittings(p: SystemParams) -> DerivedFrequencies:
     """Effective Rabi splittings and linewidths of the two dressed arms.
 
     Omega_e1 = sqrt(4|omega_c1|^2 - (gamma41-gamma51)^2) with linewidth
-    gamma_e1 = (gamma41+gamma51)/2; arm 2 analogously from (gamma31, gamma21,
+    gamma_e1 = (gamma41+gamma51)/2; arm 2 analogously from (GAMMA31, gamma21,
     omega_c2).  A negative radicand marks the arm overdamped: the splitting
     is reported as 0 with the flag set, not as an error.
     """
     r1 = 4 * abs(p.omega_c1) ** 2 - (p.gamma41 - p.gamma51) ** 2
-    r2 = 4 * abs(p.omega_c2) ** 2 - (p.gamma31 - p.gamma21) ** 2
+    r2 = 4 * abs(p.omega_c2) ** 2 - (GAMMA31 - p.gamma21) ** 2
     return DerivedFrequencies(
         omega_e1=math.sqrt(r1) if r1 > 0 else 0.0,
         omega_e2=math.sqrt(r2) if r2 > 0 else 0.0,
         gamma_e1=(p.gamma41 + p.gamma51) / 2,
-        gamma_e2=(p.gamma21 + p.gamma31) / 2,
+        gamma_e2=(p.gamma21 + GAMMA31) / 2,
         overdamped_1=r1 <= 0,
         overdamped_2=r2 <= 0,
     )
@@ -149,8 +150,8 @@ def effective_splittings(p: SystemParams) -> DerivedFrequencies:
 def eit_dispersion(p: SystemParams) -> DerivedFrequencies:
     """Slow-light group velocity, group delay and the two EIT bandwidths.
 
-    nu3 = c / (1 + OD*gamma31*c / (2*L*|omega_c2|^2)) after k31 = omega31/c
-    cancels the carrier.  delta_omega_g = 4*pi*|omega_c2|^2/(OD*gamma31) and
+    nu3 = c / (1 + OD*gamma31*c / (2*L*|omega_c2|^2)) once the carrier
+    wavenumber cancels.  delta_omega_g = 4*pi*|omega_c2|^2/(OD*gamma31) and
     delta_omega_t = |omega_c2|^2/sqrt(2*OD*gamma31^2), both returned in
     gamma31 units.
     """

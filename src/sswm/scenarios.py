@@ -45,16 +45,16 @@ REQUIRED_KEYS = ("name", "params.omega_c1", "params.omega_c2",
                  "params.optical_depth", "params.length_L")
 
 _FREQUENCY_FIELDS = {
-    "gamma21", "gamma31", "gamma41", "gamma51", "omega_c1", "omega_c2",
-    "delta_p", "delta_c1",
+    "gamma21", "gamma41", "gamma51", "omega_c1", "omega_c2", "delta_p", "delta_c1",
 }
 _COMPLEX_FIELDS = {"omega_c1", "omega_c2"}
 
-#: Frequency inputs that no formula of the model reads, each with the value
-#: (gamma31 units) every preset has carried.  A `params.` line may still set
-#: one, so older files parse to the same scenario, but only to that value.
-_RETIRED_PARAMS = {"gamma42": 1.0, "gamma52": 0.1, "gamma53": 1.0, "gamma54": 1.0,
-                   "omega_p": 0.5, "delta_c2": 0.0}
+#: Frequencies that are not inputs of the model, each with the value (gamma31
+#: units) every preset has carried: gamma31, the unit itself, and five that no
+#: formula reads.  A `params.` line may still set one, so older files parse to
+#: the same scenario, but only to that value.
+_RETIRED_PARAMS = {"gamma31": 1.0, "gamma42": 1.0, "gamma52": 0.1, "gamma53": 1.0,
+                   "gamma54": 1.0, "omega_p": 0.5, "delta_c2": 0.0}
 
 
 @dataclass(frozen=True)
@@ -410,8 +410,8 @@ def scenario_report(sc: Scenario, run: OracleRun) -> analysis.ObservableReport:
     omass = analysis.ordering_violation_mass(grid)
 
     if d.regime is Regime.CHI5_DOMINATED:
-        sdir = analysis.diagonal_offset_trace(grid, analysis.first_antinode_offset(grid, p))
         try:
+            sdir = analysis.diagonal_offset_trace(grid, analysis.first_antinode_offset(grid, p))
             period13 = analysis.extract_period(sdir)
             tau_c_13 = analysis.fit_coherence_time(sdir)
         except SswmError as exc:
@@ -526,6 +526,14 @@ def run_sweep(sc: Scenario, param: str, values: list, out_dir: Path,
             points.append((v, sc.params.with_(**{param: v})))
         except ValidationError as exc:
             raise ConfigError(f"sweep value {param} = {v!r}: {exc}") from exc
+    tagged: dict[str, object] = {}
+    for v in values:  # each point's files are named by its tag
+        tag = _value_tag(v)
+        if tag in tagged:
+            raise ConfigError(f"sweep values {param} = {tagged[tag]!r} and {v!r} share the "
+                              f"file tag {tag!r}, so one point's files would overwrite "
+                              f"the other's")
+        tagged[tag] = v
     trace_outputs = [o for o in sc.outputs if o.startswith("trace_")]
     if not trace_outputs:
         trace_outputs = ["trace_tau12_numeric"]

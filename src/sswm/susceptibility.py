@@ -18,7 +18,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .blocks import map_blocks
 from .errors import SingularPointError, ValidationError
-from .params import C_LIGHT, SystemParams, effective_splittings, eit_dispersion
+from .params import C_LIGHT, GAMMA31, SystemParams, effective_splittings, eit_dispersion
 
 #: |D| below this (internal units) counts as sitting on a pole.
 POLE_FLOOR = 1e-30
@@ -45,7 +45,7 @@ def _tee(gamma_c, delta2, delta3, p: SystemParams):
 
 def _upsilon(delta3, p: SystemParams):
     """Damped detunings U21 and U31 of the coupling arm."""
-    return -1j * delta3 - p.gamma21, -1j * delta3 - p.gamma31
+    return -1j * delta3 - p.gamma21, -1j * delta3 - GAMMA31
 
 
 def d_function(delta2, delta3, p: SystemParams):
@@ -63,7 +63,7 @@ def _check_pole(den, what: str) -> None:
 
 
 def chi5(delta2, delta3, p: SystemParams):
-    """Fifth-order susceptibility (overall prefactor folded into dipole_scale).
+    """Fifth-order susceptibility, without its dimensional prefactor.
 
     chi5 = -i * T51* / ((G41* G51* + |oc1|^2) * D(delta2, delta3)).
     Finite everywhere off the exact poles of D; pole proximity raises.
@@ -73,7 +73,7 @@ def chi5(delta2, delta3, p: SystemParams):
     pre = np.conj(g41) * np.conj(g51) + abs(p.omega_c1) ** 2
     den = pre * d_function(delta2, delta3, p)
     _check_pole(den, "chi5")
-    return p.dipole_scale * (-1j) * t51s / den
+    return -1j * t51s / den
 
 
 def chi3(delta3, p: SystemParams):
@@ -82,26 +82,17 @@ def chi3(delta3, p: SystemParams):
     _check_pole(u21s, "chi3")
     den = u31s + abs(p.omega_c2) ** 2 / u21s
     _check_pole(den, "chi3")
-    return p.dipole_scale * (-1j) / den
-
-
-def chi3_absorption_scale(p: SystemParams) -> float:
-    """Dimensional scale S such that Im[k3]*L = OD/2 on bare resonance.
-
-    The unit-scale chi3 has Im = 1 at line center with the coupling off, so
-    S = OD*c/(2*omega31*L) calibrates propagation loss to the optical depth.
-    The carrier omega31 cancels once Im[k3] = omega31*Im[chi3]/c is formed.
-    """
-    return p.optical_depth * C_LIGHT / (2 * p.omega31 * p.length_L)
+    return -1j / den
 
 
 def delta_k(delta2, delta3, p: SystemParams):
     """Wavenumber mismatch in SI 1/m.
 
     dk = 2(omega21 - Delta_p - delta2)/c + delta3*(1/nu3 + 1/c)
-         + i*omega31*Im[chi3]/c
-    with the detunings converted from gamma31 units and Im[chi3] carrying the
-    OD-calibrated absorption scale.  Im[dk] >= 0 for positive dephasing
+         + i*(OD/(2L))*Im[chi3]
+    with the detunings converted from gamma31 units.  chi3 has Im = 1 at
+    line center with the coupling off, so the loss term is calibrated to
+    Im[dk]*L = OD/2 on bare resonance.  Im[dk] >= 0 for positive dephasing
     (loss, never gain).
     """
     a, c = _delta_k_parts(delta2, delta3, p)
@@ -116,10 +107,8 @@ def _delta_k_parts(delta2, delta3, p: SystemParams):
     d3_si = np.asarray(delta3, dtype=float) * p.gamma31_si
     dp_si = p.delta_p * p.gamma31_si
     a = 2 * (p.omega21_si - dp_si - d2_si) / C_LIGHT
-    scale = chi3_absorption_scale(p)
-    im_chi3 = scale * np.imag(chi3(delta3, p)) / p.dipole_scale
     c = (d3_si * (1.0 / disp.group_velocity_nu3 + 1.0 / C_LIGHT)
-         + 1j * p.omega31 * im_chi3 / C_LIGHT)
+         + 1j * (p.optical_depth / (2 * p.length_L)) * np.imag(chi3(delta3, p)))
     return a, c
 
 
@@ -232,7 +221,7 @@ def _chi5_on_grid(p: SystemParams, extent: float, d: np.ndarray) -> tuple[np.nda
         # bad cells are overwritten by the patch; keep exact zeros from dividing
         f1 = np.where(f1 == 0, 1.0, f1)
         f2 = np.where(f2 == 0, 1.0, f2)
-    along_sum = p.dipole_scale * (-1j) * t51s / (pre * f1)
+    along_sum = -1j * t51s / (pre * f1)
     window, inv_f2 = sliding_window_view(along_sum, n), 1.0 / f2
     vals = np.empty((n, n), dtype=complex)
     map_blocks(lambda rows: np.multiply(window[rows], inv_f2, out=vals[rows]), n, n)
@@ -296,7 +285,7 @@ def spectral_grid(
     The grid is filled from 1D evaluations.  Both axes are
     -extent + step*arange(n), so delta2 + delta3 takes only the 2n-1 values
     -2*extent + step*k, and chi5 factors exactly as A(delta2+delta3)*B(delta3)
-    with A = dipole_scale*(-i)*T51*/(pre*F1) and B = 1/F2, where
+    with A = -i*T51*/(pre*F1) and B = 1/F2, where
     F1 = T41* T51* + |oc1|^2, F2 = U21* U31* + |oc2|^2 and pre is the same
     expression at the bare pump detuning.  The 2D array is a zero-copy
     sliding window of A times B.  The mismatch is additive,
@@ -311,7 +300,7 @@ def spectral_grid(
     |pre| min|F1| min|F2|.  Each of pre, F1, F2 is det(y I + M) with y
     imaginary and M a 2x2 matrix whose Hermitian part is diag(gamma_a, gamma_b)
     (the two dephasings of that arm), so |F1| >= min(gamma41, gamma51)^2 and
-    |F2| >= min(gamma21, gamma31)^2 on the whole real axis.  Only when the
+    |F2| >= min(gamma21, GAMMA31)^2 on the whole real axis.  Only when the
     sampled bound falls under POLE_FLOOR is the exact 2D |D| built; isolated
     singular samples are then replaced by the mean of the 4 nearest regular
     neighbours, with the count recorded, and a grid with more than 1e-3 of

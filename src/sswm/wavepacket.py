@@ -16,8 +16,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .blocks import map_blocks
 from .errors import OverdampedError, ValidationError
-from .params import (Regime, SystemParams, derived_frequencies, effective_splittings,
-                     eit_dispersion)
+from .params import (GAMMA31, Regime, SystemParams, derived_frequencies,
+                     effective_splittings, eit_dispersion)
 from .susceptibility import check_uniform
 
 
@@ -148,11 +148,11 @@ def hybrid_loss_rate(p: SystemParams) -> float:
     """Temporal amplitude decay rate (1/s) of the slow photon inside the cell.
 
     Line-center attenuation over the full length, Im[k3(0)]*L =
-    (OD/2) * gamma21/(gamma21*gamma31 + |oc2|^2), spread over the group delay
+    (OD/2) * gamma21/(gamma21*GAMMA31 + |oc2|^2), spread over the group delay
     (the slow-light propagation relation).  Approaches gamma21 when the
     vacuum transit is negligible.
     """
-    att = (p.optical_depth / 2) * p.gamma21 / (p.gamma21 * p.gamma31 + abs(p.omega_c2) ** 2)
+    att = (p.optical_depth / 2) * p.gamma21 / (p.gamma21 * GAMMA31 + abs(p.omega_c2) ** 2)
     return att / eit_dispersion(p).group_delay
 
 

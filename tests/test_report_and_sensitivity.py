@@ -8,6 +8,7 @@ from sswm.params import SystemParams
 from sswm.scenarios import _scenario_run, load_scenario, scenario_report
 from sswm.susceptibility import _patch_singular
 from sswm.analysis import diagonal_offset_trace
+from sswm.errors import ValidationError
 
 pytestmark = pytest.mark.filterwarnings("ignore:grid spacing")
 
@@ -40,6 +41,17 @@ def test_dephasing_sensitivity_of_coherence():
     assert tau_c13 == pytest.approx(expected, rel=0.1)
     tr12 = rcc_cond_numeric("tau12", p_bad, cfg)
     assert extract_period(tr12) == pytest.approx(21e-9, abs=1e-9)  # unaffected
+
+
+@pytest.mark.parametrize("offset", [0, 6, 10**60])
+def test_diagonal_offset_trace_needs_its_row_on_the_grid(offset):
+    # rows 2..7 of an 8-row grid lie past tau12 = 0 (row 2); an offset that
+    # leaves no row there is an error, not an index fault
+    t = np.arange(-2.0, 6.0)
+    grid = type("Grid", (), {"tau12_axis": t, "tau13_axis": t, "values": np.ones((8, 8))})
+    with pytest.raises(ValidationError, match="lies off the grid"):
+        diagonal_offset_trace(grid, offset)
+    assert len(diagonal_offset_trace(grid, 5).values) == 1
 
 
 def test_patch_singular_helper():

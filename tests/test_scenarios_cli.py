@@ -46,7 +46,7 @@ PERFBENCH_PRESETS = sorted(
 
 @pytest.mark.parametrize("path", PERFBENCH_PRESETS, ids=lambda p: p.stem)
 def test_retired_lines_at_their_value_load_the_builtin(path):
-    # the benchmark's preset copies carry the six retired params lines, each
+    # the benchmark's preset copies carry the seven retired params lines, each
     # at its one accepted value, and load to the same scenario as the builtin
     assert load_scenario(str(path)) == load_scenario(path.stem)
 
@@ -61,12 +61,10 @@ _WORD = st.text("abcdefghijklmnopqrstuvwxyz0123456789_.-", min_size=1, max_size=
 @st.composite
 def scenarios(draw) -> Scenario:
     params = SystemParams(
-        gamma31_si=draw(_POSITIVE), gamma21=draw(_POSITIVE), gamma31=draw(_POSITIVE),
-        gamma41=draw(_POSITIVE), gamma51=draw(_POSITIVE), omega_c1=draw(_NONZERO),
-        omega_c2=draw(_NONZERO), delta_p=draw(_FINITE), delta_c1=draw(_FINITE),
-        length_L=draw(_POSITIVE), optical_depth=draw(_POSITIVE),
-        omega21=draw(st.none() | _FINITE), omega31=draw(_POSITIVE),
-        dipole_scale=draw(_FINITE.filter(lambda v: v != 0)))
+        gamma31_si=draw(_POSITIVE), gamma21=draw(_POSITIVE), gamma41=draw(_POSITIVE),
+        gamma51=draw(_POSITIVE), omega_c1=draw(_NONZERO), omega_c2=draw(_NONZERO),
+        delta_p=draw(_FINITE), delta_c1=draw(_FINITE), length_L=draw(_POSITIVE),
+        optical_depth=draw(_POSITIVE), omega21=draw(st.none() | _FINITE))
     oracle = OracleConfig(
         extent=draw(st.none() | _POSITIVE), n_points=2 ** draw(st.integers(8, 14)),
         tukey_alpha=draw(st.floats(0.0, 1.0)), force_phi_unity=draw(st.booleans()),
@@ -276,6 +274,18 @@ def test_sweep_rejects_bad_input(tmp_path):
         run_sweep(sc, "optical_depth", [], tmp_path)
 
 
+@pytest.mark.parametrize("param,values", [("optical_depth", [37.0, 37.0000001]),
+                                          ("omega_c1", [2.0, 3.0, 2.0]),
+                                          ("delta_p", [-100.0, -100.00000004])])
+def test_sweep_refuses_values_that_share_a_file_tag(param, values, tmp_path):
+    # each point's files are named by its value's 6-digit tag, so two values
+    # with one tag would overwrite each other; refused before any point runs
+    shared = re.escape(f"{values[0]!r} and {values[-1]!r} share the file tag")
+    with pytest.raises(ConfigError, match=shared):
+        run_sweep(load_scenario("fig3f"), param, values, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_scenario_and_sweep_print_nothing(tmp_path, capsys):
     # the library returns the lines to show; only the CLI writes to stdout
     from dataclasses import replace
@@ -420,9 +430,10 @@ def _preset_with(tmp_path, *pairs: str) -> str:
 
 #: Each input the model no longer has, at a value other than its one
 #: accepted (retired) value.
-RETIRED_AT_OTHER_VALUES = {"gamma42": "2gamma31", "gamma52": "1gamma31",
-                           "gamma53": "0.5gamma31", "gamma54": "2gamma31",
-                           "omega_p": "(0.5+1j)gamma31", "delta_c2": "5gamma31"}
+RETIRED_AT_OTHER_VALUES = {"gamma31": "2gamma31", "gamma42": "2gamma31",
+                           "gamma52": "1gamma31", "gamma53": "0.5gamma31",
+                           "gamma54": "2gamma31", "omega_p": "(0.5+1j)gamma31",
+                           "delta_c2": "5gamma31"}
 
 
 @pytest.mark.parametrize("argv,names", [
@@ -471,20 +482,50 @@ RETIRED_AT_OTHER_VALUES = {"gamma42": "2gamma31", "gamma52": "1gamma31",
     *[(["simulate", "--grid-n", "256", "--scenario", (f"params.{key}", value)],
        f"'params.{key}' is not part of the model")
       for key, value in RETIRED_AT_OTHER_VALUES.items()],
+    (["simulate", "--scenario", "fig3e", "--grid-n", "256", "--out", "<file>"],
+     "config error: --out: "),
+    (["sweep", "--scenario", "fig3f", "--grid-n", "256", "--param", "optical_depth",
+      "--values", "37", "--out", "<file>/sub"], "--out"),
+    (["acceptance", "--out", "<file>"], "config error: --out: "),
+    (["sweep", "--scenario", "fig3f", "--grid-n", "256", "--param", "optical_depth",
+      "--values", "37,37.0000001", "--ideal-rect"],
+     "optical_depth = 37.0 and 37.0000001 share the file tag '37'"),
+    (["simulate", "--scenario", "fig3a", "--extent=--"], "--extent: expected one value"),
 ], ids=["extent", "extent-nan", "grid-n", "grid-n-flag-named", "extent-flag-named",
         "sweep-extent-flag-named", "n_points-line-named", "values-word", "values-negative-od", "values-gamma31-word",
         "n_points", "tukey_alpha", "tmin_ns", "gamma31_si", "gamma31_si-zero",
         "od-inf", "values-od-inf", "omega31-zero", "od-nan", "length_L-inf", "omega21-nan",
         "dipole_scale-zero", "values-empty", "name-slash", "od-zero", "tmin_ns-nan",
-        "tmin-above-tmax", *(f"retired-{key}" for key in RETIRED_AT_OTHER_VALUES)])
+        "tmin-above-tmax", *(f"retired-{key}" for key in RETIRED_AT_OTHER_VALUES),
+        "out-file", "out-under-file", "acceptance-out-file", "values-same-tag",
+        "extent-double-dash"])
 def test_cli_malformed_input_exit_2(argv, names, tmp_path, capsys):
     # every malformed flag or config line is a config error naming the key
-    # or flag, never a traceback
-    argv = [_preset_with(tmp_path, *a) if isinstance(a, tuple) else a for a in argv]
-    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    # or flag, never a traceback; '<file>' is an existing file
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    argv = [_preset_with(tmp_path, *a) if isinstance(a, tuple)
+            else a.replace("<file>", str(afile)) for a in argv]
+    if "--out" not in argv:
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and names in err
-    assert not (tmp_path / "out").exists()  # refused before any work
+    # refused before any work
+    assert not (tmp_path / "out").exists() and afile.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--scenario", ("params.omega_c1", "1e308")],
+    ["--scenario", ("params.gamma31_si", "1e-308")],
+    ["--scenario", "fig3e", "--extent=1e300"],
+], ids=["omega_c1-overflow", "gamma31_si-underflow", "extent-overflow"])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_out_of_float_range_exit_3(argv, tmp_path, capsys):
+    # inputs whose arithmetic leaves the float range are compute errors
+    argv = [_preset_with(tmp_path, *a) if isinstance(a, tuple) else a for a in argv]
+    assert main(["simulate", "--grid-n", "256", "--out", str(tmp_path / "out"), *argv]) == 3
+    assert capsys.readouterr().err.startswith("compute error: out of floating-point range: ")
 
 
 def test_cli_values_keep_their_meaning(tmp_path, monkeypatch, capsys):
@@ -533,3 +574,8 @@ def test_cli_env_out_dir(tmp_path, monkeypatch, capsys):
     rc = main(["simulate", "--scenario", "fig3c", "--grid-n", "512"])
     assert rc == 0
     assert (tmp_path / "env_out" / "fig3c_trace_tau13_numeric.csv").exists()
+    (tmp_path / "env_file").write_text("")
+    monkeypatch.setenv("SSWM_OUT_DIR", str(tmp_path / "env_file"))
+    capsys.readouterr()
+    assert main(["simulate", "--scenario", "fig3c", "--grid-n", "512"]) == 2
+    assert capsys.readouterr().err.startswith("config error: SSWM_OUT_DIR: ")

@@ -101,7 +101,6 @@ def test_spectral_grid_matches_direct_product(kw, force_phi_unity, ideal_rect):
 
 pole_params = st.fixed_dictionaries({
     "gamma21": st.floats(1e-3, 5.0),
-    "gamma31": st.floats(1e-3, 5.0),
     "gamma41": st.floats(1e-3, 5.0),
     "gamma51": st.floats(1e-3, 5.0),
     "omega_c1": st.floats(0.01, 100.0),
@@ -114,7 +113,7 @@ pole_params = st.fixed_dictionaries({
 @given(pole_params, st.floats(1.0, 500.0), st.sampled_from([256, 1024, 4096]))
 @settings(max_examples=80, deadline=None)
 def test_pole_factors_bounded_below(kw, extent, n):
-    # |F1| >= min(gamma41, gamma51)^2 and |F2| >= min(gamma21, gamma31)^2 on
+    # |F1| >= min(gamma41, gamma51)^2 and |F2| >= min(gamma21, 1)^2 on
     # the whole real axis (spectral_grid docstring), so the 1D pole bound is
     # strictly positive for positive dephasing
     p = SystemParams(**kw)
@@ -122,7 +121,7 @@ def test_pole_factors_bounded_below(kw, extent, n):
     _, f1 = susceptibility._pump_factors(sums, p)
     f2 = susceptibility._coupling_factor(susceptibility._fft_axis(extent, n), p)
     assert np.abs(f1).min() >= (1 - 1e-9) * min(p.gamma41, p.gamma51) ** 2 > 0
-    assert np.abs(f2).min() >= (1 - 1e-9) * min(p.gamma21, p.gamma31) ** 2 > 0
+    assert np.abs(f2).min() >= (1 - 1e-9) * min(p.gamma21, 1.0) ** 2 > 0
 
 
 def _direct_abs_den(d, p):

@@ -8,11 +8,12 @@ from scipy.optimize import brentq
 
 from sswm.errors import ValidationError
 from sswm.oracle import _time_axis, default_extent
-from sswm.params import SystemParams, effective_splittings
+from sswm.params import Regime, SystemParams, derived_frequencies, effective_splittings
 from sswm.scenarios import builtin_scenario_names, load_scenario
 from sswm.susceptibility import (SpectralGrid, _fft_axis, _pump_rates, _tee, _upsilon,
                                  check_uniform, chi3, chi5, d_function, delta_k,
                                  find_resonances, phi, phi_of_dkl, spectral_grid)
+from sswm.wavepacket import hybrid_loss_rate
 
 FIG2 = SystemParams(omega_c1=40.0, omega_c2=40.0)
 
@@ -48,7 +49,7 @@ def test_chi_linear_match_their_definitions(kw, d2, d3):
     p = SystemParams(**kw)
     oc2 = abs(p.omega_c2) ** 2
     u21s = np.conj(-1j * d3 - p.gamma21)
-    u31s = np.conj(-1j * d3 - p.gamma31)
+    u31s = np.conj(-1j * d3 - 1.0)  # gamma31 is the unit
     want3 = -1j / (u31s + oc2 / u21s)
     assert _rel(chi3(d3, p), want3) <= 1e-12
 
@@ -80,7 +81,7 @@ def test_resonance_condition_root():
 
     def re_second_factor(d3):
         u21s = np.conj(-1j * d3 - p.gamma21)
-        u31s = np.conj(-1j * d3 - p.gamma31)
+        u31s = np.conj(-1j * d3 - 1.0)  # gamma31 is the unit
         return (u21s * u31s + abs(p.omega_c2) ** 2).real
 
     root = brentq(re_second_factor, 1.0, 80.0, xtol=1e-12)
@@ -110,6 +111,36 @@ def test_chi3_absorption_never_gain():
     p = SystemParams(omega_c2=2.0, optical_depth=111)
     d3 = np.linspace(-30, 30, 1001)
     assert np.min(np.imag(delta_k(0.0, d3, p))) >= 0
+
+
+loss_params = st.fixed_dictionaries({
+    "gamma21": st.floats(0.005, 1.5),
+    "gamma41": st.floats(0.01, 2.0),
+    "gamma51": st.floats(0.01, 2.0),
+    "omega_c1": st.floats(1.2, 50.0),
+    "omega_c2": st.complex_numbers(min_magnitude=1.2, max_magnitude=50.0),
+    "delta_p": st.floats(-150, 150),
+    "delta_c1": st.floats(-30, 30),
+    "length_L": st.floats(1e-4, 0.05),
+})
+
+
+@given(loss_params, st.sampled_from([Regime.CHI5_DOMINATED, Regime.HYBRID]),
+       st.floats(0.05, 0.9), st.floats(1.1, 20.0))
+@settings(max_examples=50, deadline=None)
+def test_phi_loss_matches_closed_form_loss(kw, regime, below, above):
+    # the numeric route's loss, Im[dk(0, 0)]*L, and the closed form's decay
+    # rate over the group delay are both (OD/2)*gamma21/(gamma21 + |oc2|^2)
+    p = SystemParams(**kw)
+    # the OD at which delta_omega_g = 2*gamma_e2, scaled into the drawn regime
+    od_tie = 4 * math.pi * abs(p.omega_c2) ** 2 / (2 * effective_splittings(p).gamma_e2)
+    p = p.with_(optical_depth=od_tie * (below if regime is Regime.CHI5_DOMINATED else above))
+    d = derived_frequencies(p)
+    assert d.regime is regime
+    numeric = delta_k(0.0, 0.0, p).imag * p.length_L
+    closed = hybrid_loss_rate(p) * d.group_delay
+    want = (p.optical_depth / 2) * p.gamma21 / (p.gamma21 + abs(p.omega_c2) ** 2)
+    assert _rel(numeric, closed) <= 1e-12 and _rel(numeric, want) <= 1e-12
 
 
 def test_delta_k_phase_matched_at_origin():
