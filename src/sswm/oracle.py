@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -68,20 +68,16 @@ def default_extent(p: SystemParams) -> float:
                    eit_dispersion(p).delta_omega_g)
 
 
-def _resolve(p: SystemParams, cfg: OracleConfig) -> float:
+def sampled_spectrum(p: SystemParams, cfg: OracleConfig) -> SpectralGrid:
+    """chi5*Phi samples (window applied) ready for the discrete transform."""
     extent = cfg.extent if cfg.extent is not None else default_extent(p)
     s = effective_splittings(p)
     spacing = 2 * extent / cfg.n_points
     if spacing >= min(s.gamma_e1, s.gamma_e2) / 4:
         warnings.warn(
             f"grid spacing {spacing:.3g} does not resolve the narrower "
-            f"linewidth / 4 = {min(s.gamma_e1, s.gamma_e2) / 4:.3g}", stacklevel=3)
-    return extent
-
-
-def sampled_spectrum(p: SystemParams, cfg: OracleConfig) -> SpectralGrid:
-    """chi5*Phi samples (window applied) ready for the discrete transform."""
-    grid = spectral_grid(p, _resolve(p, cfg), cfg.n_points,
+            f"linewidth / 4 = {min(s.gamma_e1, s.gamma_e2) / 4:.3g}", stacklevel=2)
+    grid = spectral_grid(p, extent, cfg.n_points,
                          force_phi_unity=cfg.force_phi_unity, ideal_rect=cfg.ideal_rect)
     if cfg.tukey_alpha > 0:
         w = _tukey(cfg.n_points, cfg.tukey_alpha)
@@ -126,29 +122,22 @@ def wavepacket_numeric(p: SystemParams, cfg: OracleConfig | None = None) -> Wave
     return _amplitude(sampled_spectrum(p, cfg or OracleConfig()), p.gamma31_si)
 
 
-def rcc_numeric(p: SystemParams, cfg: OracleConfig | None = None,
-                normalize: bool = True) -> WavepacketGrid:
-    """|wavepacket_numeric|^2, peak-normalized on request (taken straight
-    from the fft2, without the unit-modulus phase factor).  The spectrum is
-    sampled for this call and transformed in place, so the call holds that
-    complex array and the real rate grid, nothing larger."""
-    return _rate_grid(sampled_spectrum(p, cfg or OracleConfig()), p.gamma31_si, normalize)
+def rcc_numeric(p: SystemParams, cfg: OracleConfig | None = None) -> WavepacketGrid:
+    """|wavepacket_numeric|^2, peak-normalized: the rate of `OracleRun`."""
+    return OracleRun(p, cfg).rate
 
 
 def rcc_cond_numeric(which: str, p: SystemParams,
-                     cfg: OracleConfig | None = None,
-                     normalize: bool = True) -> TimeTrace:
-    """Conditional rate: transform over one detuning, square, then integrate
-    the other (the squaring happens before the outer integral, exactly as the
-    defining double integral prescribes).
+                     cfg: OracleConfig | None = None) -> TimeTrace:
+    """Conditional rate, peak-normalized: transform over one detuning, square,
+    then integrate the other (the squaring happens before the outer integral,
+    exactly as the defining double integral prescribes).
 
     which = "tau12": inner transform over delta2 at fixed delta3;
     which = "tau13": inner transform over delta3 at fixed delta2.
-    The spectrum sampled for this call is transformed in place.
+    This is the trace of a rate-free `OracleRun`.
     """
-    _check_which(which)
-    grid = sampled_spectrum(p, cfg or OracleConfig())
-    return _conditional(grid, which, p.gamma31_si, normalize, in_place=True)
+    return OracleRun(p, cfg, rate=False, traces=(which,)).trace(which)
 
 
 def _fft2(values: np.ndarray) -> np.ndarray:
@@ -171,12 +160,10 @@ def _amplitude(grid: SpectralGrid, gamma31_si: float) -> WavepacketGrid:
     phase = np.exp(-1j * grid.delta2_axis[0] * (t_dimless[:, None] + t_dimless[None, :]))
     B = B * phase * dd * dd
     t = t_dimless / gamma31_si
-    return WavepacketGrid(tau12_axis=t, tau13_axis=t.copy(), values=B,
-                          kind="amplitude", normalization=None)
+    return WavepacketGrid(tau12_axis=t, tau13_axis=t.copy(), values=B)
 
 
-def _rate_grid(grid: SpectralGrid, gamma31_si: float,
-               normalize: bool = True) -> WavepacketGrid:
+def _rate_grid(grid: SpectralGrid, gamma31_si: float) -> WavepacketGrid:
     # (Re^2 + Im^2) of the fft2 times dd^4, the phase factor of _amplitude
     # having modulus one.  The transform overwrites grid.values, which the
     # caller owns and no longer reads; each quadrant of the squared
@@ -201,35 +188,28 @@ def _rate_grid(grid: SpectralGrid, gamma31_si: float,
                 quad *= dd**4
     map_blocks(square, h, h)
     del F
-    norm = None
-    if normalize:
-        norm = float(vals.max())
-        vals /= norm
+    norm = float(vals.max())
+    if not 0 < norm < math.inf:  # a spectrum too small or too large to square
+        raise ValidationError(f"the rate grid peaks at {norm!r}: out of the floating-point range")
+    vals /= norm
     t = _time_axis(n, dd, gamma31_si)
     return WavepacketGrid(tau12_axis=t, tau13_axis=t.copy(), values=vals,
-                          kind="rate", normalization=norm)
+                          normalization=norm)
 
 
-def _check_which(which: str) -> None:
-    if which not in ("tau12", "tau13"):
-        raise ValidationError("which must be 'tau12' or 'tau13'")
-
-
-def _conditional(grid: SpectralGrid, which: str, gamma31_si: float,
-                 normalize: bool = True, in_place: bool = False) -> TimeTrace:
-    # 1D transform along one detuning, |.|^2, then the sum over the other;
-    # in_place transforms grid.values itself, for a caller that no longer
-    # reads the spectrum
+def _conditional(grid: SpectralGrid, which: str, gamma31_si: float) -> TimeTrace:
+    # 1D transform along one detuning, |.|^2, then the sum over the other,
+    # peak-normalized; the transform overwrites grid.values, which the caller
+    # owns and no longer reads
     n = len(grid.delta2_axis)
     dd = float(grid.delta2_axis[1] - grid.delta2_axis[0])
     axis = 0 if which == "tau12" else 1
-    values = grid.values
-    G = values if in_place else np.empty_like(values)
+    G = grid.values
 
     def transform(lines):
         # `lines` cut across the transform axis
         at = (slice(None), lines) if axis == 0 else lines
-        np.fft.fft(values[at], axis=axis, out=G[at])
+        np.fft.fft(G[at], axis=axis, out=G[at])
     map_blocks(transform, n, n)
     np.square(G.imag, out=G.imag)
     sq = G.real ** 2
@@ -238,11 +218,11 @@ def _conditional(grid: SpectralGrid, which: str, gamma31_si: float,
     R = sq.sum(axis=1 - axis) * dd**3
     R = np.fft.fftshift(R)
     t = _time_axis(n, dd, gamma31_si)
-    if normalize:
-        peak = float(R.max())
-        if peak > 0:
-            R = R / peak
-    return TimeTrace(t_axis=t, values=R)
+    peak = float(R.max())
+    if not 0 < peak < math.inf:  # a spectrum too small or too large to square
+        raise ValidationError(f"the {which} trace peaks at {peak!r}: out of the "
+                              f"floating-point range")
+    return TimeTrace(t_axis=t, values=R / peak)
 
 
 class OracleRun:
@@ -250,13 +230,13 @@ class OracleRun:
 
     The constructor samples chi5*Phi once (`sampled_spectrum`) and derives
     what the caller asks for: the peak-normalized rate grid (`rate`; None
-    when `rate` is false) and the peak-normalized conditional traces listed
-    in `traces`.  The rate goes through the same transform as `rcc_numeric`
-    and is bitwise equal to it.  With the rate, the run makes one fft2 and
-    nothing else: each trace is the rate integrated over the other delay
-    (`trace_from_grid`), equal to `rcc_cond_numeric` up to rounding by the
-    discrete Parseval identity.  Without it, each trace is the 1D
-    transform of `rcc_cond_numeric`, which costs less than an fft2.
+    when `rate` is false, its scale in `rate.normalization`) and the
+    peak-normalized conditional traces listed in `traces`.  `rcc_numeric`
+    and `rcc_cond_numeric` are views of a run.  With the rate, the run makes
+    one fft2 and nothing else: each trace is the rate integrated over the
+    other delay (`trace_from_grid`), equal to the 1D transform of a
+    rate-free run up to rounding by the discrete Parseval identity.  Without
+    it, each trace is that 1D transform, which costs less than an fft2.
     The run owns its spectrum and transforms it in place: the fft2 of the
     rate, or the 1D transform of the last trace (earlier traces transform
     a copy).  So a 2048^2 run holds the 64 MB complex spectrum and at most
@@ -267,7 +247,8 @@ class OracleRun:
     def __init__(self, p: SystemParams, cfg: OracleConfig | None = None, *,
                  rate: bool = True, traces: tuple[str, ...] = ()) -> None:
         for which in traces:
-            _check_which(which)
+            if which not in ("tau12", "tau13"):
+                raise ValidationError("which must be 'tau12' or 'tau13'")
         grid = sampled_spectrum(p, cfg or OracleConfig())
         if rate:
             self.rate = _rate_grid(grid, p.gamma31_si)
@@ -275,34 +256,16 @@ class OracleRun:
         else:
             self.rate = None
             last = len(traces) - 1
-            self._traces = {w: _conditional(grid, w, p.gamma31_si, in_place=i == last)
-                            for i, w in enumerate(traces)}
+            self._traces = {
+                w: _conditional(grid if i == last else replace(grid, values=grid.values.copy()),
+                                w, p.gamma31_si)
+                for i, w in enumerate(traces)}
 
     def trace(self, which: str) -> TimeTrace:
         """The peak-normalized conditional trace along `which`."""
         if which not in self._traces:
             raise ValidationError(f"this oracle run has no {which!r} trace")
         return self._traces[which]
-
-
-def spectral_power(grid: SpectralGrid) -> float:
-    """Total |chi5*Phi|^2 mass on the sampled window (Parseval reference)."""
-    dd = float(grid.delta2_axis[1] - grid.delta2_axis[0])
-    return float((np.abs(grid.values) ** 2).sum() * dd * dd)
-
-
-def time_power(wp: WavepacketGrid, gamma31_si: float) -> float:
-    """Total |B|^2 mass on the time grid / (2 pi)^2, in spectral units.
-
-    The time axes are seconds while the spectral axes are gamma31 units, so
-    the cell area is rescaled by gamma31_si^2 before comparing.
-    """
-    if wp.kind != "amplitude":
-        raise ValidationError("time_power expects the complex amplitude grid")
-    dt12 = float(wp.tau12_axis[1] - wp.tau12_axis[0]) * gamma31_si
-    dt13 = float(wp.tau13_axis[1] - wp.tau13_axis[0]) * gamma31_si
-    mass = float((np.abs(wp.values) ** 2).sum())
-    return mass * dt12 * dt13 / (2 * math.pi) ** 2
 
 
 def normalized_l2_error(test: np.ndarray, reference: np.ndarray, mask: np.ndarray) -> float:

@@ -8,7 +8,6 @@ represented absolutely; all spectra are offsets from the carriers.
 """
 from __future__ import annotations
 
-import cmath
 import enum
 import hashlib
 import math
@@ -33,6 +32,12 @@ _POSITIVE = ("gamma31_si", "gamma21", "gamma41", "gamma51", "length_L", "optical
 #: Fields that must be nonzero: the couplings (complex allowed).
 _NONZERO = ("omega_c1", "omega_c2")
 
+#: Magnitude bounds of the inputs (gamma31 units, or the field's SI unit); the
+#: lower one applies to the _POSITIVE and _NONZERO fields, which divide.
+#: Within them every scalar derived from the inputs lies within 1e+-150.
+LARGEST_INPUT = 1e30
+SMALLEST_INPUT = 1e-30
+
 
 class Regime(enum.Enum):
     CHI5_DOMINATED = "chi5_dominated"
@@ -48,8 +53,11 @@ class Entanglement(enum.Enum):
 @dataclass(frozen=True)
 class SystemParams:
     """All physical inputs, validated once at construction: every field is
-    finite (`omega21` may be None), the _POSITIVE fields (`optical_depth`
-    among them) are > 0 and the _NONZERO fields are nonzero.
+    finite and at most LARGEST_INPUT in magnitude (`omega21` may be None),
+    the _POSITIVE fields (`optical_depth` among them) are >= SMALLEST_INPUT
+    and the _NONZERO fields at least SMALLEST_INPUT in magnitude.  So every
+    scalar derived from them (`effective_splittings`, `eit_dispersion`,
+    `omega21_si`) is a finite float.
 
     Rates, Rabi frequencies and detunings are in units of gamma31, which is
     the constant GAMMA31 and not a field; Rabi frequencies may be complex.
@@ -75,14 +83,17 @@ class SystemParams:
     def __post_init__(self) -> None:
         for name in self.__dataclass_fields__:
             v = getattr(self, name)
-            if v is not None and not cmath.isfinite(v):
-                raise ValidationError(f"{name} must be finite, got {v!r}")
+            if v is not None and not abs(v) <= LARGEST_INPUT:  # nan and inf fail too
+                raise ValidationError(f"{name} must be finite and at most "
+                                      f"{LARGEST_INPUT:g} in magnitude, got {v!r}")
         for name in _POSITIVE:
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"{name} must be > 0, got {getattr(self, name)!r}")
+            if not getattr(self, name) >= SMALLEST_INPUT:
+                raise ValidationError(f"{name} must be > 0 (at least {SMALLEST_INPUT:g}), "
+                                      f"got {getattr(self, name)!r}")
         for name in _NONZERO:
-            if getattr(self, name) == 0:
-                raise ValidationError(f"{name} must be nonzero")
+            if not abs(getattr(self, name)) >= SMALLEST_INPUT:
+                raise ValidationError(f"{name} must be nonzero (at least "
+                                      f"{SMALLEST_INPUT:g} in magnitude)")
 
     @property
     def omega21_si(self) -> float:
@@ -90,9 +101,6 @@ class SystemParams:
         if self.omega21 is None:
             return self.delta_p * self.gamma31_si
         return self.omega21
-
-    def with_(self, **kwargs) -> "SystemParams":
-        return replace(self, **kwargs)
 
     def content_hash(self) -> str:
         """Stable short hash of all fields, used to stamp derived grids."""
@@ -169,11 +177,6 @@ def eit_dispersion(p: SystemParams) -> DerivedFrequencies:
 REGIME_TIE_RTOL = 1e-9
 
 
-def _is_tie(d: DerivedFrequencies) -> bool:
-    lhs, rhs = 2 * d.gamma_e2, d.delta_omega_g
-    return abs(lhs - rhs) <= REGIME_TIE_RTOL * max(abs(lhs), abs(rhs))
-
-
 def classify_regime(d: DerivedFrequencies) -> Regime:
     """Chi5-dominated when 2*gamma_e2 < delta_omega_g, hybrid otherwise.
 
@@ -184,16 +187,22 @@ def classify_regime(d: DerivedFrequencies) -> Regime:
         return Regime.OVERDAMPED
     if d.gamma_e2 is None or d.delta_omega_g is None:
         raise ValidationError("classify_regime needs merged splittings and dispersion")
-    if _is_tie(d):
+    lhs, rhs = 2 * d.gamma_e2, d.delta_omega_g
+    if abs(lhs - rhs) <= REGIME_TIE_RTOL * max(abs(lhs), abs(rhs)):
         return Regime.HYBRID
-    return Regime.CHI5_DOMINATED if 2 * d.gamma_e2 < d.delta_omega_g else Regime.HYBRID
+    return Regime.CHI5_DOMINATED if lhs < rhs else Regime.HYBRID
 
 
-def classify_entanglement(d: DerivedFrequencies, tol: float = 1e-3) -> Entanglement:
-    """W state (2x3x2) when the two splittings agree within `tol` relative."""
+#: Relative tolerance within which the two splittings count as equal.
+ENTANGLEMENT_RTOL = 1e-3
+
+
+def classify_entanglement(d: DerivedFrequencies) -> Entanglement:
+    """W state (2x3x2) when the two splittings agree within ENTANGLEMENT_RTOL
+    relative."""
     if d.overdamped:
         raise OverdampedError("entanglement classification undefined for overdamped arms")
-    if abs(d.omega_e1 - d.omega_e2) <= tol * max(d.omega_e1, d.omega_e2):
+    if abs(d.omega_e1 - d.omega_e2) <= ENTANGLEMENT_RTOL * max(d.omega_e1, d.omega_e2):
         return Entanglement.W_2X3X2
     return Entanglement.NONW_2X4X2
 

@@ -523,7 +523,7 @@ def run_sweep(sc: Scenario, param: str, values: list, out_dir: Path,
     points = []
     for v in values:
         try:
-            points.append((v, sc.params.with_(**{param: v})))
+            points.append((v, replace(sc.params, **{param: v})))
         except ValidationError as exc:
             raise ConfigError(f"sweep value {param} = {v!r}: {exc}") from exc
     tagged: dict[str, object] = {}

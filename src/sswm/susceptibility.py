@@ -157,11 +157,16 @@ class SpectralGrid:
 
 def check_grid(extent: float | None, n_points: int) -> None:
     """The grid-shape rule: ValidationError unless n_points is a power of two
-    >= 256 and extent is None (resolved later) or 0 < extent < inf."""
+    >= 256 and extent is None (resolved later) or 0 < extent < inf with the
+    cell width 2*extent/n_points within 2**-255 .. 2**255, so that its fourth
+    power, which scales the oracle's rate grid, is a normal float."""
     if n_points < 256 or (n_points & (n_points - 1)) != 0:
         raise ValidationError("n_points must be a power of two >= 256")
     if extent is not None and not 0 < extent < math.inf:
         raise ValidationError("extent must be positive and finite")
+    if extent is not None and not 2.0**-255 < 2 * extent / n_points < 2.0**255:
+        raise ValidationError(f"extent {extent:g} puts the fourth power of the cell "
+                              f"width out of the floating-point range")
 
 
 def check_uniform(axis: np.ndarray) -> None:

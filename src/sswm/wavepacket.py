@@ -46,12 +46,12 @@ def channel_weights(p: SystemParams) -> ChannelWeights:
 
 @dataclass(frozen=True)
 class WavepacketGrid:
-    """Uniform 2D time grid holding a complex amplitude or a real rate."""
+    """Uniform 2D time grid holding a complex amplitude or a real,
+    non-negative rate."""
 
     tau12_axis: np.ndarray  # s
     tau13_axis: np.ndarray  # s
     values: np.ndarray
-    kind: str = "rate"  # "amplitude" | "rate"
     normalization: float | None = None
 
     def __post_init__(self) -> None:
@@ -61,15 +61,14 @@ class WavepacketGrid:
                 raise ValidationError("time axes must be strictly increasing")
         if self.values.shape != (len(self.tau12_axis), len(self.tau13_axis)):
             raise ValidationError("value array shape must match axis lengths")
-        if self.kind == "rate" and np.min(self.values.real) < 0:
+        if not np.iscomplexobj(self.values) and np.min(self.values) < 0:
             raise ValidationError("rate grids must be non-negative")
 
 
 def _check_regime(p: SystemParams, expect: Regime) -> None:
-    s = effective_splittings(p)
-    if s.overdamped:
-        raise OverdampedError("time-domain closed forms disabled for overdamped arms")
     d = derived_frequencies(p)
+    if d.overdamped:
+        raise OverdampedError("time-domain closed forms disabled for overdamped arms")
     if d.regime is not expect:
         warnings.warn(
             f"parameters classify as {d.regime.value}, not {expect.value}; "
@@ -265,8 +264,7 @@ def analytic_rate_grid(p: SystemParams, tau12_axis: np.ndarray,
     norm = float(vals.max())
     if norm > 0:
         vals /= norm
-    return WavepacketGrid(tau12_axis=t12, tau13_axis=t13, values=vals,
-                          kind="rate", normalization=norm)
+    return WavepacketGrid(tau12_axis=t12, tau13_axis=t13, values=vals, normalization=norm)
 
 
 def analytic_tau13_marginal(p: SystemParams, t: np.ndarray, which: str = "chi5",

@@ -1,7 +1,9 @@
-"""The CLI's error contract over fuzzed scenario files and oracle flags: every
-run exits 0, 2 or 3 and never raises, and an exit of 2 or 3 prints one
-`config error:` or `compute error:` line to stderr."""
+"""The CLI's error contract over fuzzed scenario files, oracle flags, sweep
+values and acceptance criteria: every run exits 0, 2 or 3 and never raises,
+and an exit of 2 or 3 prints one `config error:` or `compute error:` line to
+stderr.  A sweep writes no NaN into a trace file."""
 import io
+import re
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -11,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sswm.cli import main
-from sswm.scenarios import builtin_scenario_names, load_scenario, serialize_config
+from sswm.scenarios import SWEEPABLE, builtin_scenario_names, load_scenario, serialize_config
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning", "ignore::RuntimeWarning")
 
@@ -59,18 +61,61 @@ ORACLE_FLAGS = st.lists(
     max_size=3)
 
 
+def _run(argv: list[str]) -> tuple[int, str]:
+    """main(argv) in-process: its exit code and stderr, checked against the
+    contract."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 2, 3)
+    if rc:
+        assert err.getvalue().startswith(("config error: ", "compute error: "))
+    return rc, err.getvalue()
+
+
 @given(mutated_preset(), ORACLE_FLAGS, st.sampled_from(["csv", "json"]))
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_fuzzed_config_and_flags_keep_the_exit_contract(text, flags, fmt):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "fuzzed.cfg"
         cfg.write_text(text)
-        argv = ["simulate", "--scenario", str(cfg), "--grid-n", "256", "--format", fmt,
-                "--out", str(Path(tmp) / "out"), *flags]
-        err = io.StringIO()
-        with redirect_stdout(io.StringIO()), redirect_stderr(err):
-            rc = main(argv)
-    assert rc in (0, 2, 3)
-    if rc:
-        assert err.getvalue().startswith(("config error: ", "compute error: "))
+        _run(["simulate", "--scenario", str(cfg), "--grid-n", "256", "--format", fmt,
+              "--out", str(Path(tmp) / "out"), *flags])
+
+
+#: One `--values` piece: a number or word, with or without the gamma31 suffix.
+_SWEEP_PIECE = st.builds(
+    "{}{}".format,
+    st.sampled_from(["", " ", "nan", "inf", "-inf", "1e308", "1e-308", "1e200", "1e100",
+                     "0", "-1", "x"])
+    | st.sampled_from(["2", "4", "8", "37", "74", "111", "-100", "0.5"])
+    | st.floats().map(repr),
+    st.sampled_from(["", "gamma31"]))
+
+
+@given(st.sampled_from(builtin_scenario_names()), st.sampled_from(SWEEPABLE),
+       st.lists(_SWEEP_PIECE, min_size=1, max_size=3).map(",".join),
+       st.sampled_from([[], ["--ideal-rect"]]), st.sampled_from(["csv", "json"]))
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_fuzzed_sweep_keeps_the_exit_contract(scenario, param, values, flags, fmt):
+    # the summary may read nan where a fit failed; a trace file may not
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        _run(["sweep", "--scenario", scenario, "--param", param, f"--values={values}",
+              "--grid-n", "256", "--format", fmt, "--out", str(out), *flags])
+        for path in out.glob("*_trace_*"):
+            assert not re.search(r"\bnan\b", path.read_text(), re.IGNORECASE), path.name
+
+
+_CRITERION = st.sampled_from(["C7", "C12", "list", "C0", "C13", "c7", "7", "", " ", "bogus",
+                              "C7 ", "C1 2"])
+
+
+@given(st.lists(_CRITERION, min_size=1, max_size=3),
+       st.sampled_from([",", ", ", ";", " ", ",,"]))
+@settings(max_examples=40, deadline=None)
+def test_fuzzed_acceptance_criteria_keep_the_exit_contract(ids, sep):
+    with tempfile.TemporaryDirectory() as tmp:
+        rc, _ = _run(["acceptance", "--criteria", sep.join(ids), "--out", str(Path(tmp) / "out")])
+    assert rc != 3  # C7 and C12 pass
 

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sswm.oracle import (OracleConfig, OracleRun, rcc_cond_numeric, sampled_spectrum,
-                         spectral_power, time_power, wavepacket_numeric)
+                         wavepacket_numeric)
 from sswm.params import Regime, SystemParams, derived_frequencies
 
 EPS = np.finfo(float).eps
@@ -68,6 +68,12 @@ def test_parseval_over_random_params(rp, cfg):
     n = cfg.n_points
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        ps = spectral_power(sampled_spectrum(p, cfg))
-        pt = time_power(wavepacket_numeric(p, cfg), p.gamma31_si)
+        grid = sampled_spectrum(p, cfg)
+        amp = wavepacket_numeric(p, cfg)
+    dd = float(grid.delta2_axis[1] - grid.delta2_axis[0])
+    ps = float((np.abs(grid.values) ** 2).sum() * dd * dd)
+    # the time axes are seconds: cells rescaled by gamma31_si to spectral units
+    dt12 = float(amp.tau12_axis[1] - amp.tau12_axis[0]) * p.gamma31_si
+    dt13 = float(amp.tau13_axis[1] - amp.tau13_axis[0]) * p.gamma31_si
+    pt = float((np.abs(amp.values) ** 2).sum()) * dt12 * dt13 / (2 * math.pi) ** 2
     assert abs(ps - pt) / ps <= (3 * n + 16 * math.log2(n * n)) * EPS

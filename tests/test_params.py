@@ -1,10 +1,13 @@
 import math
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sswm import params
 from sswm.errors import OverdampedError, ValidationError
 from sswm.params import (Entanglement, Regime, SystemParams, classify_entanglement,
                          classify_regime, derived_frequencies, effective_splittings,
@@ -83,7 +86,7 @@ def test_regime_tie_resolves_hybrid():
     p0 = SystemParams(omega_c1=2.0, omega_c2=2.0)
     target = 2 * effective_splittings(p0).gamma_e2
     od = 4 * math.pi * abs(p0.omega_c2) ** 2 / target
-    d = derived_frequencies(p0.with_(optical_depth=od))
+    d = derived_frequencies(replace(p0, optical_depth=od))
     assert d.regime is Regime.HYBRID
 
 
@@ -106,12 +109,12 @@ def test_entanglement_strong_coupling_point():
     d = effective_splittings(p)
     gap = abs(d.omega_e1 - d.omega_e2) / max(d.omega_e1, d.omega_e2)
     assert gap == pytest.approx(1.2e-5, abs=3e-6)
-    assert classify_entanglement(d, tol=1e-3) is Entanglement.W_2X3X2
+    assert classify_entanglement(d) is Entanglement.W_2X3X2
 
 
 def test_entanglement_distinct_splittings():
     d = effective_splittings(SystemParams(omega_c1=8.0, omega_c2=2.0))
-    assert classify_entanglement(d, tol=1e-3) is Entanglement.NONW_2X4X2
+    assert classify_entanglement(d) is Entanglement.NONW_2X4X2
 
 
 def test_entanglement_overdamped_raises():
@@ -150,8 +153,9 @@ def test_entanglement_symmetric_predicate(kw, tol):
     swapped = SystemParams(
         omega_c1=p.omega_c2, gamma41=1.0, gamma51=p.gamma21,
         omega_c2=p.omega_c1, gamma21=p.gamma51)
-    a = classify_entanglement(effective_splittings(p), tol)
-    b = classify_entanglement(effective_splittings(swapped), tol)
+    with mock.patch.object(params, "ENTANGLEMENT_RTOL", tol):
+        a = classify_entanglement(effective_splittings(p))
+        b = classify_entanglement(effective_splittings(swapped))
     assert a is b
 
 
@@ -165,9 +169,9 @@ def test_group_delay_scaling():
 
     t0 = slow_part(base)
     for k in (2.0, 3.0, 7.5):
-        assert slow_part(base.with_(optical_depth=40.0 * k)) == pytest.approx(
+        assert slow_part(replace(base, optical_depth=40.0 * k)) == pytest.approx(
             k * t0, rel=1e-6)
-        assert slow_part(base.with_(omega_c2=2.0 * math.sqrt(k))) == pytest.approx(
+        assert slow_part(replace(base, omega_c2=2.0 * math.sqrt(k))) == pytest.approx(
             t0 / k, rel=1e-6)
 
 

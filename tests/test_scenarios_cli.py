@@ -51,10 +51,12 @@ def test_retired_lines_at_their_value_load_the_builtin(path):
     assert load_scenario(str(path)) == load_scenario(path.stem)
 
 
-_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
-_NONZERO = st.one_of(_FINITE, st.complex_numbers(allow_nan=False, allow_infinity=False)
-                     ).filter(lambda v: v != 0)
+# SystemParams bounds every magnitude by 1e30, and those that divide below by 1e-30
+_BOUNDED = st.floats(min_value=-1e30, max_value=1e30)
+_POSITIVE = st.floats(min_value=1e-30, max_value=1e30)
+_NONZERO = st.one_of(_BOUNDED, st.complex_numbers(max_magnitude=1e30)).filter(
+    lambda v: abs(v) >= 1e-30)
 _WORD = st.text("abcdefghijklmnopqrstuvwxyz0123456789_.-", min_size=1, max_size=10)
 
 
@@ -63,8 +65,8 @@ def scenarios(draw) -> Scenario:
     params = SystemParams(
         gamma31_si=draw(_POSITIVE), gamma21=draw(_POSITIVE), gamma41=draw(_POSITIVE),
         gamma51=draw(_POSITIVE), omega_c1=draw(_NONZERO), omega_c2=draw(_NONZERO),
-        delta_p=draw(_FINITE), delta_c1=draw(_FINITE), length_L=draw(_POSITIVE),
-        optical_depth=draw(_POSITIVE), omega21=draw(st.none() | _FINITE))
+        delta_p=draw(_BOUNDED), delta_c1=draw(_BOUNDED), length_L=draw(_POSITIVE),
+        optical_depth=draw(_POSITIVE), omega21=draw(st.none() | _BOUNDED))
     oracle = OracleConfig(
         extent=draw(st.none() | _POSITIVE), n_points=2 ** draw(st.integers(8, 14)),
         tukey_alpha=draw(st.floats(0.0, 1.0)), force_phi_unity=draw(st.booleans()),
@@ -369,7 +371,7 @@ def test_cli_overdamped_report_fails_before_sampling(tmp_path, monkeypatch, caps
     monkeypatch.setattr(sswm.oracle, "spectral_grid",
                         lambda *a, **k: calls.append(a) or real(*a, **k))
     sc = load_scenario("fig3d")
-    sc = replace(sc, params=sc.params.with_(omega_c1=0.2, omega_c2=0.2),
+    sc = replace(sc, params=replace(sc.params, omega_c1=0.2, omega_c2=0.2),
                  outputs=("report",))
     cfg = tmp_path / "overdamped.cfg"
     cfg.write_text(serialize_config(sc))
@@ -491,6 +493,27 @@ RETIRED_AT_OTHER_VALUES = {"gamma31": "2gamma31", "gamma42": "2gamma31",
       "--values", "37,37.0000001", "--ideal-rect"],
      "optical_depth = 37.0 and 37.0000001 share the file tag '37'"),
     (["simulate", "--scenario", "fig3a", "--extent=--"], "--extent: expected one value"),
+    # inputs beyond the magnitude bounds, or a cell width whose fourth power
+    # leaves the float range
+    (["simulate", "--grid-n", "256", "--scenario", ("params.omega_c1", "1e308")], "omega_c1"),
+    (["simulate", "--grid-n", "256", "--scenario", ("params.omega_c1", "1e308gamma31")],
+     "omega_c1 must be finite and at most 1e+30 in magnitude"),
+    (["simulate", "--grid-n", "256", "--scenario", ("params.gamma31_si", "1e-308")],
+     "gamma31_si must be > 0 (at least 1e-30)"),
+    (["simulate", "--grid-n", "256", "--scenario", ("params.delta_p", "1e200gamma31")],
+     "delta_p"),
+    (["simulate", "--grid-n", "256", "--scenario", ("params.length_L", "5e-324")],
+     "length_L must be > 0 (at least 1e-30)"),
+    (["simulate", "--grid-n", "256", "--scenario", "fig3e", "--extent=1e300"],
+     "config error: --extent: "),
+    (["simulate", "--grid-n", "256", "--scenario", "fig3a", "--extent=1e300gamma31"],
+     "config error: --extent: "),
+    (["simulate", "--grid-n", "256", "--scenario", "fig3a", "--extent=1e-90gamma31"],
+     "config error: --extent: "),
+    (["sweep", "--scenario", "fig3f", "--grid-n", "256", "--param", "optical_depth",
+      "--values", "1e308"], "optical_depth = 1e+308"),
+    (["sweep", "--scenario", "fig3b", "--grid-n", "256", "--param", "delta_p",
+      "--values", "1e308gamma31"], "delta_p = 1e+308"),
 ], ids=["extent", "extent-nan", "grid-n", "grid-n-flag-named", "extent-flag-named",
         "sweep-extent-flag-named", "n_points-line-named", "values-word", "values-negative-od", "values-gamma31-word",
         "n_points", "tukey_alpha", "tmin_ns", "gamma31_si", "gamma31_si-zero",
@@ -498,7 +521,10 @@ RETIRED_AT_OTHER_VALUES = {"gamma31": "2gamma31", "gamma42": "2gamma31",
         "dipole_scale-zero", "values-empty", "name-slash", "od-zero", "tmin_ns-nan",
         "tmin-above-tmax", *(f"retired-{key}" for key in RETIRED_AT_OTHER_VALUES),
         "out-file", "out-under-file", "acceptance-out-file", "values-same-tag",
-        "extent-double-dash"])
+        "extent-double-dash", "omega_c1-overflow", "omega_c1-gamma31-overflow",
+        "gamma31_si-underflow", "delta_p-large", "length_L-small", "extent-overflow",
+        "extent-gamma31-overflow", "extent-underflow", "values-od-overflow",
+        "values-delta_p-overflow"])
 def test_cli_malformed_input_exit_2(argv, names, tmp_path, capsys):
     # every malformed flag or config line is a config error naming the key
     # or flag, never a traceback; '<file>' is an existing file
@@ -515,16 +541,36 @@ def test_cli_malformed_input_exit_2(argv, names, tmp_path, capsys):
     assert not (tmp_path / "out").exists() and afile.read_text() == "kept\n"
 
 
-@pytest.mark.parametrize("argv", [
-    ["--scenario", ("params.omega_c1", "1e308")],
-    ["--scenario", ("params.gamma31_si", "1e-308")],
-    ["--scenario", "fig3e", "--extent=1e300"],
-], ids=["omega_c1-overflow", "gamma31_si-underflow", "extent-overflow"])
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_cli_out_of_float_range_exit_3(argv, tmp_path, capsys):
-    # inputs whose arithmetic leaves the float range are compute errors
+#: fig3a's lines that make chi5 about 1e-92 of its usual size: with a cell
+#: width of 1e-63 gamma31 its squared transform underflows to 0.
+_TINY_SPECTRUM = ("params.gamma41", "1e30gamma31", "params.gamma51", "1e30gamma31",
+                  "params.omega_c1", "1e30gamma31")
+
+
+@pytest.mark.parametrize("argv,names", [
+    (["simulate", "--scenario", _TINY_SPECTRUM], "rate grid peaks at 0.0"),
+    (["sweep", "--scenario", (*_TINY_SPECTRUM, "outputs", "trace_tau12_numeric"),
+      "--param", "omega_c2", "--values", "8gamma31"], "tau12 trace peaks at 0.0"),
+], ids=["rate-underflow", "sweep-trace-underflow"])
+def test_cli_out_of_float_range_exit_3(argv, names, tmp_path, capsys):
+    # valid inputs whose squared transform underflows to 0 are compute errors
+    # raised before any file is written
     argv = [_preset_with(tmp_path, *a) if isinstance(a, tuple) else a for a in argv]
-    assert main(["simulate", "--grid-n", "256", "--out", str(tmp_path / "out"), *argv]) == 3
+    out = tmp_path / "out"
+    assert main([*argv, "--grid-n", "256", "--extent=1e-60gamma31", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("compute error: ") and names in err
+    assert not out.exists()
+
+
+def test_cli_arithmetic_error_exit_3(tmp_path, monkeypatch, capsys):
+    # a Python float that fails inside a run is a compute error, not a traceback
+    import sswm.cli
+
+    def overflow(*args, **kwargs):
+        raise OverflowError("(34, 'Numerical result out of range')")
+    monkeypatch.setattr(sswm.cli, "run_scenario", overflow)
+    assert main(["simulate", "--scenario", "fig3a", "--out", str(tmp_path / "out")]) == 3
     assert capsys.readouterr().err.startswith("compute error: out of floating-point range: ")
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -134,7 +135,7 @@ def test_phi_loss_matches_closed_form_loss(kw, regime, below, above):
     p = SystemParams(**kw)
     # the OD at which delta_omega_g = 2*gamma_e2, scaled into the drawn regime
     od_tie = 4 * math.pi * abs(p.omega_c2) ** 2 / (2 * effective_splittings(p).gamma_e2)
-    p = p.with_(optical_depth=od_tie * (below if regime is Regime.CHI5_DOMINATED else above))
+    p = replace(p, optical_depth=od_tie * (below if regime is Regime.CHI5_DOMINATED else above))
     d = derived_frequencies(p)
     assert d.regime is regime
     numeric = delta_k(0.0, 0.0, p).imag * p.length_L

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -130,7 +131,7 @@ def test_hybrid_support_is_the_rectangle():
 
 @pytest.mark.parametrize("od,width_ns", [(37, 245.4), (74, 490.7), (111, 736.1)])
 def test_hybrid_rectangle_length(od, width_ns):
-    p = HYB.with_(optical_depth=float(od))
+    p = replace(HYB, optical_depth=float(od))
     d = derived_frequencies(p)
     assert d.group_delay == pytest.approx(width_ns * 1e-9, abs=0.5e-9)
     t13 = np.linspace(0, 900e-9, 9001)
@@ -145,7 +146,7 @@ def test_hybrid_tau12_profile_od_invariant():
     t12 = np.linspace(0, 220e-9, 2201)
     profiles = []
     for od in (37.0, 74.0, 111.0):
-        p = HYB.with_(optical_depth=od)
+        p = replace(HYB, optical_depth=od)
         t13 = 0.95 * derived_frequencies(p).group_delay
         vals = rcc_hybrid(t12, np.full_like(t12, t13), p, ideal_rect=True)
         profiles.append(vals / vals.max())
@@ -179,7 +180,7 @@ def test_hybrid_integrated_profile_flat_when_delay_dominates():
     # the tau12-integrated tau13 profile is flat once the rectangle is much
     # longer than the first-arm coherence time (OD 400 here); at OD 111 the
     # ordering constraint still shades the early plateau
-    p = HYB.with_(optical_depth=400.0)
+    p = replace(HYB, optical_depth=400.0)
     d = derived_frequencies(p)
     t12 = np.linspace(0, 1.05 * d.group_delay, 1600)
     t13 = np.linspace(0, 1.05 * d.group_delay, 1500)
