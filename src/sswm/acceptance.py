@@ -1,5 +1,6 @@
 """The acceptance-criteria suite: every exit criterion as an executable check
-with its tolerance pinned, shared heavy artifacts computed once.
+with its tolerance pinned.  The shared oracle runs are made once and kept
+only as the numbers and 1D traces the criteria read.
 
 Oracle configuration used throughout: the default extent rule with a
 Tukey(0.1) spectral taper.  The taper keeps truncation sidelobes inside the
@@ -40,8 +41,63 @@ class CriterionResult:
         return f"[{status}] {self.cid:>3}  {self.description}: {self.measured} (require {self.tolerance})"
 
 
+#: Rows per block when fig2 takes the central-symmetry deviation of |chi5|.
+SYMMETRY_BLOCK_ROWS = 128
+
+
+@dataclass(frozen=True)
+class Chi5Point:
+    """What C3-C6, C9 and C10 read of the chi5-dominated oracle run and of
+    its closed form on the same axes."""
+
+    trace12: analysis.TimeTrace  # oracle tau12 conditional trace
+    trace13: analysis.TimeTrace  # oracle tau13 conditional trace
+    sdir: analysis.TimeTrace  # oracle rate along tau13 - tau12 at the first antinode
+    l2_2d: float  # oracle vs closed-form rate, support edge masked
+    ordering_numeric: float
+    ordering_analytic: float
+    residual: float  # factorizability residual of the closed form
+
+
+@dataclass(frozen=True)
+class HybridPoint:
+    """What C8 and C11 read of the hybrid oracle run at OD 111."""
+
+    trace12: analysis.TimeTrace
+    near_diagonal: analysis.TimeTrace
+
+
+def _central_symmetry_deviation(values: np.ndarray) -> float:
+    """max |mag - mag[::-1, ::-1]| / max mag for mag = |values[1:, 1:]|, the
+    sub-grid symmetric about the fft axes' zero.  Taken in blocks of
+    SYMMETRY_BLOCK_ROWS rows, row i against mirror row m - 1 - i, so no
+    full-size temporary is made; a max over blocks is the whole-array max,
+    so the value is bitwise the same."""
+    sub = values[1:, 1:]
+    m = len(sub)
+    devs, peaks = [], []
+    for start in range(0, m, SYMMETRY_BLOCK_ROWS):
+        stop = min(start + SYMMETRY_BLOCK_ROWS, m)
+        mag = np.abs(sub[start:stop])
+        # the mirror rows' magnitudes are taken in storage order, as the
+        # whole-array |.| takes them, then reversed
+        diff = mag - np.abs(sub[m - stop:m - start])[::-1, ::-1]
+        devs.append(np.abs(diff, out=diff).max())
+        peaks.append(mag.max())
+    return float(np.max(devs) / np.max(peaks))
+
+
 class AcceptanceContext:
-    """Lazily built shared artifacts (2048^2 grids are reused across criteria)."""
+    """The criteria's shared inputs, each built once on first use.
+
+    Each cached step builds its 2048^2 grids, reduces them to the scalars
+    and 1D traces the criteria read, and drops them: `chi5_point` (the
+    chi5-dominated oracle run and its closed form), `hybrid_point_111` (the
+    hybrid oracle run at OD 111) and `fig2` (the strong-coupling |chi5|
+    map).  Between criteria the context holds a few MB, and a full run
+    peaks at one oracle run's footprint.  Code that needs the grids builds
+    them from `p_chi5`, `cfg_chi5`, `p_hybrid` and `cfg_hybrid`.
+    """
 
     def __init__(self) -> None:
         self.p_chi5 = SystemParams()  # couplings 8 gamma31, OD 37
@@ -52,37 +108,35 @@ class AcceptanceContext:
         return SystemParams(omega_c1=2.0, omega_c2=2.0, optical_depth=od)
 
     @cached_property
-    def chi5_run(self) -> OracleRun:
-        """Rate grid and both conditional traces at the chi5-dominated point."""
-        return OracleRun(self.p_chi5, self.cfg_chi5, traces=("tau12", "tau13"))
+    def chi5_point(self) -> Chi5Point:
+        run = OracleRun(self.p_chi5, self.cfg_chi5, traces=("tau12", "tau13"))
+        num = run.rate
+        sdir = analysis.diagonal_offset_trace(
+            num, analysis.first_antinode_offset(num, self.p_chi5))
+        ordering_numeric = analysis.ordering_violation_mass(num)
+        ana = analytic_rate_grid(self.p_chi5, num.tau12_axis, num.tau13_axis, which="chi5")
+        mask = support_edge_mask(num.tau12_axis, num.tau13_axis)
+        l2_2d = normalized_l2_error(num.values, ana.values, mask)
+        trace12, trace13 = run.trace("tau12"), run.trace("tau13")
+        del run, num  # the closed form alone from here on
+        return Chi5Point(trace12=trace12, trace13=trace13, sdir=sdir, l2_2d=l2_2d,
+                         ordering_numeric=ordering_numeric,
+                         ordering_analytic=analysis.ordering_violation_mass(ana),
+                         residual=analysis.factorizability_residual(ana))
 
     @cached_property
-    def rate_analytic(self):
-        g = self.chi5_run.rate
-        return analytic_rate_grid(self.p_chi5, g.tau12_axis, g.tau13_axis, which="chi5")
-
-    @cached_property
-    def sdir_numeric(self):
-        rate = self.chi5_run.rate
-        return analysis.diagonal_offset_trace(
-            rate, analysis.first_antinode_offset(rate, self.p_chi5))
+    def hybrid_point_111(self) -> HybridPoint:
+        run = OracleRun(self.p_hybrid(111.0), self.cfg_hybrid, traces=("tau12",))
+        return HybridPoint(run.trace("tau12"), analysis.near_diagonal_trace(run.rate))
 
     @cached_property
     def fig2(self) -> tuple[SystemParams, list[dict], float, float]:
         """What C1 and C2 read of the strong-coupling |chi5| map: params,
-        resonance peaks, cell width and the central-symmetry deviation.  The
-        64 MB complex grid itself is not kept."""
+        resonance peaks, cell width and the central-symmetry deviation."""
         p = SystemParams(omega_c1=40.0, omega_c2=40.0)
         grid = spectral_grid(p, 320.0, 2048, force_phi_unity=True)
         cell = float(grid.delta3_axis[1] - grid.delta3_axis[0])
-        mag = np.abs(grid.values[1:, 1:])  # symmetric sub-grid of the fft axes
-        dev = float(np.max(np.abs(mag - mag[::-1, ::-1])) / mag.max())
-        return p, find_resonances(grid), cell, dev
-
-    @cached_property
-    def hybrid_run_111(self) -> OracleRun:
-        """Rate grid (C11) and tau12 trace (C8) of the hybrid point at OD 111."""
-        return OracleRun(self.p_hybrid(111.0), self.cfg_hybrid, traces=("tau12",))
+        return p, find_resonances(grid), cell, _central_symmetry_deviation(grid.values)
 
 
 def _pct(x: float) -> str:
@@ -112,11 +166,8 @@ def c02_central_symmetry(ctx: AcceptanceContext) -> CriterionResult:
 
 
 def c03_oracle_equivalence(ctx: AcceptanceContext) -> CriterionResult:
-    num, ana = ctx.chi5_run.rate, ctx.rate_analytic
-    mask = support_edge_mask(num.tau12_axis, num.tau13_axis)
-    err2d = normalized_l2_error(num.values, ana.values, mask)
-
-    tr = ctx.chi5_run.trace("tau12")
+    pt = ctx.chi5_point
+    err2d, tr = pt.l2_2d, pt.trace12
     ana12 = rcc_cond12(tr.t_axis, ctx.p_chi5, normalize=True)
     keep = np.abs(tr.t_axis) > EDGE_HALFWIDTH_CELLS * tr.dt
     err1d = normalized_l2_error(tr.values, ana12 / ana12.max(), keep)
@@ -127,8 +178,9 @@ def c03_oracle_equivalence(ctx: AcceptanceContext) -> CriterionResult:
 
 
 def c04_rabi_period(ctx: AcceptanceContext) -> CriterionResult:
-    p12 = analysis.extract_period(ctx.chi5_run.trace("tau12")) * 1e9
-    p13 = analysis.extract_period(ctx.sdir_numeric) * 1e9
+    pt = ctx.chi5_point
+    p12 = analysis.extract_period(pt.trace12) * 1e9
+    p13 = analysis.extract_period(pt.sdir) * 1e9
     ok = abs(p12 - 21) <= 1 and abs(p13 - 21) <= 1
     return CriterionResult(
         "C4", "Rabi period along both delay directions",
@@ -136,8 +188,9 @@ def c04_rabi_period(ctx: AcceptanceContext) -> CriterionResult:
 
 
 def c05_coherence_times(ctx: AcceptanceContext) -> CriterionResult:
-    t12 = analysis.fit_coherence_time(ctx.chi5_run.trace("tau12")) * 1e9
-    t13 = analysis.fit_coherence_time(ctx.sdir_numeric) * 1e9
+    pt = ctx.chi5_point
+    t12 = analysis.fit_coherence_time(pt.trace12) * 1e9
+    t13 = analysis.fit_coherence_time(pt.sdir) * 1e9
     ok = abs(t12 - 48) <= 4.8 and abs(t13 - 52) <= 5.2
     return CriterionResult(
         "C5", "triphoton coherence times",
@@ -146,7 +199,7 @@ def c05_coherence_times(ctx: AcceptanceContext) -> CriterionResult:
 
 
 def c06_coherence_enhancement(ctx: AcceptanceContext) -> CriterionResult:
-    cf = analysis.coherence_fit(ctx.chi5_run.trace("tau13"))
+    cf = analysis.coherence_fit(ctx.chi5_point.trace13)
     t13 = cf.time_s * 1e9
     ok = abs(t13 - 150) <= 0.15 * 150 and t13 > 2 * 52
     return CriterionResult(
@@ -190,7 +243,7 @@ def c08_od_invariance(ctx: AcceptanceContext) -> CriterionResult:
     for od in (37.0, 74.0):
         tr = rcc_cond_numeric("tau12", ctx.p_hybrid(od), ctx.cfg_hybrid)
         periods.append(analysis.extract_period(tr))
-    periods.append(analysis.extract_period(ctx.hybrid_run_111.trace("tau12")))
+    periods.append(analysis.extract_period(ctx.hybrid_point_111.trace12))
     spread = (max(periods) - min(periods)) / (sum(periods) / len(periods))
     ok = spread < 0.01
     return CriterionResult(
@@ -199,8 +252,7 @@ def c08_od_invariance(ctx: AcceptanceContext) -> CriterionResult:
 
 
 def c09_temporal_ordering(ctx: AcceptanceContext) -> CriterionResult:
-    m_ana = analysis.ordering_violation_mass(ctx.rate_analytic)
-    m_num = analysis.ordering_violation_mass(ctx.chi5_run.rate)
+    m_ana, m_num = ctx.chi5_point.ordering_analytic, ctx.chi5_point.ordering_numeric
     ok = m_ana == 0.0 and m_num < 1e-3
     return CriterionResult(
         "C9", "strict temporal ordering",
@@ -209,7 +261,7 @@ def c09_temporal_ordering(ctx: AcceptanceContext) -> CriterionResult:
 
 
 def c10_non_factorizability(ctx: AcceptanceContext) -> CriterionResult:
-    resid = analysis.factorizability_residual(ctx.rate_analytic)
+    resid = ctx.chi5_point.residual
     t = np.linspace(0.0, 400e-9, 512)
     stub = analytic_rate_grid(ctx.p_chi5, t, t, which="cascaded")
     resid_stub = analysis.factorizability_residual(stub)
@@ -222,8 +274,7 @@ def c10_non_factorizability(ctx: AcceptanceContext) -> CriterionResult:
 
 def c11_precursor(ctx: AcceptanceContext) -> CriterionResult:
     d = derived_frequencies(ctx.p_hybrid(111.0))
-    tr_num = analysis.near_diagonal_trace(ctx.hybrid_run_111.rate)
-    got_num = analysis.detect_precursor(tr_num, d)
+    got_num = analysis.detect_precursor(ctx.hybrid_point_111.near_diagonal, d)
     tr_ana = _hybrid_row_trace(ctx, 111.0, ideal_rect=True)
     got_ana = analysis.detect_precursor(tr_ana, d)
     ok = got_num and not got_ana

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -21,6 +22,23 @@ EXIT_COMPUTE = 3
 #: Each oracle flag (its argparse dest) and the config key whose line it replaces.
 _ORACLE_FLAGS = {"grid_n": "oracle.n_points", "extent": "oracle.extent",
                  "force_phi_unity": "oracle.force_phi_unity", "ideal_rect": "oracle.ideal_rect"}
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse, but a flag left without its value is a ConfigError.
+
+    argparse reads a value that starts with '-' and is not a plain negative
+    number as the next option, so `--extent -5gamma31` leaves --extent
+    without a value; the message says to write it as `--extent=-5gamma31`.
+    """
+
+    def error(self, message: str):
+        missing = re.fullmatch(r"argument (\S+): expected one argument", message)
+        if missing:
+            flag = missing.group(1)
+            raise ConfigError(f"{flag}: expected one value; write a value that starts "
+                              f"with '-' as {flag}=VALUE")
+        super().error(message)
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -41,7 +59,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="sswm",
         description="Six-wave-mixing triphoton simulator: spectra, wavepackets, "
                     "coincidence rates, and the acceptance suite.")
@@ -81,8 +99,8 @@ def _out_dir(arg) -> Path:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         for dest, value in vars(args).items():
             if isinstance(value, list):  # argparse reads '--flag=--' as an empty list
                 raise ConfigError(f"--{dest.replace('_', '-')}: expected one value, got '--'")

@@ -3,12 +3,37 @@ import warnings
 import pytest
 
 from sswm.acceptance import AcceptanceContext
+from sswm.oracle import OracleRun
+from sswm.wavepacket import analytic_rate_grid
 
 
 @pytest.fixture(scope="session")
 def ctx():
-    """Shared heavy artifacts (2048^2 oracle grids) for the whole session."""
+    """The acceptance suite's shared values for the whole session."""
     return AcceptanceContext()
+
+
+# The 2048^2 grids the acceptance context reduces and drops, built from its
+# params and configs for the tests that read the grids themselves.
+
+
+@pytest.fixture(scope="session")
+def chi5_run(ctx):
+    """The oracle run behind `ctx.chi5_point`, rate grid included."""
+    return OracleRun(ctx.p_chi5, ctx.cfg_chi5, traces=("tau12", "tau13"))
+
+
+@pytest.fixture(scope="session")
+def rate_analytic(ctx, chi5_run):
+    """The closed-form chi5 rate on the axes of `chi5_run`."""
+    g = chi5_run.rate
+    return analytic_rate_grid(ctx.p_chi5, g.tau12_axis, g.tau13_axis, which="chi5")
+
+
+@pytest.fixture(scope="session")
+def hybrid_run_111(ctx):
+    """The oracle run behind `ctx.hybrid_point_111`, rate grid included."""
+    return OracleRun(ctx.p_hybrid(111.0), ctx.cfg_hybrid, traces=("tau12",))
 
 
 @pytest.fixture(autouse=True)

@@ -79,6 +79,33 @@ def test_coherence_crossing_for_curved_envelope():
     assert cf.time_s == pytest.approx(t_cross, rel=0.05)
 
 
+def test_coherence_crossing_extrapolates_past_the_trace_end():
+    # the same curved envelope cut at 140 ns, before it falls to 1/e: the
+    # crossing is extrapolated forward from the last pair of maxima
+    t = np.linspace(0, 1200e-9, 40000)
+    omega = 2 * math.pi / 21e-9
+    env = np.exp(-t / 52e-9) - np.exp(-t / 48e-9)
+    i_peak = int(np.argmax(env))
+    t_cross = t[i_peak:][env[i_peak:] <= env.max() / math.e][0]
+    cut = t <= 140e-9
+    tr = TimeTrace(t_axis=t[cut], values=(env * (1 + np.cos(omega * t)) / 2)[cut])
+    assert env[cut][-1] > env.max() / math.e
+    cf = coherence_fit(tr)
+    assert cf.mode == "envelope_crossing"
+    assert cf.time_s > tr.t_axis[-1]
+    assert cf.time_s == pytest.approx(t_cross, rel=0.05)
+
+
+def test_monotone_decay_needs_its_last_sample_to_fall():
+    # no interior maxima, a decay to e^-5, then one rising sample above the
+    # floor: not monotone, so no envelope fit
+    t = np.linspace(0, 400e-9, 2001)
+    y = np.exp(-t / 80e-9)
+    y[-1] = 1.5 * y[-2]
+    with pytest.raises(InsufficientExtremaError, match="monotone"):
+        coherence_fit(TimeTrace(t_axis=t, values=y))
+
+
 def test_extract_period_constructed():
     omega = 15.975 * G
     t = np.linspace(0, 600e-9, 30000)
@@ -167,6 +194,15 @@ def test_width_at_half_max_interpolates():
     t = np.linspace(0, 100.0, 1001)
     y = ((t >= 10) & (t <= 60)).astype(float)
     assert width_at_half_max(TimeTrace(t_axis=t, values=y)) == pytest.approx(50, abs=0.2)
+
+
+def test_width_at_half_max_is_relative_to_the_peak():
+    # a Gaussian of peak 4: the level is half the peak, whatever its scale
+    t = np.linspace(-50.0, 50.0, 10001)
+    sigma = 8.0
+    y = 4.0 * np.exp(-0.5 * (t / sigma) ** 2)
+    fwhm = 2 * math.sqrt(2 * math.log(2)) * sigma
+    assert width_at_half_max(TimeTrace(t_axis=t, values=y)) == pytest.approx(fwhm, rel=1e-4)
 
 
 def test_local_maxima_floor_and_refinement():

@@ -1,7 +1,9 @@
 """The CLI's error contract over fuzzed scenario files, oracle flags, sweep
 values and acceptance criteria: every run exits 0, 2 or 3 and never raises,
 and an exit of 2 or 3 prints one `config error:` or `compute error:` line to
-stderr.  A sweep writes no NaN into a trace file."""
+stderr.  A flag's value is drawn both as `--flag=value` and as the next word,
+where argparse reads a word that starts with '-' as a flag.  A sweep writes
+no NaN into a trace file."""
 import io
 import re
 import tempfile
@@ -55,10 +57,19 @@ def mutated_preset(draw) -> str:
     return "\n".join(lines + [f"{k} = {v}" for k, v in extra]) + "\n"
 
 
+def _flag_value(flag: str, values) -> st.SearchStrategy[list[str]]:
+    """`flag` and a drawn value, as `flag=value` or as two words."""
+    return st.builds(lambda value, joined: [f"{flag}={value}"] if joined else [flag, value],
+                     values, st.booleans())
+
+
+EXTENT_VALUES = (VALUES | st.sampled_from(["32gamma31", "auto"])
+                 | st.builds("-{}".format, VALUES))
+
 ORACLE_FLAGS = st.lists(
-    st.sampled_from(["--ideal-rect", "--force-phi-unity"])
-    | st.builds("--extent={}".format, VALUES | st.sampled_from(["32gamma31", "auto"])),
-    max_size=3)
+    st.sampled_from([["--ideal-rect"], ["--force-phi-unity"]])
+    | _flag_value("--extent", EXTENT_VALUES),
+    max_size=3).map(lambda flags: [word for flag in flags for word in flag])
 
 
 def _run(argv: list[str]) -> tuple[int, str]:
@@ -94,14 +105,14 @@ _SWEEP_PIECE = st.builds(
 
 
 @given(st.sampled_from(builtin_scenario_names()), st.sampled_from(SWEEPABLE),
-       st.lists(_SWEEP_PIECE, min_size=1, max_size=3).map(",".join),
+       _flag_value("--values", st.lists(_SWEEP_PIECE, min_size=1, max_size=3).map(",".join)),
        st.sampled_from([[], ["--ideal-rect"]]), st.sampled_from(["csv", "json"]))
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_fuzzed_sweep_keeps_the_exit_contract(scenario, param, values, flags, fmt):
     # the summary may read nan where a fit failed; a trace file may not
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
-        _run(["sweep", "--scenario", scenario, "--param", param, f"--values={values}",
+        _run(["sweep", "--scenario", scenario, "--param", param, *values,
               "--grid-n", "256", "--format", fmt, "--out", str(out), *flags])
         for path in out.glob("*_trace_*"):
             assert not re.search(r"\bnan\b", path.read_text(), re.IGNORECASE), path.name

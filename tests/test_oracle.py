@@ -67,9 +67,9 @@ def test_rate_is_squared_amplitude():
     assert rate.values.max() == 1.0
 
 
-def test_support_orientation(ctx):
+def test_support_orientation(chi5_run):
     # the transform convention must land the wavepacket in the ordered wedge
-    rate = ctx.chi5_run.rate
+    rate = chi5_run.rate
     t12 = rate.tau12_axis[:, None]
     t13 = rate.tau13_axis[None, :]
     inside = rate.values[(t12 >= 0) & (t13 >= t12)].sum()
@@ -77,24 +77,24 @@ def test_support_orientation(ctx):
     assert outside < 1e-3 * (inside + outside)
 
 
-def test_causality_leakage(ctx):
-    rate = ctx.chi5_run.rate
+def test_causality_leakage(chi5_run):
+    rate = chi5_run.rate
     o1 = effective_splittings(P).omega_e1 * P.gamma31_si
     early = rate.tau12_axis < -2 / o1
     mass = rate.values[early, :].sum()
     assert mass < 1e-3 * rate.values.sum()
 
 
-def test_diagonal_zero_line(ctx):
+def test_diagonal_zero_line(chi5_run):
     # past the corner transition band the equal-delay line stays dark
-    rate = ctx.chi5_run.rate
+    rate = chi5_run.rate
     i0 = int(np.argmin(np.abs(rate.tau12_axis))) + 5
     diag = np.array([rate.values[i, i] for i in range(i0, len(rate.tau12_axis))])
     assert diag.max() < 1e-3 * rate.values.max()
 
 
-def test_oracle_matches_closed_form_l2(ctx):
-    num, ana = ctx.chi5_run.rate, ctx.rate_analytic
+def test_oracle_matches_closed_form_l2(chi5_run, rate_analytic):
+    num, ana = chi5_run.rate, rate_analytic
     mask = support_edge_mask(num.tau12_axis, num.tau13_axis)
     assert normalized_l2_error(num.values, ana.values, mask) < 0.05
 
@@ -170,10 +170,10 @@ def test_conditional_squares_before_integrating():
     assert np.allclose(tr.values, ref / ref.max(), rtol=1e-9, atol=1e-12)
 
 
-def test_conditional_equals_integrated_2d(ctx):
+def test_conditional_equals_integrated_2d(chi5_run):
     # Parseval links the tau12-integrated 2D rate to the tau13 conditional
-    rate = ctx.chi5_run.rate
-    tr13 = ctx.chi5_run.trace("tau13")
+    rate = chi5_run.rate
+    tr13 = chi5_run.trace("tau13")
     dt = rate.tau12_axis[1] - rate.tau12_axis[0]
     integrated = rate.values.sum(axis=0) * dt * rate.normalization
     integrated *= P.gamma31_si / (2 * np.pi)
@@ -189,20 +189,20 @@ def test_determinism():
     assert np.array_equal(a.values, b.values)
 
 
-def test_hybrid_precursor_feature(ctx):
+def test_hybrid_precursor_feature(hybrid_run_111):
     # sharp early cut adjacent to the corner, absent from the closed form
-    tr = near_diagonal_trace(ctx.hybrid_run_111.rate)
+    tr = near_diagonal_trace(hybrid_run_111.rate)
     early = tr.values[(tr.t_axis >= 0) & (tr.t_axis <= 50e-9)]
     late = tr.values[(tr.t_axis > 200e-9) & (tr.t_axis < 600e-9)]
     assert early.max() > 10 * np.median(late)
 
 
-def test_no_precursor_in_chi5_regime(ctx):
+def test_no_precursor_in_chi5_regime(chi5_run):
     from sswm.analysis import detect_precursor
     from sswm.params import derived_frequencies
 
     d = derived_frequencies(P)
-    tr = near_diagonal_trace(ctx.chi5_run.rate)
+    tr = near_diagonal_trace(chi5_run.rate)
     assert not detect_precursor(tr, d)
 
 

@@ -173,7 +173,7 @@ def test_sweep_builds_and_fits_once_per_point(builds, tmp_path, monkeypatch):
 
 def test_acceptance_artifacts_share_runs(builds):
     ctx = AcceptanceContext()
-    ctx.chi5_run, ctx.rate_analytic, ctx.sdir_numeric
+    ctx.chi5_point
     assert len(builds) == 1
     assert c08_od_invariance(ctx).passed and c11_precursor(ctx).passed
     assert len(builds) == 4  # OD 37, OD 74 and one OD-111 run for C8 and C11

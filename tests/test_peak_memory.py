@@ -1,11 +1,12 @@
 """Peak-memory guards at 2048^2: each stage holds its product and at most a
-block-sized share of one more grid.  tracemalloc sees every numpy buffer, and
-its counts do not depend on the allocator or the machine."""
+block-sized share of one more grid, and the acceptance suite keeps no grid
+between criteria.  tracemalloc sees every numpy buffer, and its counts do not
+depend on the allocator or the machine."""
 import tracemalloc
 
 import pytest
 
-from sswm import analysis, scenarios
+from sswm import acceptance, analysis, scenarios
 from sswm.oracle import (OracleConfig, OracleRun, default_extent, normalized_l2_error,
                          support_edge_mask)
 from sswm.params import SystemParams
@@ -86,3 +87,46 @@ def test_analytic_tau13_trace_peak(name):
     tr, rise = _peak_rise(lambda: scenarios._analytic_trace(p, "tau13", ideal_rect=False))
     assert len(tr.values) == 4096
     assert rise <= 0.01 * 4096 * 4096 * 8
+
+
+@pytest.fixture(scope="module")
+def acceptance_run(tmp_path_factory):
+    """A full run_acceptance under tracemalloc: its report lines by criterion
+    id, the traced bytes live after each criterion and the peak, both above
+    those live at the start."""
+    live = {}
+
+    def measured(cid, fn):
+        def run(ctx):
+            result = fn(ctx)
+            live[cid] = tracemalloc.get_traced_memory()[0] - start
+            return result
+        return run
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(acceptance, "CRITERIA", [(cid, measured(cid, fn), desc)
+                                            for cid, fn, desc in acceptance.CRITERIA])
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            results = acceptance.run_acceptance(tmp_path_factory.mktemp("acceptance"))
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+    return {r.cid: r.line() for r in results}, live, peak
+
+
+def test_acceptance_keeps_no_grid_between_criteria(acceptance_run):
+    lines, live, peak = acceptance_run
+    assert list(live) == list(lines) == [cid for cid, _, _ in acceptance.CRITERIA]
+    # the cached steps keep scalars and 1D traces: a few MB at most
+    assert max(live.values()) < 4 * 2**20, live
+    # the largest stage is one oracle run, or the fig2 map and its |chi5|
+    assert peak <= 1.75 * COMPLEX_GRID
+
+
+@pytest.mark.parametrize("cid", ["C3", "C4", "C9", "C10", "C11"])
+def test_acceptance_subset_lines_equal_full_run(acceptance_run, cid, tmp_path):
+    # each criterion alone builds the cached step it reads, with the same values
+    lines, _, _ = acceptance_run
+    assert [r.line() for r in acceptance.run_acceptance(tmp_path, subset=[cid])] == [lines[cid]]

@@ -493,6 +493,11 @@ RETIRED_AT_OTHER_VALUES = {"gamma31": "2gamma31", "gamma42": "2gamma31",
       "--values", "37,37.0000001", "--ideal-rect"],
      "optical_depth = 37.0 and 37.0000001 share the file tag '37'"),
     (["simulate", "--scenario", "fig3a", "--extent=--"], "--extent: expected one value"),
+    # argparse reads a word that starts with '-' as the next flag
+    (["simulate", "--scenario", "fig3a", "--extent", "-5gamma31"],
+     "config error: --extent: expected one value"),
+    (["sweep", "--scenario", "fig3b", "--param", "delta_p", "--values", "-100gamma31"],
+     "config error: --values: expected one value"),
     # inputs beyond the magnitude bounds, or a cell width whose fourth power
     # leaves the float range
     (["simulate", "--grid-n", "256", "--scenario", ("params.omega_c1", "1e308")], "omega_c1"),
@@ -521,7 +526,7 @@ RETIRED_AT_OTHER_VALUES = {"gamma31": "2gamma31", "gamma42": "2gamma31",
         "dipole_scale-zero", "values-empty", "name-slash", "od-zero", "tmin_ns-nan",
         "tmin-above-tmax", *(f"retired-{key}" for key in RETIRED_AT_OTHER_VALUES),
         "out-file", "out-under-file", "acceptance-out-file", "values-same-tag",
-        "extent-double-dash", "omega_c1-overflow", "omega_c1-gamma31-overflow",
+        "extent-double-dash", "extent-leading-dash", "values-leading-dash", "omega_c1-overflow", "omega_c1-gamma31-overflow",
         "gamma31_si-underflow", "delta_p-large", "length_L-small", "extent-overflow",
         "extent-gamma31-overflow", "extent-underflow", "values-od-overflow",
         "values-delta_p-overflow"])
