@@ -19,7 +19,8 @@ s = effective_splittings(p)
 print(f"omega_e1 = {s.omega_e1:.4f} gamma31, omega_e2 = {s.omega_e2:.4f} gamma31")
 
 grid = spectral_grid(p, extent=320.0, n_points=2048, force_phi_unity=True)
-peaks = find_resonances(grid)
+mag = np.abs(grid.values)
+peaks = find_resonances(mag, grid.delta2_axis, grid.delta3_axis)
 print(f"{len(peaks)} resonance peaks:")
 for pk in peaks:
     print(f"  delta2 = {pk['delta2']:+8.3f}  delta3 = {pk['delta3']:+8.3f}  "
@@ -28,7 +29,7 @@ print(f"expected |delta3| = omega_e2/2 = {s.omega_e2 / 2:.3f} gamma31")
 
 # downsampled magnitude map for plotting
 step = 4
-mag = np.abs(grid.values[::step, ::step])
+mag = mag[::step, ::step]
 d2 = grid.delta2_axis[::step]
 d3 = grid.delta3_axis[::step]
 path = out / "chi5_magnitude_map.csv"

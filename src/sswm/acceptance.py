@@ -41,10 +41,6 @@ class CriterionResult:
         return f"[{status}] {self.cid:>3}  {self.description}: {self.measured} (require {self.tolerance})"
 
 
-#: Rows per block when fig2 takes the central-symmetry deviation of |chi5|.
-SYMMETRY_BLOCK_ROWS = 128
-
-
 @dataclass(frozen=True)
 class Chi5Point:
     """What C3-C6, C9 and C10 read of the chi5-dominated oracle run and of
@@ -65,26 +61,6 @@ class HybridPoint:
 
     trace12: analysis.TimeTrace
     near_diagonal: analysis.TimeTrace
-
-
-def _central_symmetry_deviation(values: np.ndarray) -> float:
-    """max |mag - mag[::-1, ::-1]| / max mag for mag = |values[1:, 1:]|, the
-    sub-grid symmetric about the fft axes' zero.  Taken in blocks of
-    SYMMETRY_BLOCK_ROWS rows, row i against mirror row m - 1 - i, so no
-    full-size temporary is made; a max over blocks is the whole-array max,
-    so the value is bitwise the same."""
-    sub = values[1:, 1:]
-    m = len(sub)
-    devs, peaks = [], []
-    for start in range(0, m, SYMMETRY_BLOCK_ROWS):
-        stop = min(start + SYMMETRY_BLOCK_ROWS, m)
-        mag = np.abs(sub[start:stop])
-        # the mirror rows' magnitudes are taken in storage order, as the
-        # whole-array |.| takes them, then reversed
-        diff = mag - np.abs(sub[m - stop:m - start])[::-1, ::-1]
-        devs.append(np.abs(diff, out=diff).max())
-        peaks.append(mag.max())
-    return float(np.max(devs) / np.max(peaks))
 
 
 class AcceptanceContext:
@@ -135,8 +111,14 @@ class AcceptanceContext:
         resonance peaks, cell width and the central-symmetry deviation."""
         p = SystemParams(omega_c1=40.0, omega_c2=40.0)
         grid = spectral_grid(p, 320.0, 2048, force_phi_unity=True)
-        cell = float(grid.delta3_axis[1] - grid.delta3_axis[0])
-        return p, find_resonances(grid), cell, _central_symmetry_deviation(grid.values)
+        d2, d3, mag = grid.delta2_axis, grid.delta3_axis, np.abs(grid.values)
+        del grid  # the |chi5| map alone from here on
+        peaks = find_resonances(mag, d2, d3)
+        # the sub-grid symmetric about the fft axes' zero
+        sub = mag[1:, 1:]
+        diff = sub - sub[::-1, ::-1]
+        dev = float(np.abs(diff, out=diff).max() / sub.max())
+        return p, peaks, float(d3[1] - d3[0]), dev
 
 
 def _pct(x: float) -> str:

@@ -284,8 +284,10 @@ def ordering_violation_mass(grid) -> float:
         raise ZeroMassError("ordering mass on a zero-mass grid")
     t12 = np.asarray(grid.tau12_axis)[:, None]
     t13 = np.asarray(grid.tau13_axis)[None, :]
-    bad = (t12 < 0) | (t13 < t12)
-    return float(r[np.broadcast_to(bad, r.shape)].sum() / total)
+    # one 2D mask, built in place, and a `where` sum: no masked copy
+    bad = t13 < t12
+    bad |= t12 < 0
+    return float(r.sum(where=bad) / total)
 
 
 def trace_from_grid(grid, axis: str = "tau13") -> TimeTrace:

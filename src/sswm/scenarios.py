@@ -464,11 +464,12 @@ def run_scenario(sc: Scenario, out_dir: Path, fmt: str = "csv",
             if extent is None:
                 extent = default_extent(p)
             sg = spectral_grid(p, extent, sc.oracle.n_points, force_phi_unity=True)
-            peaks = find_resonances(sg)
-            mag = np.abs(sg.values)
+            d2, d3, mag = sg.delta2_axis, sg.delta3_axis, np.abs(sg.values)
+            del sg  # the export reads only |chi5|
+            peaks = find_resonances(mag, d2, d3)
             hdr = header + [f"normalization: {mag.max():.12e}", f"n_peaks: {len(peaks)}"]
-            axes = [("delta2_gamma31", sg.delta2_axis), ("delta3_gamma31", sg.delta3_axis)]
-            step = max(1, len(sg.delta2_axis) // 1024)  # cap csv size; full grid in json
+            axes = [("delta2_gamma31", d2), ("delta3_gamma31", d3)]
+            step = max(1, len(d2) // 1024)  # cap csv size; full grid in json
             _write_export(path, hdr, axes, mag, "abs_value", "abs_chi5", fmt, step)
             lines.append(f"[{sc.name}] chi5 grid: {len(peaks)} resonance peaks")
             lines += [f"  delta2 = {pk['delta2']:+9.3f}, delta3 = {pk['delta3']:+9.3f} gamma31"

@@ -146,7 +146,6 @@ class SpectralGrid:
     delta2_axis: np.ndarray
     delta3_axis: np.ndarray
     values: np.ndarray
-    n_singular_replaced: int = 0
 
     def __post_init__(self) -> None:
         check_uniform(self.delta2_axis)
@@ -202,37 +201,22 @@ def _coupling_factor(delta3, p: SystemParams):
     return u21s * u31s + abs(p.omega_c2) ** 2
 
 
-def _chi5_on_grid(p: SystemParams, extent: float, d: np.ndarray) -> tuple[np.ndarray, int]:
+def _chi5_on_grid(p: SystemParams, extent: float, d: np.ndarray) -> np.ndarray:
     """chi5 on the square FFT grid d x d as A(delta2+delta3) * B(delta3).
 
     sliding_window_view(A, n)[i, j] is A[i + j], a zero-copy view, so the
-    product, written in row blocks, allocates the one 2D output.  Returns
-    the samples and the number of cells patched near a pole.
+    product, written in row blocks, allocates the one 2D output.
     """
     n = len(d)
     sums = -2 * extent + (2 * extent / n) * np.arange(2 * n - 1)
     t51s, f1 = _pump_factors(sums, p)
-    f2 = _coupling_factor(d, p)
     g41, g51 = _pump_rates(p)
     pre = np.conj(g41) * np.conj(g51) + abs(p.omega_c1) ** 2
-    abs_f1, abs_f2 = np.abs(f1), np.abs(f2)
-    bad = None
-    if abs(pre) * abs_f1.min() * abs_f2.min() < POLE_FLOOR:
-        # The 1D bound does not clear the floor: check the exact |D| per cell,
-        # salvage isolated poles, and reject the grid if a whole region is bad.
-        bad = abs(pre) * sliding_window_view(abs_f1, n) * abs_f2[None, :] < POLE_FLOOR
-        if bad.mean() > 1e-3:
-            raise SingularPointError(f"chi5 evaluated within {POLE_FLOOR} of a pole")
-        # bad cells are overwritten by the patch; keep exact zeros from dividing
-        f1 = np.where(f1 == 0, 1.0, f1)
-        f2 = np.where(f2 == 0, 1.0, f2)
     along_sum = -1j * t51s / (pre * f1)
-    window, inv_f2 = sliding_window_view(along_sum, n), 1.0 / f2
+    window, inv_f2 = sliding_window_view(along_sum, n), 1.0 / _coupling_factor(d, p)
     vals = np.empty((n, n), dtype=complex)
     map_blocks(lambda rows: np.multiply(window[rows], inv_f2, out=vals[rows]), n, n)
-    if bad is None:
-        return vals, 0
-    return _patch_singular(vals, bad), int(bad.sum())
+    return vals
 
 
 def _multiply_phi(vals: np.ndarray, d: np.ndarray, p: SystemParams,
@@ -301,15 +285,13 @@ def spectral_grid(
     temporaries.  The results agree with the direct chi5() and phi() to
     rounding.
 
-    Poles are checked in 1D: every cell has |pre*D| = |pre| |F1| |F2| >=
-    |pre| min|F1| min|F2|.  Each of pre, F1, F2 is det(y I + M) with y
-    imaginary and M a 2x2 matrix whose Hermitian part is diag(gamma_a, gamma_b)
-    (the two dephasings of that arm), so |F1| >= min(gamma41, gamma51)^2 and
-    |F2| >= min(gamma21, GAMMA31)^2 on the whole real axis.  Only when the
-    sampled bound falls under POLE_FLOOR is the exact 2D |D| built; isolated
-    singular samples are then replaced by the mean of the 4 nearest regular
-    neighbours, with the count recorded, and a grid with more than 1e-3 of
-    its cells singular raises SingularPointError.
+    Every sample is finite: |pre*D| = |pre| |F1| |F2| with each of pre, F1,
+    F2 equal to det(y I + M) for y imaginary and M a 2x2 matrix whose
+    Hermitian part is diag(gamma_a, gamma_b) (the two dephasings of that
+    arm), so |F1| >= min(gamma41, gamma51)^2 and |F2| >= min(gamma21,
+    GAMMA31)^2 on the whole real axis, and every dephasing is at least
+    params.SMALLEST_INPUT.  The samples are kept as computed: there is no
+    pole check and no patching.
 
     This factorization only speeds up the sampling.  The oracle transforms
     the sampled product as an unstructured 2D array and does not use it.
@@ -325,38 +307,19 @@ def spectral_grid(
             f"{max(needed):g}; spectrum may be truncated", stacklevel=2)
 
     d = _fft_axis(extent, n_points)
-    vals, n_bad = _chi5_on_grid(p, extent, d)
+    vals = _chi5_on_grid(p, extent, d)
     if not force_phi_unity:
         _multiply_phi(vals, d, p, ideal_rect)
-    return SpectralGrid(
-        delta2_axis=d,
-        delta3_axis=d.copy(),
-        values=vals,
-        n_singular_replaced=n_bad,
-    )
+    return SpectralGrid(delta2_axis=d, delta3_axis=d.copy(), values=vals)
 
 
-def _patch_singular(vals: np.ndarray, bad: np.ndarray) -> np.ndarray:
-    out = vals.copy()
-    idx = np.argwhere(bad)
-    n0, n1 = vals.shape
-    for i, j in idx:
-        neigh = []
-        for di, dj in ((-1, 0), (1, 0), (0, -1), (0, 1)):
-            a, b = i + di, j + dj
-            if 0 <= a < n0 and 0 <= b < n1 and not bad[a, b]:
-                neigh.append(vals[a, b])
-        out[i, j] = np.mean(neigh) if neigh else 0.0
-    return out
-
-
-def find_resonances(grid: SpectralGrid) -> list[dict]:
-    """Interior local maxima of |values| above RESONANCE_FLOOR*global max.
+def find_resonances(mag: np.ndarray, delta2_axis, delta3_axis) -> list[dict]:
+    """Interior local maxima of the |chi5| map `mag` above
+    RESONANCE_FLOOR*global max.
 
     3x3-neighbourhood maxima, returned sorted by magnitude (descending) as
     dicts with delta2/delta3 coordinates and magnitude.
     """
-    mag = np.abs(grid.values)
     if mag.size == 0 or not np.any(mag > 0):
         raise ValidationError("find_resonances needs a non-empty grid")
     peak = mag.max()
@@ -375,8 +338,8 @@ def find_resonances(grid: SpectralGrid) -> list[dict]:
     neighborhood_max &= core > RESONANCE_FLOOR * peak
     for i, j in np.argwhere(neighborhood_max):
         hits.append({
-            "delta2": float(grid.delta2_axis[i + 1]),
-            "delta3": float(grid.delta3_axis[j + 1]),
+            "delta2": float(delta2_axis[i + 1]),
+            "delta3": float(delta3_axis[j + 1]),
             "magnitude": float(core[i, j]),
         })
     hits.sort(key=lambda h: -h["magnitude"])

@@ -65,7 +65,7 @@ def _phi_whole_grid(d, p, ideal_rect):
 def _check_blocked_phi(p, ideal_rect, block_rows):
     extent = default_extent(p)
     d = susceptibility._fft_axis(extent, N)
-    want, _ = susceptibility._chi5_on_grid(p, extent, d)
+    want = susceptibility._chi5_on_grid(p, extent, d)
     want *= _phi_whole_grid(d, p, ideal_rect)
     with mock.patch.object(susceptibility, "PHI_BLOCK_ROWS", block_rows):
         got = spectral_grid(p, extent, N, ideal_rect=ideal_rect).values

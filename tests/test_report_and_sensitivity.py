@@ -6,7 +6,6 @@ from sswm.analysis import extract_period, first_antinode_offset, fit_coherence_t
 from sswm.oracle import OracleConfig, rcc_cond_numeric, rcc_numeric
 from sswm.params import SystemParams
 from sswm.scenarios import _scenario_run, load_scenario, scenario_report
-from sswm.susceptibility import _patch_singular
 from sswm.analysis import diagonal_offset_trace
 from sswm.errors import ValidationError
 
@@ -52,13 +51,3 @@ def test_diagonal_offset_trace_needs_its_row_on_the_grid(offset):
     with pytest.raises(ValidationError, match="lies off the grid"):
         diagonal_offset_trace(grid, offset)
     assert len(diagonal_offset_trace(grid, 5).values) == 1
-
-
-def test_patch_singular_helper():
-    vals = np.arange(25, dtype=complex).reshape(5, 5)
-    bad = np.zeros((5, 5), dtype=bool)
-    bad[2, 2] = True
-    out = _patch_singular(vals, bad)
-    assert out[2, 2] == pytest.approx((vals[1, 2] + vals[3, 2]
-                                       + vals[2, 1] + vals[2, 3]) / 4)
-    assert np.array_equal(np.delete(out.ravel(), 12), np.delete(vals.ravel(), 12))

@@ -568,6 +568,27 @@ def test_cli_out_of_float_range_exit_3(argv, names, tmp_path, capsys):
     assert not out.exists()
 
 
+#: fig3a's lines that put gamma41 = gamma51 = |omega_c1| at 1e-9 gamma31 on
+#: the bare pump resonance, where chi5's denominator passes under POLE_FLOOR.
+#: The window is cropped to 0..100 ns: these linewidths stretch the default one
+#: over the whole grid, and a NaN sample would reach every cell of the rate.
+_NEAR_FLOOR = ("params.gamma41", "1e-9gamma31", "params.gamma51", "1e-9gamma31",
+               "params.omega_c1", "1e-9gamma31", "params.delta_p", "0gamma31",
+               "outputs.tmin_ns", "0", "outputs.tmax_ns", "100")
+
+
+@pytest.mark.parametrize("n", ["256", "2048"])
+def test_cli_near_floor_linewidths_exit_0(n, tmp_path, capsys):
+    # the spectrum is sampled as computed, at any grid size: exit 0, no NaN
+    out = tmp_path / "out"
+    argv = ["simulate", "--scenario", _preset_with(tmp_path, *_NEAR_FLOOR), "--grid-n", n]
+    assert main([*argv, "--out", str(out)]) == 0
+    texts = {f.name: f.read_text() for f in out.iterdir()}
+    assert len(texts) == 3 and len(texts["fig3a_rcc2d_numeric.csv"].splitlines()) > 1000
+    for name, text in texts.items():
+        assert not re.search(r"\bnan\b", text, re.IGNORECASE), name
+
+
 def test_cli_arithmetic_error_exit_3(tmp_path, monkeypatch, capsys):
     # a Python float that fails inside a run is a compute error, not a traceback
     import sswm.cli
