@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 configuration error, 3 compute error.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import re
 import sys
@@ -53,7 +54,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--force-phi-unity", action="store_const", const="true",
                      help="replace the detuning function by 1")
     sub.add_argument("--grid-n", default=None,
-                     help="spectral samples per axis (power of two)")
+                     help="spectral samples per axis (power of two, 256 to 16384)")
     sub.add_argument("--extent", default=None,
                      help="spectral half width, e.g. '64gamma31' or 'auto'")
 
@@ -87,14 +88,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _out_dir(arg) -> Path:
     """--out, else $SSWM_OUT_DIR, else ./sswm_out; ConfigError, before any
-    work, if it or a parent exists and is not a directory."""
+    work, if it or a parent exists and is not a directory, cannot be looked
+    up, or holds a name longer than its file system allows."""
     source = "--out" if arg else "SSWM_OUT_DIR"
     path = Path(arg or os.environ.get(source, "sswm_out"))
-    for q in (path, *path.parents):
-        if q.is_dir():
-            break
-        if q.exists() or q.is_symlink():
-            raise ConfigError(f"{source}: {str(q)!r} exists and is not a directory")
+    try:
+        for q in (path, *path.parents):
+            if q.is_dir():
+                break
+            if q.exists() or q.is_symlink():
+                raise ConfigError(f"{source}: {str(q)!r} exists and is not a directory")
+        # the directories below q are made later, on q's file system; a
+        # lookup stops at the first missing one, so it checks none of the names
+        name_max = os.pathconf(q, "PC_NAME_MAX")
+        for name in path.relative_to(q).parts:
+            if len(os.fsencode(name)) > name_max:
+                raise OSError(errno.ENAMETOOLONG, os.strerror(errno.ENAMETOOLONG), name)
+    except OSError as exc:
+        raise ConfigError(f"{source}: {exc}") from exc
     return path
 
 

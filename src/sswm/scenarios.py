@@ -1,11 +1,12 @@
 """Scenario configuration: flat key-value files with dotted sections, preset
 library, execution, and CSV/JSON export.
 
-Config grammar: one `key = value` per line, `#` comments.  Frequency-typed
-values accept either `<x>gamma31` multiples or plain SI rad/s; lengths are
-meters.  Built-in presets cover both operating regimes; auxiliary quantities
-(atomic density, cell length in cm) ride along as metadata only, the optical
-depth is always a direct input.  The CLI's oracle flags and sweep values
+Config grammar: one `key = value` per line, `#` comments.  One table,
+`_KEYS`, gives the kind of value each key takes; parsing, serialization and
+sweep values all read it.  Frequency-typed values accept either `<x>gamma31`
+multiples or plain SI rad/s; lengths are meters.  Built-in presets cover both
+operating regimes; auxiliary quantities (atomic density, cell length in cm)
+ride along as metadata only, the optical depth is always a direct input.  The CLI's oracle flags and sweep values
 are parsed by the same rules (`parse_config` overrides, `parse_sweep_values`).
 """
 from __future__ import annotations
@@ -44,10 +45,19 @@ SWEEPABLE = ("omega_c1", "omega_c2", "optical_depth", "delta_p")
 REQUIRED_KEYS = ("name", "params.omega_c1", "params.omega_c2",
                  "params.optical_depth", "params.length_L")
 
-_FREQUENCY_FIELDS = {
-    "gamma21", "gamma41", "gamma51", "omega_c1", "omega_c2", "delta_p", "delta_c1",
+#: Each `params.*`, `oracle.*` and `outputs.t*_ns` key and the kind of value
+#: it takes: "freq" is `<x>gamma31` or a plain number in SI rad/s, "cfreq" the
+#: same with complex values allowed, "num" a plain number, "int" an integer and
+#: "bool" true/false; a trailing "?" also takes `auto`, read as None.
+_KEYS = {
+    "params.gamma31_si": "num", "params.gamma21": "freq", "params.gamma41": "freq",
+    "params.gamma51": "freq", "params.omega_c1": "cfreq", "params.omega_c2": "cfreq",
+    "params.delta_p": "freq", "params.delta_c1": "freq", "params.length_L": "num",
+    "params.optical_depth": "num", "params.omega21": "num?",
+    "oracle.extent": "freq?", "oracle.n_points": "int", "oracle.tukey_alpha": "num",
+    "oracle.force_phi_unity": "bool", "oracle.ideal_rect": "bool",
+    "outputs.tmin_ns": "num", "outputs.tmax_ns": "num",
 }
-_COMPLEX_FIELDS = {"omega_c1", "omega_c2"}
 
 #: Frequencies that are not inputs of the model, each with the value (gamma31
 #: units) every preset has carried: gamma31, the unit itself, and five that no
@@ -83,31 +93,46 @@ class Scenario:
                               f"outputs.tmax_ns ({self.tmax_ns!r})")
 
 
-def _parse_number(text: str, key: str, where: str | None, gamma31_si: float,
-                  frequency: bool, allow_complex: bool = False):
-    """One number of a config line or CLI flag; ConfigError if malformed.
-
-    `<x>gamma31` is x in gamma31 units and is accepted only when
-    `frequency`; a plain number for a frequency is SI rad/s.  `where`
-    prefixes the error message (e.g. "file.cfg: line 3").
-    """
-    where = "" if where is None else f"{where}: "
+def _read(kind: str, text: str, key: str, where: str, gamma31_si: float):
+    """One value of `kind` (see _KEYS) from a config line, CLI flag or sweep
+    value; ConfigError if malformed, its message prefixed by `where`."""
     t = text.strip()
+    if kind.endswith("?"):
+        if t.lower() == "auto":
+            return None
+        kind = kind[:-1]
+    if kind == "bool":
+        if t.lower() not in ("true", "false"):
+            raise ConfigError(f"{where}{key!r} must be true/false")
+        return t.lower() == "true"
+    if kind == "int":
+        try:
+            return int(t)
+        except ValueError as exc:
+            raise ConfigError(f"{where}{key!r} must be an integer, got {text!r}") from exc
     scale = 1.0
     if t.endswith("gamma31"):
         t = t[: -len("gamma31")].strip()
-        if not frequency:
+        if kind == "num":
             raise ConfigError(f"{where}key {key!r} does not take gamma31 units")
-    elif frequency:
+    elif kind != "num":
         scale = 1.0 / gamma31_si  # plain number for a frequency key is SI rad/s
     try:
-        if allow_complex and ("j" in t or "J" in t):
-            val = complex(t.replace(" ", ""))
-        else:
-            val = float(t)
+        val = complex(t.replace(" ", "")) if kind == "cfreq" and "j" in t.lower() else float(t)
     except ValueError as exc:
         raise ConfigError(f"{where}cannot parse value for {key!r}: {text!r}") from exc
     return val * scale
+
+
+def _write(kind: str, value) -> str:
+    """The text that `_read(kind, ...)` reads back as `value`."""
+    if value is None:
+        return "auto"
+    if kind.startswith(("freq", "cfreq")):
+        if isinstance(value, complex) and value.imag != 0:
+            return f"({value.real!r}{value.imag:+}j)gamma31"
+        return f"{complex(value).real!r}gamma31"
+    return str(value).lower() if kind == "bool" else repr(value)
 
 
 def parse_config(text: str, source: str = "<config>",
@@ -140,118 +165,60 @@ def parse_config(text: str, source: str = "<config>",
     gamma31_si = SystemParams().gamma31_si
     if "params.gamma31_si" in raw:
         value, where = raw["params.gamma31_si"]
-        gamma31_si = _parse_number(value, "params.gamma31_si", where, 0.0, frequency=False)
+        gamma31_si = _read("num", value, "params.gamma31_si", f"{where}: ", 0.0)
         try:  # every other frequency is converted with it
             SystemParams(gamma31_si=gamma31_si)
         except ValidationError as exc:
             raise ConfigError(f"{where}: {exc}") from exc
 
-    pkw: dict = {"gamma31_si": gamma31_si}
-    okw: dict = {}
+    # the keyword arguments of SystemParams, OracleConfig and Scenario, by section
+    kwargs: dict = {"params": {"gamma31_si": gamma31_si}, "oracle": {}, "outputs": {}}
     outputs: tuple[str, ...] = ("report",)
     meta: dict = {}
-    tmin_ns = tmax_ns = None
     name = None
-
-    param_fields = set(SystemParams.__dataclass_fields__)
     for key, (value, where) in raw.items():
+        section, dot, fname = key.partition(".")
         if key == "name":
             name = value
         elif key == "outputs":
             outputs = tuple(v.strip() for v in value.split(",") if v.strip())
-        elif key == "outputs.tmin_ns":
-            tmin_ns = _parse_number(value, key, where, gamma31_si, frequency=False)
-        elif key == "outputs.tmax_ns":
-            tmax_ns = _parse_number(value, key, where, gamma31_si, frequency=False)
         elif key.startswith("meta."):
-            meta[key[5:]] = value
-        elif key.startswith("params."):
-            fname = key[7:]
-            if fname in _RETIRED_PARAMS:
-                kept = _RETIRED_PARAMS[fname]
-                if _parse_number(value, key, where, gamma31_si, frequency=True,
-                                 allow_complex=fname == "omega_p") != kept:
-                    raise ConfigError(f"{where}: {key!r} is not part of the model; a file "
-                                      f"may set it only to {kept!r}gamma31, got {value!r}")
-                continue
-            if fname not in param_fields:
-                raise ConfigError(f"{where}: unknown parameter {key!r}")
-            if fname == "gamma31_si":
-                continue  # consumed above
-            if fname == "omega21" and value.lower() == "auto":
-                pkw["omega21"] = None
-                continue
-            pkw[fname] = _parse_number(
-                value, key, where, gamma31_si, frequency=fname in _FREQUENCY_FIELDS,
-                allow_complex=fname in _COMPLEX_FIELDS)
-        elif key.startswith("oracle."):
-            fname = key[7:]
-            if fname == "extent":
-                if value.lower() == "auto":
-                    okw["extent"] = None
-                else:
-                    okw["extent"] = _parse_number(value, key, where, gamma31_si,
-                                                  frequency=True)
-            elif fname == "n_points":
-                try:
-                    okw["n_points"] = int(value)
-                except ValueError as exc:
-                    raise ConfigError(
-                        f"{where}: {key!r} must be an integer, got {value!r}") from exc
-            elif fname == "tukey_alpha":
-                okw["tukey_alpha"] = _parse_number(value, key, where, gamma31_si,
-                                                   frequency=False)
-            elif fname in ("force_phi_unity", "ideal_rect"):
-                if value.lower() not in ("true", "false"):
-                    raise ConfigError(f"{where}: {key!r} must be true/false")
-                okw[fname] = value.lower() == "true"
-            else:
-                raise ConfigError(f"{where}: unknown oracle key {key!r}")
-            try:  # OracleConfig's rules, named by the line or flag that set the field
-                OracleConfig(**{fname: okw[fname]})
-            except ValidationError as exc:
-                raise ConfigError(f"{where}: {exc}") from exc
-        else:
-            raise ConfigError(f"{where}: unknown key {key!r}")
+            meta[fname] = value
+        elif section == "params" and fname in _RETIRED_PARAMS:
+            kept = _RETIRED_PARAMS[fname]
+            kind = "cfreq" if fname == "omega_p" else "freq"
+            if _read(kind, value, key, f"{where}: ", gamma31_si) != kept:
+                raise ConfigError(f"{where}: {key!r} is not part of the model; a file "
+                                  f"may set it only to {kept!r}gamma31, got {value!r}")
+        elif key not in _KEYS:
+            what = {"params.": "parameter", "oracle.": "oracle key"}.get(section + dot, "key")
+            raise ConfigError(f"{where}: unknown {what} {key!r}")
+        elif key != "params.gamma31_si":  # consumed above
+            kwargs[section][fname] = _read(_KEYS[key], value, key, f"{where}: ", gamma31_si)
+            if section == "oracle":
+                try:  # OracleConfig's rules, named by the line or flag that set the field
+                    OracleConfig(**{fname: kwargs["oracle"][fname]})
+                except ValidationError as exc:
+                    raise ConfigError(f"{where}: {exc}") from exc
 
     try:
-        params = SystemParams(**pkw)
-        oracle = OracleConfig(**okw)
-        return Scenario(name=name, params=params, oracle=oracle, outputs=outputs,
-                        meta=meta, tmin_ns=tmin_ns, tmax_ns=tmax_ns)
+        return Scenario(name=name, params=SystemParams(**kwargs["params"]),
+                        oracle=OracleConfig(**kwargs["oracle"]), outputs=outputs,
+                        meta=meta, **kwargs["outputs"])
     except (ValidationError, ConfigError) as exc:
         raise ConfigError(f"{source}: {exc}") from exc
 
 
-def _fmt_value(fname: str, value) -> str:
-    if fname in _FREQUENCY_FIELDS:
-        if isinstance(value, complex) and value.imag != 0:
-            return f"({value.real!r}{value.imag:+}j)gamma31"
-        return f"{complex(value).real!r}gamma31"
-    return repr(value)
-
-
 def serialize_config(sc: Scenario) -> str:
     """Canonical text form; parse(serialize(sc)) reproduces sc field by field."""
-    lines = [f"name = {sc.name}"]
-    for fname in SystemParams.__dataclass_fields__:
-        value = getattr(sc.params, fname)
-        if fname == "omega21" and value is None:
-            lines.append("params.omega21 = auto")
-        else:
-            lines.append(f"params.{fname} = {_fmt_value(fname, value)}")
-    lines.append(f"oracle.extent = {'auto' if sc.oracle.extent is None else repr(sc.oracle.extent) + 'gamma31'}")
-    lines.append(f"oracle.n_points = {sc.oracle.n_points}")
-    lines.append(f"oracle.tukey_alpha = {sc.oracle.tukey_alpha!r}")
-    lines.append(f"oracle.force_phi_unity = {str(sc.oracle.force_phi_unity).lower()}")
-    lines.append(f"oracle.ideal_rect = {str(sc.oracle.ideal_rect).lower()}")
-    lines.append(f"outputs = {', '.join(sc.outputs)}")
-    if sc.tmin_ns is not None:
-        lines.append(f"outputs.tmin_ns = {sc.tmin_ns!r}")
-    if sc.tmax_ns is not None:
-        lines.append(f"outputs.tmax_ns = {sc.tmax_ns!r}")
-    for k in sorted(sc.meta):
-        lines.append(f"meta.{k} = {sc.meta[k]}")
+    lines = [f"name = {sc.name}", f"outputs = {', '.join(sc.outputs)}"]
+    sections = {"params": sc.params, "oracle": sc.oracle, "outputs": sc}
+    for key, kind in _KEYS.items():
+        section, _, fname = key.partition(".")
+        value = getattr(sections[section], fname)
+        if value is not None or kind.endswith("?"):  # an unset tmin/tmax_ns has no line
+            lines.append(f"{key} = {_write(kind, value)}")
+    lines += [f"meta.{k} = {sc.meta[k]}" for k in sorted(sc.meta)]
     return "\n".join(lines) + "\n"
 
 
@@ -268,8 +235,8 @@ def load_scenario(name_or_path: str,
     path = Path(name_or_path)
     if path.suffix == ".cfg" or path.is_file():
         try:
-            text = path.read_text()
-        except OSError as exc:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read scenario file {name_or_path!r}: {exc}") from exc
         return parse_config(text, str(path), overrides)
     resource = importlib.resources.files("sswm") / "scenarios" / f"{name_or_path}.cfg"
@@ -285,17 +252,17 @@ def parse_sweep_values(text: str, param: str, sc: Scenario) -> list[float]:
     ConfigError if one is malformed or none is given.  Each value is read as
     its config line would be, except that a frequency needs the gamma31
     suffix: '<x>gamma31' is x gamma31 units, and a plain number is refused."""
-    frequency = param in _FREQUENCY_FIELDS
+    # a frequency is read as real: complex values stay refused
+    kind = "num" if _KEYS.get(f"params.{param}", "num") == "num" else "freq"
     pieces = [piece.strip() for piece in text.split(",") if piece.strip()]
     if not pieces:
         raise ConfigError(f"--values: no sweep value in {text!r}")
     for piece in pieces:
-        if frequency and not piece.endswith("gamma31"):
+        if kind == "freq" and not piece.endswith("gamma31"):
             raise ConfigError(f"--values: {piece!r} for {param} has no unit: it could mean "
                               f"SI rad/s, as in a config file, or gamma31 units; write "
                               f"{piece + 'gamma31'!r} for gamma31 units")
-    return [_parse_number(piece, "--values", None, sc.params.gamma31_si, frequency)
-            for piece in pieces]
+    return [_read(kind, piece, "--values", "", sc.params.gamma31_si) for piece in pieces]
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,10 @@ PHI_BLOCK_ROWS = 128
 #: Channel peaks of |chi5| exceed this fraction of its maximum; sidelobes do not.
 RESONANCE_FLOOR = 0.25
 
+#: Bytes one n x n complex grid may take: 4 GiB, which caps n_points at 2**14.
+MAX_GRID_BYTES = 2**32
+MAX_N_POINTS = math.isqrt(MAX_GRID_BYTES // np.dtype(complex).itemsize)
+
 
 def _pump_rates(p: SystemParams) -> tuple[complex, complex]:
     """Bare damped detunings G41 and G51 of the pump arm."""
@@ -156,11 +160,15 @@ class SpectralGrid:
 
 def check_grid(extent: float | None, n_points: int) -> None:
     """The grid-shape rule: ValidationError unless n_points is a power of two
-    >= 256 and extent is None (resolved later) or 0 < extent < inf with the
-    cell width 2*extent/n_points within 2**-255 .. 2**255, so that its fourth
-    power, which scales the oracle's rate grid, is a normal float."""
+    from 256 to MAX_N_POINTS and extent is None (resolved later) or
+    0 < extent < inf with the cell width 2*extent/n_points within
+    2**-255 .. 2**255, so that its fourth power, which scales the oracle's
+    rate grid, is a normal float."""
     if n_points < 256 or (n_points & (n_points - 1)) != 0:
         raise ValidationError("n_points must be a power of two >= 256")
+    if n_points > MAX_N_POINTS:
+        raise ValidationError(f"n_points must be at most {MAX_N_POINTS}, so that one "
+                              f"complex grid takes at most {MAX_GRID_BYTES} bytes")
     if extent is not None and not 0 < extent < math.inf:
         raise ValidationError("extent must be positive and finite")
     if extent is not None and not 2.0**-255 < 2 * extent / n_points < 2.0**255:

@@ -2,8 +2,9 @@
 values and acceptance criteria: every run exits 0, 2 or 3 and never raises,
 and an exit of 2 or 3 prints one `config error:` or `compute error:` line to
 stderr.  A flag's value is drawn both as `--flag=value` and as the next word,
-where argparse reads a word that starts with '-' as a flag.  A sweep writes
-no NaN into a trace file."""
+where argparse reads a word that starts with '-' as a flag.  A scenario file
+may hold bytes that are not UTF-8, and `--out` may name a path too long to
+look up.  A sweep writes no NaN into a trace file."""
 import io
 import re
 import tempfile
@@ -84,14 +85,25 @@ def _run(argv: list[str]) -> tuple[int, str]:
     return rc, err.getvalue()
 
 
-@given(mutated_preset(), ORACLE_FLAGS, st.sampled_from(["csv", "json"]))
+#: Bytes spliced into a scenario file: mostly none, else up to two of any value.
+_JUNK = st.sampled_from([b""] * 3) | st.binary(min_size=1, max_size=2)
+
+#: `--out` under the temporary directory: mostly a plain name, else one whose
+#: last or only component is longer than a file name may be.
+_OUT = st.sampled_from(["out"] * 4 + ["a" * 300, "out/" + "b" * 256])
+
+
+@given(mutated_preset(), ORACLE_FLAGS, st.sampled_from(["csv", "json"]), _JUNK,
+       st.floats(0.0, 1.0), _OUT)
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_fuzzed_config_and_flags_keep_the_exit_contract(text, flags, fmt):
+def test_fuzzed_config_and_flags_keep_the_exit_contract(text, flags, fmt, junk, at, out):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "fuzzed.cfg"
-        cfg.write_text(text)
+        data = text.encode()
+        cut = int(at * len(data))
+        cfg.write_bytes(data[:cut] + junk + data[cut:])
         _run(["simulate", "--scenario", str(cfg), "--grid-n", "256", "--format", fmt,
-              "--out", str(Path(tmp) / "out"), *flags])
+              "--out", str(Path(tmp) / out), *flags])
 
 
 #: One `--values` piece: a number or word, with or without the gamma31 suffix.

@@ -16,6 +16,7 @@ from sswm.cli import main
 from sswm.errors import ConfigError
 from sswm.oracle import OracleConfig
 from sswm.params import SystemParams, effective_splittings
+from sswm.susceptibility import MAX_N_POINTS
 from sswm.scenarios import (OUTPUT_KINDS, Scenario, builtin_scenario_names, load_scenario,
                             parse_config, run_scenario, run_sweep,
                             serialize_config)
@@ -544,6 +545,50 @@ def test_cli_malformed_input_exit_2(argv, names, tmp_path, capsys):
     assert err.startswith("config error: ") and names in err
     # refused before any work
     assert not (tmp_path / "out").exists() and afile.read_text() == "kept\n"
+
+
+def _one_config_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+    return err
+
+
+@pytest.mark.parametrize("n", [2**62, 2**63, 2 * MAX_N_POINTS])
+@pytest.mark.parametrize("via", ["flag", "line"])
+def test_cli_grid_n_above_the_bound_exit_2(n, via, tmp_path, capsys):
+    # refused by check_grid, before any grid is allocated
+    if via == "flag":
+        argv, where = ["--scenario", "fig3a", "--grid-n", str(n)], "config error: --grid-n: "
+    else:
+        argv, where = ["--scenario", _preset_with(tmp_path, "oracle.n_points", str(n))], ": line "
+    out = tmp_path / "out"
+    assert main(["simulate", *argv, "--out", str(out)]) == 2
+    err = _one_config_error(capsys)
+    assert where in err and f"n_points must be at most {MAX_N_POINTS}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["bad.cfg", "bad"])
+def test_cli_scenario_file_not_utf8_exit_2(name, tmp_path, capsys):
+    bad = tmp_path / name
+    bad.write_bytes(b"name = x\n\xff\xfe bad\n")
+    assert main(["simulate", "--scenario", str(bad), "--out", str(tmp_path / "out")]) == 2
+    err = _one_config_error(capsys)
+    assert err.startswith(f"config error: cannot read scenario file {str(bad)!r}: ")
+    assert "utf-8" in err
+
+
+@pytest.mark.parametrize("name", ["a" * 300, "out/" + "b" * 256])
+@pytest.mark.parametrize("command", [["simulate", "--scenario", "fig3a"], ["acceptance"]])
+def test_cli_out_name_too_long_exit_2(command, name, tmp_path, monkeypatch, capsys):
+    # a name longer than a file name may be, under an existing directory or a
+    # missing one, is refused before any work
+    too_long = str(tmp_path / name)
+    assert main([*command, "--out", too_long]) == 2
+    assert _one_config_error(capsys).startswith("config error: --out: ")
+    monkeypatch.setenv("SSWM_OUT_DIR", too_long)
+    assert main(command) == 2
+    assert _one_config_error(capsys).startswith("config error: SSWM_OUT_DIR: ")
 
 
 #: fig3a's lines that make chi5 about 1e-92 of its usual size: with a cell
