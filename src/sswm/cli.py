@@ -98,8 +98,8 @@ def _out_dir(arg) -> Path:
                 break
             if q.exists() or q.is_symlink():
                 raise ConfigError(f"{source}: {str(q)!r} exists and is not a directory")
-        # the directories below q are made later, on q's file system; a
-        # lookup stops at the first missing one, so it checks none of the names
+        # the directories below q are made later, on q's file system; a lookup
+        # fails at the first of them before it checks the length of any name
         name_max = os.pathconf(q, "PC_NAME_MAX")
         for name in path.relative_to(q).parts:
             if len(os.fsencode(name)) > name_max:

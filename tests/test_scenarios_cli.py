@@ -16,10 +16,10 @@ from sswm.cli import main
 from sswm.errors import ConfigError
 from sswm.oracle import OracleConfig
 from sswm.params import SystemParams, effective_splittings
-from sswm.susceptibility import MAX_N_POINTS
 from sswm.scenarios import (OUTPUT_KINDS, Scenario, builtin_scenario_names, load_scenario,
                             parse_config, run_scenario, run_sweep,
                             serialize_config)
+from sswm.susceptibility import MAX_N_POINTS
 
 pytestmark = pytest.mark.filterwarnings("ignore:grid spacing", "ignore:extent")
 
