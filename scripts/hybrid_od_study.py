@@ -23,7 +23,7 @@ for od in (37.0, 74.0, 111.0):
     tr13 = rcc_cond_numeric("tau13", p, OracleConfig(extent=32.0, tukey_alpha=0.1,
                                                      ideal_rect=True))
     width = width_at_half_max(tr13) * 1e9
-    run = OracleRun(p, cfg, traces=("tau12",))  # full Phi: the rate and tau12
+    run = OracleRun(p, cfg)  # full Phi: the rate and tau12
     period = extract_period(run.trace("tau12")) * 1e9
     pre = detect_precursor(near_diagonal_trace(run.rate), d)
     print(f"OD {od:5.0f}: L/nu3 = {d.group_delay * 1e9:6.1f} ns, tau13 width "

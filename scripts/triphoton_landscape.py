@@ -24,7 +24,7 @@ d = derived_frequencies(p)
 print(f"regime: {d.regime.value}, entanglement: {d.entanglement.value}")
 
 cfg = OracleConfig(force_phi_unity=True, tukey_alpha=0.1)
-run = OracleRun(p, cfg, traces=("tau12", "tau13"))  # one spectrum, every product
+run = OracleRun(p, cfg)  # one spectrum, every product
 num = run.rate
 ana = analytic_rate_grid(p, num.tau12_axis, num.tau13_axis, which="chi5")
 mask = support_edge_mask(num.tau12_axis, num.tau13_axis)

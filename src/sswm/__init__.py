@@ -19,7 +19,7 @@ from .susceptibility import (SpectralGrid, chi3, chi5, delta_k, find_resonances,
                              spectral_grid)
 from .wavepacket import (ChannelWeights, WavepacketGrid, analytic_rate_grid,
                          channel_weights, rcc_cascaded_stub, rcc_chi5, rcc_cond12,
-                         rcc_hybrid, wavepacket_chi5, wavepacket_hybrid)
+                         wavepacket_chi5, wavepacket_hybrid)
 
 __version__ = "0.1.0"
 
@@ -35,6 +35,6 @@ __all__ = [
     "effective_splittings", "eit_dispersion", "extract_period",
     "factorizability_residual", "find_resonances", "fit_coherence_time",
     "ordering_violation_mass", "phi", "rcc_cascaded_stub", "rcc_chi5",
-    "rcc_cond12", "rcc_cond_numeric", "rcc_hybrid", "rcc_numeric",
+    "rcc_cond12", "rcc_cond_numeric", "rcc_numeric",
     "spectral_grid", "wavepacket_chi5", "wavepacket_hybrid", "wavepacket_numeric",
 ]

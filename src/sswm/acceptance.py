@@ -85,7 +85,7 @@ class AcceptanceContext:
 
     @cached_property
     def chi5_point(self) -> Chi5Point:
-        run = OracleRun(self.p_chi5, self.cfg_chi5, traces=("tau12", "tau13"))
+        run = OracleRun(self.p_chi5, self.cfg_chi5)
         num = run.rate
         sdir = analysis.diagonal_offset_trace(
             num, analysis.first_antinode_offset(num, self.p_chi5))
@@ -102,7 +102,7 @@ class AcceptanceContext:
 
     @cached_property
     def hybrid_point_111(self) -> HybridPoint:
-        run = OracleRun(self.p_hybrid(111.0), self.cfg_hybrid, traces=("tau12",))
+        run = OracleRun(self.p_hybrid(111.0), self.cfg_hybrid)
         return HybridPoint(run.trace("tau12"), analysis.near_diagonal_trace(run.rate))
 
     @cached_property

@@ -6,14 +6,13 @@ Exit codes: 0 success, 2 configuration error, 3 compute error.
 from __future__ import annotations
 
 import argparse
-import errno
 import os
 import re
 import sys
 from pathlib import Path
 
 from .errors import ConfigError, SswmError
-from .scenarios import (SWEEPABLE, builtin_scenario_names, load_scenario,
+from .scenarios import (SWEEPABLE, builtin_scenario_names, check_names, load_scenario,
                         parse_sweep_values, run_scenario, run_sweep)
 
 EXIT_OK = 0
@@ -92,20 +91,7 @@ def _out_dir(arg) -> Path:
     up, or holds a name longer than its file system allows."""
     source = "--out" if arg else "SSWM_OUT_DIR"
     path = Path(arg or os.environ.get(source, "sswm_out"))
-    try:
-        for q in (path, *path.parents):
-            if q.is_dir():
-                break
-            if q.exists() or q.is_symlink():
-                raise ConfigError(f"{source}: {str(q)!r} exists and is not a directory")
-        # the directories below q are made later, on q's file system; a lookup
-        # fails at the first of them before it checks the length of any name
-        name_max = os.pathconf(q, "PC_NAME_MAX")
-        for name in path.relative_to(q).parts:
-            if len(os.fsencode(name)) > name_max:
-                raise OSError(errno.ENAMETOOLONG, os.strerror(errno.ENAMETOOLONG), name)
-    except OSError as exc:
-        raise ConfigError(f"{source}: {exc}") from exc
+    check_names(path, [], source)
     return path
 
 

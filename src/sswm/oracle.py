@@ -119,7 +119,15 @@ def wavepacket_numeric(p: SystemParams, cfg: OracleConfig | None = None) -> Wave
     evaluated as a phase-corrected FFT (the axes start at -extent, hence the
     linear phase factor).
     """
-    return _amplitude(sampled_spectrum(p, cfg or OracleConfig()), p.gamma31_si)
+    grid = sampled_spectrum(p, cfg or OracleConfig())
+    n = len(grid.delta2_axis)
+    dd = float(grid.delta2_axis[1] - grid.delta2_axis[0])
+    t_dimless = _time_axis(n, dd, 1.0)
+    B = np.fft.fftshift(_fft2(grid.values))
+    phase = np.exp(-1j * grid.delta2_axis[0] * (t_dimless[:, None] + t_dimless[None, :]))
+    B = B * phase * dd * dd
+    t = t_dimless / p.gamma31_si
+    return WavepacketGrid(tau12_axis=t, tau13_axis=t.copy(), values=B)
 
 
 def rcc_numeric(p: SystemParams, cfg: OracleConfig | None = None) -> WavepacketGrid:
@@ -137,7 +145,7 @@ def rcc_cond_numeric(which: str, p: SystemParams,
     which = "tau13": inner transform over delta3 at fixed delta2.
     This is the trace of a rate-free `OracleRun`.
     """
-    return OracleRun(p, cfg, rate=False, traces=(which,)).trace(which)
+    return OracleRun(p, cfg, traces=(which,)).trace(which)
 
 
 def _fft2(values: np.ndarray) -> np.ndarray:
@@ -150,22 +158,9 @@ def _fft2(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _amplitude(grid: SpectralGrid, gamma31_si: float) -> WavepacketGrid:
-    # phase-corrected fft2 of the sampled spectrum, which the caller owns and
-    # no longer reads; see wavepacket_numeric
-    n = len(grid.delta2_axis)
-    dd = float(grid.delta2_axis[1] - grid.delta2_axis[0])
-    t_dimless = _time_axis(n, dd, 1.0)
-    B = np.fft.fftshift(_fft2(grid.values))
-    phase = np.exp(-1j * grid.delta2_axis[0] * (t_dimless[:, None] + t_dimless[None, :]))
-    B = B * phase * dd * dd
-    t = t_dimless / gamma31_si
-    return WavepacketGrid(tau12_axis=t, tau13_axis=t.copy(), values=B)
-
-
 def _rate_grid(grid: SpectralGrid, gamma31_si: float) -> WavepacketGrid:
-    # (Re^2 + Im^2) of the fft2 times dd^4, the phase factor of _amplitude
-    # having modulus one.  The transform overwrites grid.values, which the
+    # (Re^2 + Im^2) of the fft2 times dd^4: wavepacket_numeric's phase factor
+    # has modulus one.  The transform overwrites grid.values, which the
     # caller owns and no longer reads; each quadrant of the squared
     # magnitude lands where fftshift puts it, so no shifted copy is made.
     n = len(grid.delta2_axis)
@@ -228,33 +223,29 @@ def _conditional(grid: SpectralGrid, which: str, gamma31_si: float) -> TimeTrace
 class OracleRun:
     """The numeric products of one (params, config) pair, from one spectrum.
 
-    The constructor samples chi5*Phi once (`sampled_spectrum`) and derives
-    what the caller asks for: the peak-normalized rate grid (`rate`; None
-    when `rate` is false, its scale in `rate.normalization`) and the
-    peak-normalized conditional traces listed in `traces`.  `rcc_numeric`
-    and `rcc_cond_numeric` are views of a run.  With the rate, the run makes
-    one fft2 and nothing else: each trace is the rate integrated over the
-    other delay (`trace_from_grid`), equal to the 1D transform of a
-    rate-free run up to rounding by the discrete Parseval identity.  Without
-    it, each trace is that 1D transform, which costs less than an fft2.
-    The run owns its spectrum and transforms it in place: the fft2 of the
-    rate, or the 1D transform of the last trace (earlier traces transform
-    a copy).  So a 2048^2 run holds the 64 MB complex spectrum and at most
-    one 2048^2 temporary beside it.  Neither outlives the constructor; the
-    run keeps only what it was asked for.
+    The constructor samples chi5*Phi once (`sampled_spectrum`).  With no
+    `traces` it is a rate run: one fft2 makes the peak-normalized `rate`
+    (its scale in `rate.normalization`), and `trace(which)` integrates that
+    grid over the other delay (`trace_from_grid`) on each call, which equals
+    the 1D transform up to rounding (discrete Parseval).  A run given
+    `traces` has no rate: it makes the cheaper 1D transform of each listed
+    direction and refuses any other.  The run transforms its spectrum in
+    place (the fft2, or the 1D transform of the last trace; earlier traces
+    transform a copy), so a 2048^2 run holds the 64 MB complex spectrum and
+    at most one 2048^2 temporary, neither past the constructor.
+    `rcc_numeric` and `rcc_cond_numeric` are views of a run.
     """
 
     def __init__(self, p: SystemParams, cfg: OracleConfig | None = None, *,
-                 rate: bool = True, traces: tuple[str, ...] = ()) -> None:
-        for which in traces:
+                 traces: tuple[str, ...] | None = None) -> None:
+        for which in traces or ():
             if which not in ("tau12", "tau13"):
                 raise ValidationError("which must be 'tau12' or 'tau13'")
         grid = sampled_spectrum(p, cfg or OracleConfig())
-        if rate:
+        self.rate = self._traces = None
+        if traces is None:
             self.rate = _rate_grid(grid, p.gamma31_si)
-            self._traces = {w: trace_from_grid(self.rate, w) for w in traces}
         else:
-            self.rate = None
             last = len(traces) - 1
             self._traces = {
                 w: _conditional(grid if i == last else replace(grid, values=grid.values.copy()),
@@ -263,6 +254,8 @@ class OracleRun:
 
     def trace(self, which: str) -> TimeTrace:
         """The peak-normalized conditional trace along `which`."""
+        if self._traces is None:
+            return trace_from_grid(self.rate, which)
         if which not in self._traces:
             raise ValidationError(f"this oracle run has no {which!r} trace")
         return self._traces[which]

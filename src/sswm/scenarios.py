@@ -6,15 +6,18 @@ Config grammar: one `key = value` per line, `#` comments.  One table,
 sweep values all read it.  Frequency-typed values accept either `<x>gamma31`
 multiples or plain SI rad/s; lengths are meters.  Built-in presets cover both
 operating regimes; auxiliary quantities (atomic density, cell length in cm)
-ride along as metadata only, the optical depth is always a direct input.  The CLI's oracle flags and sweep values
-are parsed by the same rules (`parse_config` overrides, `parse_sweep_values`).
+sit on `meta.*` lines, which parse but are not kept: the optical depth is
+always a direct input.  The CLI's oracle flags and sweep values are parsed
+by the same rules (`parse_config` overrides, `parse_sweep_values`).
 """
 from __future__ import annotations
 
+import errno
 import importlib.resources
 import json
 import math
-from dataclasses import dataclass, field, replace
+import os
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -73,14 +76,13 @@ class Scenario:
     params: SystemParams
     oracle: OracleConfig
     outputs: tuple[str, ...] = ("report",)
-    meta: dict = field(default_factory=dict)
     tmin_ns: float | None = None
     tmax_ns: float | None = None
 
     def __post_init__(self) -> None:
         # the name prefixes every output file name
-        if not self.name or any(c in self.name for c in "/\\"):
-            raise ConfigError(f"scenario name {self.name!r} is empty or holds '/' or '\\'")
+        if not self.name or any(c in self.name for c in "/\\\0"):
+            raise ConfigError(f"scenario name {self.name!r} is empty or holds '/', '\\' or NUL")
         for o in self.outputs:
             if o not in OUTPUT_KINDS:
                 raise ConfigError(f"unknown output kind {o!r}")
@@ -174,7 +176,6 @@ def parse_config(text: str, source: str = "<config>",
     # the keyword arguments of SystemParams, OracleConfig and Scenario, by section
     kwargs: dict = {"params": {"gamma31_si": gamma31_si}, "oracle": {}, "outputs": {}}
     outputs: tuple[str, ...] = ("report",)
-    meta: dict = {}
     name = None
     for key, (value, where) in raw.items():
         section, dot, fname = key.partition(".")
@@ -183,7 +184,7 @@ def parse_config(text: str, source: str = "<config>",
         elif key == "outputs":
             outputs = tuple(v.strip() for v in value.split(",") if v.strip())
         elif key.startswith("meta."):
-            meta[fname] = value
+            pass  # auxiliary notes: they parse, and nothing reads them
         elif section == "params" and fname in _RETIRED_PARAMS:
             kept = _RETIRED_PARAMS[fname]
             kind = "cfreq" if fname == "omega_p" else "freq"
@@ -204,7 +205,7 @@ def parse_config(text: str, source: str = "<config>",
     try:
         return Scenario(name=name, params=SystemParams(**kwargs["params"]),
                         oracle=OracleConfig(**kwargs["oracle"]), outputs=outputs,
-                        meta=meta, **kwargs["outputs"])
+                        **kwargs["outputs"])
     except (ValidationError, ConfigError) as exc:
         raise ConfigError(f"{source}: {exc}") from exc
 
@@ -218,7 +219,6 @@ def serialize_config(sc: Scenario) -> str:
         value = getattr(sections[section], fname)
         if value is not None or kind.endswith("?"):  # an unset tmin/tmax_ns has no line
             lines.append(f"{key} = {_write(kind, value)}")
-    lines += [f"meta.{k} = {sc.meta[k]}" for k in sorted(sc.meta)]
     return "\n".join(lines) + "\n"
 
 
@@ -310,47 +310,58 @@ def _write_export(path: Path, header: list[str], axes: list[tuple[str, np.ndarra
     path.write_text("\n".join(rows) + "\n")
 
 
+def check_names(out_dir: Path, names: list[str], where: str) -> None:
+    """ConfigError, prefixed by `where`, unless `out_dir`'s nearest existing
+    ancestor is a directory and each directory to be made below it, and each
+    file name in `names`, fits its file system's PC_NAME_MAX.  Makes nothing."""
+    try:
+        for q in (out_dir, *out_dir.parents):
+            if q.is_dir():
+                break
+            if q.exists() or q.is_symlink():
+                raise ConfigError(f"{where}: {str(q)!r} exists and is not a directory")
+        # the directories below q are made later, on q's file system; a lookup
+        # fails at the first of them before it checks the length of any name
+        name_max = os.pathconf(q, "PC_NAME_MAX")
+        for name in (*out_dir.relative_to(q).parts, *names):
+            if len(os.fsencode(name)) > name_max:
+                raise OSError(errno.ENAMETOOLONG, os.strerror(errno.ENAMETOOLONG), name)
+    except OSError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _file_name(sc: Scenario, out: str, fmt: str) -> str:
+    ext = "txt" if out == "report" else "json" if fmt == "json" else "csv"
+    return f"{sc.name}_{out}.{ext}"
+
+
 def _trace_direction(output: str) -> str:
     return "tau12" if "tau12" in output else "tau13"
 
 
-def _report_traces(regime: Regime) -> tuple[str, ...]:
-    # the chi5 branch of the report reads tau13 off the 2D rate grid; no
-    # branch fits an overdamped arm, so that fails before any sampling
-    if regime is Regime.OVERDAMPED:
-        raise OverdampedError("observable report undefined for overdamped arms")
-    if regime is Regime.CHI5_DOMINATED:
-        return ("tau12",)
-    return ("tau12", "tau13")
-
-
 def _scenario_run(sc: Scenario, traces: tuple[str, ...] = ()) -> OracleRun | None:
     """The one oracle run that the outputs of `sc` (and `traces`) need, or
-    None when no output reads the numeric transform."""
-    rate = False
-    want = list(traces)
-    for out in sc.outputs:
-        if out == "report":
-            rate = True
-            want += _report_traces(derived_frequencies(sc.params).regime)
-        elif out in ("rcc2d_numeric", "rcc2d_analytic"):
-            rate = True  # the analytic grid is evaluated on the numeric time axes
-        elif out.startswith("trace_") and out.endswith("numeric"):
-            want.append(_trace_direction(out))
-    if not rate and not want:
-        return None
-    return OracleRun(sc.params, sc.oracle, rate=rate, traces=tuple(dict.fromkeys(want)))
+    None when no output reads the numeric transform: a rate run, serving
+    both traces, for the report or a 2D rate (the analytic grid is evaluated
+    on the numeric time axes), else a rate-free run of the numeric trace
+    directions.  A report of an overdamped arm fails before any sampling."""
+    if "report" in sc.outputs and derived_frequencies(sc.params).regime is Regime.OVERDAMPED:
+        raise OverdampedError("observable report undefined for overdamped arms")
+    if any(out == "report" or out.startswith("rcc2d_") for out in sc.outputs):
+        return OracleRun(sc.params, sc.oracle)
+    want = list(traces) + [_trace_direction(out) for out in sc.outputs
+                           if out.startswith("trace_") and out.endswith("numeric")]
+    return OracleRun(sc.params, sc.oracle, traces=tuple(dict.fromkeys(want))) if want else None
 
 
 def scenario_report(sc: Scenario, run: OracleRun) -> analysis.ObservableReport:
-    """Fitted observables of one scenario (numeric route).
-
-    `run` must hold the rate grid and the traces of `_report_traces`, as
-    `_scenario_run` makes it.  OverdampedError for an overdamped arm.
-    """
+    """Fitted observables of one scenario (numeric route) from the rate run
+    `run`, as `_scenario_run` makes it; OverdampedError, before any fit, for
+    an overdamped arm."""
     p = sc.params
     d = derived_frequencies(p)
-    _report_traces(d.regime)  # OverdampedError before any fit
+    if d.regime is Regime.OVERDAMPED:  # no branch fits an overdamped arm
+        raise OverdampedError("observable report undefined for overdamped arms")
     notes = {
         "regime": d.regime.value,
         "entanglement": "n/a" if d.entanglement is None else d.entanglement.value,
@@ -402,11 +413,12 @@ def run_scenario(sc: Scenario, out_dir: Path, fmt: str = "csv",
 
     Every numeric output reads the one oracle run `run`, made by
     `_scenario_run` unless the caller passes one holding what the outputs
-    need; `out_dir` is made only once that run exists.
+    need; the file names are checked before it, and `out_dir` made after.
     """
+    out_dir = Path(out_dir)
+    check_names(out_dir, [_file_name(sc, out, fmt) for out in sc.outputs], "scenario name")
     if run is None:
         run = _scenario_run(sc)
-    out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     p = sc.params
     header = [f"scenario: {sc.name}", f"params_hash: {p.content_hash()}"]
@@ -415,15 +427,13 @@ def run_scenario(sc: Scenario, out_dir: Path, fmt: str = "csv",
         tmin = sc.tmin_ns * 1e-9
     if sc.tmax_ns is not None:
         tmax = sc.tmax_ns * 1e-9
-    ext = "json" if fmt == "json" else "csv"
     written: list[Path] = []
     lines: list[str] = []
 
     for out in sc.outputs:
-        path = out_dir / f"{sc.name}_{out}.{ext}"
+        path = out_dir / _file_name(sc, out, fmt)
         if out == "report":
             rep = scenario_report(sc, run).lines()
-            path = out_dir / f"{sc.name}_report.txt"
             path.write_text("\n".join(rep) + "\n")
             lines += [f"[{sc.name}] observable report"] + ["  " + ln for ln in rep]
         elif out == "chi5_grid":
@@ -508,10 +518,13 @@ def run_sweep(sc: Scenario, param: str, values: list, out_dir: Path,
     # the summary fits the numeric trace of each direction, whichever of its
     # numeric/analytic outputs asked for it
     directions = tuple(dict.fromkeys(_trace_direction(o) for o in trace_outputs))
+    subs = [(v, replace(sc, name=f"{sc.name}_{param}_{_value_tag(v)}", params=p,
+                        outputs=tuple(trace_outputs))) for v, p in points]
+    summary = Path(out_dir) / f"{sc.name}_sweep_{param}.csv"
+    check_names(Path(out_dir), [summary.name] + [_file_name(sub, o, fmt) for _, sub in subs
+                                                 for o in sub.outputs], "scenario name")
     rows = []
-    for v, p in points:
-        sub = replace(sc, name=f"{sc.name}_{param}_{_value_tag(v)}", params=p,
-                      outputs=tuple(trace_outputs))
+    for v, sub in subs:
         run = _scenario_run(sub, traces=directions)
         run_scenario(sub, out_dir, fmt=fmt, run=run)
         row = {"value": float(complex(v).real)}
@@ -531,7 +544,6 @@ def run_sweep(sc: Scenario, param: str, values: list, out_dir: Path,
             if which == "tau13":
                 row["tau13_width_ns"] = analysis.width_at_half_max(tr) * 1e9
         rows.append(row)
-    summary = Path(out_dir) / f"{sc.name}_sweep_{param}.csv"
     cols = list(rows[0].keys())
     lines = [f"# sweep of {param} on scenario {sc.name}", ",".join(["param_" + param if c == "value" else c for c in cols])]
     lines += [",".join(_fmt_cell(row[c]) for c in cols) for row in rows]

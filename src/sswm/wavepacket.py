@@ -181,12 +181,6 @@ def wavepacket_hybrid(tau12, tau13, p: SystemParams, ideal_rect: bool = False):
     return float(out) if out.ndim == 0 else out
 
 
-def rcc_hybrid(tau12, tau13, p: SystemParams, ideal_rect: bool = False):
-    """Hybrid-regime rate: |wavepacket_hybrid|^2."""
-    amp = wavepacket_hybrid(tau12, tau13, p, ideal_rect=ideal_rect)
-    return np.abs(amp) ** 2
-
-
 def rcc_cascaded_stub(tau12, tau13, p: SystemParams):
     """Cascaded-source reference: a rate that factorizes by construction.
 

@@ -20,7 +20,7 @@ def ctx():
 @pytest.fixture(scope="session")
 def chi5_run(ctx):
     """The oracle run behind `ctx.chi5_point`, rate grid included."""
-    return OracleRun(ctx.p_chi5, ctx.cfg_chi5, traces=("tau12", "tau13"))
+    return OracleRun(ctx.p_chi5, ctx.cfg_chi5)
 
 
 @pytest.fixture(scope="session")
@@ -33,7 +33,7 @@ def rate_analytic(ctx, chi5_run):
 @pytest.fixture(scope="session")
 def hybrid_run_111(ctx):
     """The oracle run behind `ctx.hybrid_point_111`, rate grid included."""
-    return OracleRun(ctx.p_hybrid(111.0), ctx.cfg_hybrid, traces=("tau12",))
+    return OracleRun(ctx.p_hybrid(111.0), ctx.cfg_hybrid)
 
 
 @pytest.fixture(autouse=True)

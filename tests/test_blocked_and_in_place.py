@@ -112,7 +112,7 @@ def test_rate_free_run_traces_equal_standalone_transforms(kw, traces):
     # the last trace transforms the run's spectrum in place, the first a copy
     p = SystemParams(**kw)
     cfg = OracleConfig(n_points=N, tukey_alpha=0.1)
-    run = OracleRun(p, cfg, rate=False, traces=traces)
+    run = OracleRun(p, cfg, traces=traces)
     for which in traces:
         ref = rcc_cond_numeric(which, p, cfg)
         assert np.array_equal(run.trace(which).t_axis, ref.t_axis)
@@ -152,7 +152,8 @@ def _rate_atol(p, t):
 def _direct_rate(p, which, t12, t13, ideal_rect):
     """The literal closed form `which` on the grid t12 x t13."""
     if which == "hybrid":
-        return wavepacket.rcc_hybrid(t12[:, None], t13[None, :], p, ideal_rect=ideal_rect)
+        amp = wavepacket.wavepacket_hybrid(t12[:, None], t13[None, :], p, ideal_rect=ideal_rect)
+        return np.abs(amp) ** 2
     fn = {"chi5": wavepacket.rcc_chi5, "cascaded": wavepacket.rcc_cascaded_stub}[which]
     return fn(t12[:, None], t13[None, :], p)
 

@@ -3,8 +3,9 @@ values and acceptance criteria: every run exits 0, 2 or 3 and never raises,
 and an exit of 2 or 3 prints one `config error:` or `compute error:` line to
 stderr.  A flag's value is drawn both as `--flag=value` and as the next word,
 where argparse reads a word that starts with '-' as a flag.  A scenario file
-may hold bytes that are not UTF-8, and `--out` may name a path too long to
-look up.  A sweep writes no NaN into a trace file."""
+may hold bytes that are not UTF-8 or a name too long for the files it
+starts, and `--out` may name a path too long to look up.  A sweep writes no
+NaN into a trace file."""
 import io
 import re
 import tempfile
@@ -35,13 +36,20 @@ _NUMBER = st.builds(lambda x, unit: f"{x!r}{unit}", st.floats(-1e3, 1e3) | st.fl
 _TEXT = st.text("0123456789.-+ejJ()gamma31, _/", max_size=12)
 VALUES = _TOKENS | _NUMBER | _TEXT
 
+#: A scenario name: mostly the preset's, else up to 300 characters, so that
+#: the file names it starts may be longer than a file system allows.
+_NAME = st.sampled_from([None] * 3) | st.text("n_.-0", min_size=1, max_size=300)
+
 
 @st.composite
 def mutated_preset(draw) -> str:
     """A preset's lines with up to three edits, each dropping or doubling a
     line or giving it another key or (most often) another value, and maybe
-    one extra line."""
+    one extra line; its name line (the first) may hold a drawn name."""
     lines = list(PRESET_LINES[draw(st.sampled_from(sorted(PRESET_LINES)))])
+    name = draw(_NAME)
+    if name is not None:
+        lines[0] = f"name = {name}"
     for _ in range(draw(st.integers(0, 3))):
         i = draw(st.integers(0, len(lines) - 1))
         key, _, value = lines[i].partition(" = ")

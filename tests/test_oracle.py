@@ -119,7 +119,7 @@ def test_4096_grid_matches_closed_forms_under_c3_bounds():
     # the 2048^2 acceptance configuration refined to 4096^2: same extent,
     # half the spacing, twice the time window, same 5% bounds as C3
     cfg = OracleConfig(force_phi_unity=True, tukey_alpha=0.1, n_points=4096)
-    run = OracleRun(P, cfg, traces=("tau12",))
+    run = OracleRun(P, cfg)
     num = run.rate
     ana = analytic_rate_grid(P, num.tau12_axis, num.tau13_axis, which="chi5")
     mask = support_edge_mask(num.tau12_axis, num.tau13_axis)

@@ -47,7 +47,7 @@ def test_run_traces_match_1d_transforms(rp, cfg):
     p = _draw(rp)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # coarse-grid advisories
-        run = OracleRun(p, cfg, traces=("tau12", "tau13"))
+        run = OracleRun(p, cfg)
         for which in ("tau12", "tau13"):
             ref = rcc_cond_numeric(which, p, cfg)
             assert np.array_equal(run.trace(which).t_axis, ref.t_axis)

@@ -47,7 +47,7 @@ def builds(monkeypatch):
 def test_products_equal_standalone_transforms(p, tukey_alpha, force_phi_unity, ideal_rect):
     cfg = OracleConfig(extent=32.0, n_points=256, tukey_alpha=tukey_alpha,
                        force_phi_unity=force_phi_unity, ideal_rect=ideal_rect)
-    run = OracleRun(p, cfg, traces=("tau12", "tau13"))
+    run = OracleRun(p, cfg)
     ref = rcc_numeric(p, cfg)
     assert run.rate.normalization == ref.normalization
     for name in ("tau12_axis", "tau13_axis", "values"):
@@ -87,7 +87,7 @@ def test_rate_run_makes_one_2d_transform_and_no_conditional(monkeypatch):
                         counting("_conditional", sswm.oracle._conditional))
     for name in ("fft", "fft2"):
         monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
-    OracleRun(HYB, OracleConfig(extent=32.0, n_points=256), traces=("tau12", "tau13"))
+    OracleRun(HYB, OracleConfig(extent=32.0, n_points=256))
     assert calls[0] == ("_fft2", False)
     assert calls[1:] and set(calls[1:]) == {("fft", True)}
 
@@ -111,21 +111,32 @@ def test_tapered_run_loads_no_scipy():
     code = ("import sys, warnings; warnings.simplefilter('ignore')\n"
             "from sswm.oracle import OracleConfig, OracleRun\n"
             "from sswm.params import SystemParams\n"
-            "OracleRun(SystemParams(), OracleConfig(n_points=256, tukey_alpha=0.1),"
-            " traces=('tau12', 'tau13'))\n"
+            "OracleRun(SystemParams(), OracleConfig(n_points=256, tukey_alpha=0.1))\n"
             "sys.exit(int('scipy' in sys.modules))")
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_run_holds_only_what_was_asked(builds):
     cfg = OracleConfig(force_phi_unity=True, n_points=256)
-    run = OracleRun(SystemParams(), cfg, rate=False, traces=("tau12",))
+    run = OracleRun(SystemParams(), cfg, traces=("tau12",))
     assert run.rate is None and len(builds) == 1
     with pytest.raises(ValidationError, match="tau13"):
         run.trace("tau13")
     with pytest.raises(ValidationError):
         OracleRun(SystemParams(), cfg, traces=("tau14",))
     assert len(builds) == 1  # a bad direction is refused before any build
+
+
+def test_rate_run_serves_both_traces_unlisted(builds):
+    # a rate run lists no direction: each trace integrates its rate grid
+    run = OracleRun(HYB, OracleConfig(extent=32.0, n_points=256))
+    for which in ("tau12", "tau13"):
+        tr, ref = run.trace(which), analysis.trace_from_grid(run.rate, which)
+        assert np.array_equal(tr.t_axis, ref.t_axis)
+        assert np.array_equal(tr.values, ref.values)
+    with pytest.raises(ValidationError):
+        run.trace("tau14")
+    assert len(builds) == 1
 
 
 def test_spectrum_released_once_products_are_made(monkeypatch):
@@ -138,8 +149,7 @@ def test_spectrum_released_once_products_are_made(monkeypatch):
         return grid
 
     monkeypatch.setattr(sswm.oracle, "sampled_spectrum", keep_weakref)
-    run = OracleRun(HYB, OracleConfig(extent=32.0, n_points=256, tukey_alpha=0.1),
-                    traces=("tau12", "tau13"))
+    run = OracleRun(HYB, OracleConfig(extent=32.0, n_points=256, tukey_alpha=0.1))
     gc.collect()
     assert len(refs) == 1 and refs[0]() is None
     assert not np.iscomplexobj(run.rate.values)

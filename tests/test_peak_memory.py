@@ -50,8 +50,7 @@ def test_spectral_grid_peak():
 
 def test_oracle_run_with_rate_peak():
     # the spectrum, transformed in place, and the real rate grid beside it
-    run, rise = _peak_rise(lambda: OracleRun(HYB, OracleConfig(extent=32.0, n_points=N),
-                                             traces=("tau12", "tau13")))
+    run, rise = _peak_rise(lambda: OracleRun(HYB, OracleConfig(extent=32.0, n_points=N)))
     assert run.rate.values.nbytes == REAL_GRID
     assert rise <= 1.6 * COMPLEX_GRID
 

@@ -32,13 +32,15 @@ def test_builtin_names():
 @pytest.mark.parametrize("name", ["fig2", "fig3a", "fig3b", "fig3c", "fig3d",
                                   "fig3e", "fig3f"])
 def test_round_trip_identity(name):
+    # every preset carries meta.* lines: they parse, and are not written back
     sc = load_scenario(name)
-    sc2 = parse_config(serialize_config(sc), source="round-trip")
+    text = serialize_config(sc)
+    assert "meta." not in text
+    sc2 = parse_config(text, source="round-trip")
     assert sc2.name == sc.name
     assert sc2.params == sc.params
     assert sc2.oracle == sc.oracle
     assert sc2.outputs == sc.outputs
-    assert sc2.meta == sc.meta
 
 
 PERFBENCH_PRESETS = sorted(
@@ -78,7 +80,6 @@ def scenarios(draw) -> Scenario:
         assume(tmin < tmax)
     return Scenario(name=draw(_WORD), params=params, oracle=oracle,
                     outputs=tuple(draw(st.lists(st.sampled_from(OUTPUT_KINDS), max_size=4))),
-                    meta=draw(st.dictionaries(_WORD, _WORD, max_size=3)),
                     tmin_ns=tmin, tmax_ns=tmax)
 
 
@@ -476,6 +477,7 @@ RETIRED_AT_OTHER_VALUES = {"gamma31": "2gamma31", "gamma42": "2gamma31",
     (["sweep", "--scenario", "fig3f", "--grid-n", "256", "--param", "optical_depth",
       "--values", ""], "--values"),
     (["simulate", "--grid-n", "256", "--scenario", ("name", "a/b")], "name"),
+    (["simulate", "--grid-n", "256", "--scenario", ("name", "a\0b")], "name"),
     (["simulate", "--grid-n", "256", "--scenario", ("params.optical_depth", "0")],
      "optical_depth"),
     (["simulate", "--grid-n", "256", "--scenario", ("outputs.tmin_ns", "nan")],
@@ -524,7 +526,7 @@ RETIRED_AT_OTHER_VALUES = {"gamma31": "2gamma31", "gamma42": "2gamma31",
         "sweep-extent-flag-named", "n_points-line-named", "values-word", "values-negative-od", "values-gamma31-word",
         "n_points", "tukey_alpha", "tmin_ns", "gamma31_si", "gamma31_si-zero",
         "od-inf", "values-od-inf", "omega31-zero", "od-nan", "length_L-inf", "omega21-nan",
-        "dipole_scale-zero", "values-empty", "name-slash", "od-zero", "tmin_ns-nan",
+        "dipole_scale-zero", "values-empty", "name-slash", "name-nul", "od-zero", "tmin_ns-nan",
         "tmin-above-tmax", *(f"retired-{key}" for key in RETIRED_AT_OTHER_VALUES),
         "out-file", "out-under-file", "acceptance-out-file", "values-same-tag",
         "extent-double-dash", "extent-leading-dash", "values-leading-dash", "omega_c1-overflow", "omega_c1-gamma31-overflow",
@@ -589,6 +591,30 @@ def test_cli_out_name_too_long_exit_2(command, name, tmp_path, monkeypatch, caps
     monkeypatch.setenv("SSWM_OUT_DIR", too_long)
     assert main(command) == 2
     assert _one_config_error(capsys).startswith("config error: SSWM_OUT_DIR: ")
+
+
+@pytest.mark.parametrize("command,spare", [
+    (["simulate"], 5),
+    (["sweep", "--param", "optical_depth", "--values", "37,74"], 5),
+    # the summary's name fits, each point's trace file's does not
+    (["sweep", "--param", "optical_depth", "--values", "37,74"], 30)])
+def test_cli_scenario_name_too_long_exit_2(command, spare, tmp_path, monkeypatch, capsys):
+    # each file a run writes starts with the scenario name: a file name
+    # longer than the file system allows is refused before any sampling and
+    # before the output directory is made
+    import sswm.oracle
+
+    calls, real = [], sswm.oracle.spectral_grid
+    monkeypatch.setattr(sswm.oracle, "spectral_grid",
+                        lambda *a, **k: calls.append(a) or real(*a, **k))
+    name = "n" * (os.pathconf(tmp_path, "PC_NAME_MAX") - spare)
+    out = tmp_path / "out"
+    argv = [*command, "--scenario", _preset_with(tmp_path, "name", name), "--grid-n", "256",
+            "--out", str(out)]
+    assert main(argv) == 2
+    err = _one_config_error(capsys)
+    assert err.startswith("config error: scenario name: ") and "File name too long" in err
+    assert calls == [] and not out.exists()
 
 
 #: fig3a's lines that make chi5 about 1e-92 of its usual size: with a cell

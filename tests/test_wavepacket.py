@@ -11,7 +11,7 @@ from sswm.analysis import (TimeTrace, extract_period, factorizability_residual,
 from sswm.errors import OverdampedError
 from sswm.params import SystemParams, derived_frequencies, effective_splittings
 from sswm.wavepacket import (analytic_rate_grid, channel_weights, hybrid_loss_rate,
-                             rcc_cascaded_stub, rcc_chi5, rcc_cond12, rcc_hybrid,
+                             rcc_cascaded_stub, rcc_chi5, rcc_cond12,
                              wavepacket_chi5, wavepacket_hybrid)
 
 P = SystemParams()  # couplings 8 gamma31, OD 37
@@ -135,7 +135,7 @@ def test_hybrid_rectangle_length(od, width_ns):
     d = derived_frequencies(p)
     assert d.group_delay == pytest.approx(width_ns * 1e-9, abs=0.5e-9)
     t13 = np.linspace(0, 900e-9, 9001)
-    vals = rcc_hybrid(np.full_like(t13, 0.5e-9), t13, p, ideal_rect=True)
+    vals = np.abs(wavepacket_hybrid(np.full_like(t13, 0.5e-9), t13, p, ideal_rect=True)) ** 2
     measured = fit_coherence_time(TimeTrace(t_axis=t13, values=vals / vals.max()))
     assert measured == pytest.approx(d.group_delay, rel=0.01)
 
@@ -148,7 +148,7 @@ def test_hybrid_tau12_profile_od_invariant():
     for od in (37.0, 74.0, 111.0):
         p = replace(HYB, optical_depth=od)
         t13 = 0.95 * derived_frequencies(p).group_delay
-        vals = rcc_hybrid(t12, np.full_like(t12, t13), p, ideal_rect=True)
+        vals = np.abs(wavepacket_hybrid(t12, np.full_like(t12, t13), p, ideal_rect=True)) ** 2
         profiles.append(vals / vals.max())
     assert np.allclose(profiles[0], profiles[1], atol=1e-12)
     assert np.allclose(profiles[0], profiles[2], atol=1e-12)
