@@ -15,8 +15,8 @@ from .oracle import (OracleConfig, OracleRun, default_extent, rcc_cond_numeric,
 from .params import (DerivedFrequencies, Entanglement, Regime, SystemParams,
                      classify_entanglement, classify_regime, derived_frequencies,
                      effective_splittings, eit_dispersion)
-from .susceptibility import (SpectralGrid, chi3, chi5, delta_k, find_resonances, phi,
-                             spectral_grid)
+from .susceptibility import (SpectralGrid, chi3, chi5, chi5_magnitude_map, delta_k,
+                             find_resonances, phi, spectral_grid)
 from .wavepacket import (ChannelWeights, WavepacketGrid, analytic_rate_grid,
                          channel_weights, rcc_cascaded_stub, rcc_chi5, rcc_cond12,
                          wavepacket_chi5, wavepacket_hybrid)
@@ -29,7 +29,7 @@ __all__ = [
     "ObservableReport", "OracleConfig", "OracleRun", "OverdampedError", "Regime",
     "SingularPointError", "SpectralGrid", "SswmError", "SystemParams",
     "TimeTrace", "ValidationError", "WavepacketGrid", "ZeroMassError",
-    "analytic_rate_grid", "channel_weights", "chi3", "chi5",
+    "analytic_rate_grid", "channel_weights", "chi3", "chi5", "chi5_magnitude_map",
     "classify_entanglement", "classify_regime",
     "default_extent", "delta_k", "derived_frequencies", "detect_precursor",
     "effective_splittings", "eit_dispersion", "extract_period",

@@ -24,7 +24,8 @@ from .errors import ConfigError
 from .oracle import (EDGE_HALFWIDTH_CELLS, OracleConfig, OracleRun, normalized_l2_error,
                      rcc_cond_numeric, support_edge_mask)
 from .params import SystemParams, derived_frequencies, effective_splittings
-from .susceptibility import find_resonances, spectral_grid
+# spectral_grid stays bound here: perfbench/tracer.py wraps it at each binding
+from .susceptibility import chi5_magnitude_map, find_resonances, spectral_grid  # noqa: F401
 from .wavepacket import analytic_rate_grid, rcc_chi5, rcc_cond12, wavepacket_chi5
 
 
@@ -110,9 +111,7 @@ class AcceptanceContext:
         """What C1 and C2 read of the strong-coupling |chi5| map: params,
         resonance peaks, cell width and the central-symmetry deviation."""
         p = SystemParams(omega_c1=40.0, omega_c2=40.0)
-        grid = spectral_grid(p, 320.0, 2048, force_phi_unity=True)
-        d2, d3, mag = grid.delta2_axis, grid.delta3_axis, np.abs(grid.values)
-        del grid  # the |chi5| map alone from here on
+        d2, d3, mag = chi5_magnitude_map(p, 320.0, 2048)
         peaks = find_resonances(mag, d2, d3)
         # the sub-grid symmetric about the fft axes' zero
         sub = mag[1:, 1:]

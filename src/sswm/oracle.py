@@ -28,7 +28,7 @@ from .analysis import TimeTrace, trace_from_grid
 from .blocks import map_blocks
 from .errors import ValidationError
 from .params import SystemParams, effective_splittings, eit_dispersion
-from .susceptibility import SpectralGrid, check_grid, spectral_grid
+from .susceptibility import SpectralGrid, check_grid, real_first_half, spectral_grid
 from .wavepacket import WavepacketGrid
 
 #: Half-width in cells of the tau12 = 0 band that closed-form comparisons drop.
@@ -36,6 +36,9 @@ EDGE_HALFWIDTH_CELLS = 2.5
 
 #: Rows per block when normalized_l2_error sums its squares.
 L2_BLOCK_ROWS = 64
+
+#: Rows per block when the rate grid is squared into its spectrum's memory.
+RATE_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -161,32 +164,46 @@ def _fft2(values: np.ndarray) -> np.ndarray:
 def _rate_grid(grid: SpectralGrid, gamma31_si: float) -> WavepacketGrid:
     # (Re^2 + Im^2) of the fft2 times dd^4: wavepacket_numeric's phase factor
     # has modulus one.  The transform overwrites grid.values, which the
-    # caller owns and no longer reads; each quadrant of the squared
-    # magnitude lands where fftshift puts it, so no shifted copy is made.
+    # caller owns and no longer reads, and each fftshifted row of the squares
+    # is written into the first half of the same buffer, whose second half
+    # is then released: the rate costs no memory beyond the spectrum's.
     n = len(grid.delta2_axis)
     h = n // 2
     dd = float(grid.delta2_axis[1] - grid.delta2_axis[0])
     F = _fft2(grid.values)
-    vals = np.empty((n, n))
+    vals = F.reshape(-1).view(np.float64)[:n * n].reshape(n, n)
     halves = (slice(None, h), slice(h, None))
 
-    def square(rows):
-        # rows of the upper half and their twins h below; fftshift (n even)
-        # swaps the two and moves column half j to 1 - j
-        twins = slice(rows.start + h, rows.stop + h)
-        for src, dst in ((rows, twins), (twins, rows)):
-            np.square(F.imag[src], out=F.imag[src])
-            for j in (0, 1):
-                quad = vals[dst, halves[1 - j]]
-                np.square(F.real[src, halves[j]], out=quad)
-                quad += F.imag[src, halves[j]]
-                quad *= dd**4
-    map_blocks(square, h, h)
-    del F
+    def square(rows, out):
+        # rate rows `rows` (within one half) into `out`: fftshift (n even)
+        # takes them from the rows h away and swaps the column halves
+        start = (rows.start + h) % n
+        src = slice(start, start + rows.stop - rows.start)
+        np.square(F.imag[src], out=F.imag[src])
+        for j in (0, 1):
+            quad = out[:, halves[1 - j]]
+            np.square(F.real[src, halves[j]], out=quad)
+            quad += F.imag[src, halves[j]]
+            quad *= dd**4
+
+    # Rate row r lands in complex row r // 2.  A rate row r >= h reads
+    # complex row r - h, and complex row r // 2 is read by rate row
+    # r // 2 + h >= r: so these run serially from n-1 down, each block
+    # squared aside before it is written.  A rate row r < h reads complex
+    # row r + h >= h, which no rate row covers, and lands in complex row
+    # r // 2 < h/2, read by the serial pass: these blocks run in parallel.
+    for stop in range(n, h, -RATE_BLOCK_ROWS):
+        rows = slice(max(stop - RATE_BLOCK_ROWS, h), stop)
+        block = np.empty((rows.stop - rows.start, n))
+        square(rows, block)
+        vals[rows] = block
+    map_blocks(lambda rows: square(rows, vals[rows]), h, RATE_BLOCK_ROWS)
     norm = float(vals.max())
     if not 0 < norm < math.inf:  # a spectrum too small or too large to square
         raise ValidationError(f"the rate grid peaks at {norm!r}: out of the floating-point range")
     vals /= norm
+    del vals
+    vals = real_first_half(F)
     t = _time_axis(n, dd, gamma31_si)
     return WavepacketGrid(tau12_axis=t, tau13_axis=t.copy(), values=vals,
                           normalization=norm)
@@ -206,11 +223,10 @@ def _conditional(grid: SpectralGrid, which: str, gamma31_si: float) -> TimeTrace
         at = (slice(None), lines) if axis == 0 else lines
         np.fft.fft(G[at], axis=axis, out=G[at])
     map_blocks(transform, n, n)
+    np.square(G.real, out=G.real)
     np.square(G.imag, out=G.imag)
-    sq = G.real ** 2
-    sq += G.imag
-    del G
-    R = sq.sum(axis=1 - axis) * dd**3
+    G.real += G.imag
+    R = G.real.sum(axis=1 - axis) * dd**3
     R = np.fft.fftshift(R)
     t = _time_axis(n, dd, gamma31_si)
     peak = float(R.max())
@@ -231,8 +247,10 @@ class OracleRun:
     `traces` has no rate: it makes the cheaper 1D transform of each listed
     direction and refuses any other.  The run transforms its spectrum in
     place (the fft2, or the 1D transform of the last trace; earlier traces
-    transform a copy), so a 2048^2 run holds the 64 MB complex spectrum and
-    at most one 2048^2 temporary, neither past the constructor.
+    transform a copy) and squares it in place: the rate is written into the
+    first half of the spectrum's buffer, whose second half is released.  So
+    a 2048^2 run holds the 64 MB complex spectrum and block-sized
+    temporaries, and keeps only the 32 MB rate past the constructor.
     `rcc_numeric` and `rcc_cond_numeric` are views of a run.
     """
 

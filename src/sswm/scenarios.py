@@ -26,7 +26,8 @@ from . import analysis
 from .errors import ConfigError, OverdampedError, SswmError, ValidationError
 from .oracle import OracleConfig, OracleRun, default_extent
 from .params import SystemParams, derived_frequencies, Regime
-from .susceptibility import find_resonances, spectral_grid
+# spectral_grid stays bound here: perfbench/tracer.py wraps it at each binding
+from .susceptibility import chi5_magnitude_map, find_resonances, spectral_grid  # noqa: F401
 from .wavepacket import analytic_rate_grid, analytic_tau13_marginal, rcc_cond12
 
 #: Scenario outputs that can be requested.
@@ -290,7 +291,8 @@ def _write_export(path: Path, header: list[str], axes: list[tuple[str, np.ndarra
     holds the header, every axis under its name and the full values under
     `key`.  CSV is long form: commented header lines, the column line
     (axis names, then `column`) and one `.12e` row per cell, keeping every
-    `step`-th sample along each axis.
+    `step`-th sample along each axis.  The rows are written to the file one
+    leading-axis sample at a time, each from one `%` template.
     """
     values = np.asarray(values, dtype=float)
     if fmt == "json":
@@ -298,16 +300,19 @@ def _write_export(path: Path, header: list[str], axes: list[tuple[str, np.ndarra
         payload.update((name, ax.tolist()) for name, ax in axes)
         path.write_text(json.dumps(payload, sort_keys=True))
         return
-    rows = ["# " + h for h in header]
-    rows.append(",".join([name for name, _ in axes] + [column]))
-    cols = [[f"{x:.12e}" for x in ax[::step]] for _, ax in axes]
-    vals = values[(slice(None, None, step),) * values.ndim].tolist()
-    if len(cols) == 1:
-        rows += [f"{a},{v:.12e}" for a, v in zip(cols[0], vals)]
-    else:
-        for a, row in zip(cols[0], vals):
-            rows += [f"{a},{b},{v:.12e}" for b, v in zip(cols[1], row)]
-    path.write_text("\n".join(rows) + "\n")
+    *lead, last = [[f"{x:.12e}" for x in ax[::step]] for _, ax in axes]
+    parts = [b + ",%.12e" for b in last]
+    vals = values[(slice(None, None, step),) * values.ndim]
+    # a trace is one block of lines, a grid one block per tau12 sample; each
+    # line of a block starts with the block's prefix
+    blocks = zip([a + "," for a in lead[0]], vals) if lead else [("", vals)]
+    with path.open("w") as fh:
+        fh.write("\n".join(["# " + h for h in header]
+                           + [",".join([name for name, _ in axes] + [column])]))
+        for prefix, row in blocks if parts else ():
+            sep = "\n" + prefix
+            fh.write((sep + sep.join(parts)) % tuple(row.tolist()))
+        fh.write("\n")
 
 
 def check_names(out_dir: Path, names: list[str], where: str) -> None:
@@ -440,9 +445,7 @@ def run_scenario(sc: Scenario, out_dir: Path, fmt: str = "csv",
             extent = sc.oracle.extent
             if extent is None:
                 extent = default_extent(p)
-            sg = spectral_grid(p, extent, sc.oracle.n_points, force_phi_unity=True)
-            d2, d3, mag = sg.delta2_axis, sg.delta3_axis, np.abs(sg.values)
-            del sg  # the export reads only |chi5|
+            d2, d3, mag = chi5_magnitude_map(p, extent, sc.oracle.n_points)
             peaks = find_resonances(mag, d2, d3)
             hdr = header + [f"normalization: {mag.max():.12e}", f"n_peaks: {len(peaks)}"]
             axes = [("delta2_gamma31", d2), ("delta3_gamma31", d3)]

@@ -29,6 +29,9 @@ PHI_SERIES_CUTOFF = 1e-6
 #: Rows of delta2 per block when Phi is multiplied into the chi5 grid.
 PHI_BLOCK_ROWS = 128
 
+#: Rows per block when |chi5| is written over the samples it is taken of.
+ABS_BLOCK_ROWS = 64
+
 #: Channel peaks of |chi5| exceed this fraction of its maximum; sidelobes do not.
 RESONANCE_FLOOR = 0.25
 
@@ -319,6 +322,41 @@ def spectral_grid(
     if not force_phi_unity:
         _multiply_phi(vals, d, p, ideal_rect)
     return SpectralGrid(delta2_axis=d, delta3_axis=d.copy(), values=vals)
+
+
+def real_first_half(values: np.ndarray) -> np.ndarray:
+    """The n x n real result that a stage wrote into the first half of its
+    n x n complex buffer `values`, with the second half given back to the
+    allocator.  `values` is resized in place and may move, so no view taken
+    of it before this call may be read after it."""
+    n = len(values)
+    values.resize((n * n // 2,), refcheck=False)
+    return values.view(np.float64).reshape(n, n)
+
+
+def chi5_magnitude_map(p: SystemParams, extent: float,
+                       n_points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The delta2 and delta3 axes and |chi5| of
+    `spectral_grid(p, extent, n_points, force_phi_unity=True)`.
+
+    The magnitudes are written over the complex samples, ABS_BLOCK_ROWS rows
+    at a time in ascending order: map rows [a, b) land in complex rows
+    [a/2, b/2), which are read by then.  The map then keeps the first half
+    of the samples' buffer, so no second n^2 array is made.
+    """
+    grid = spectral_grid(p, extent, n_points, force_phi_unity=True)
+    v = grid.values
+    mag = v.reshape(-1).view(np.float64)[:v.size].reshape(v.shape)
+    for start in range(0, n_points, ABS_BLOCK_ROWS):
+        rows = slice(start, start + ABS_BLOCK_ROWS)
+        if start == 0:
+            # the first block overlaps itself: take it aside, since numpy's
+            # own overlap copy runs a loop that rounds some |z| differently
+            mag[rows] = np.abs(v[rows])
+        else:
+            np.abs(v[rows], out=mag[rows])
+    del mag
+    return grid.delta2_axis, grid.delta3_axis, real_first_half(v)
 
 
 def find_resonances(mag: np.ndarray, delta2_axis, delta3_axis) -> list[dict]:

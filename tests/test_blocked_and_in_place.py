@@ -106,6 +106,46 @@ def test_in_place_rate_grid_equals_shifted_out_of_place_fft2(kw, tukey_alpha):
     assert got.normalization == norm
 
 
+@pytest.mark.parametrize("block_rows", [1, 100, N // 2])
+def test_in_place_rate_grid_is_independent_of_its_block_rows(block_rows):
+    # odd block edges, one-row blocks and one block per half write the rate
+    # into the spectrum's memory in the same order-safe way
+    p = SystemParams(omega_c1=3.0, omega_c2=5.0, optical_depth=60.0)
+    want = OracleRun(p, OracleConfig(n_points=N)).rate
+    with mock.patch.object(oracle, "RATE_BLOCK_ROWS", block_rows):
+        got = OracleRun(p, OracleConfig(n_points=N)).rate
+    assert np.array_equal(got.values, want.values)
+    assert got.normalization == want.normalization
+
+
+@given(params, st.sampled_from(["tau12", "tau13"]))
+@settings(max_examples=10, deadline=None)
+def test_in_place_conditional_equals_out_of_place_squares(kw, which):
+    # the literal order: the transform, Re^2 + Im^2 in a fresh array, the sum
+    p = SystemParams(**kw)
+    cfg = OracleConfig(n_points=N, tukey_alpha=0.1)
+    grid = sampled_spectrum(p, cfg)
+    dd = float(grid.delta2_axis[1] - grid.delta2_axis[0])
+    axis = 0 if which == "tau12" else 1
+    G = np.fft.fft(grid.values, axis=axis)
+    sq = G.real**2
+    sq += G.imag**2
+    want = np.fft.fftshift(sq.sum(axis=1 - axis) * dd**3)
+    assert np.array_equal(rcc_cond_numeric(which, p, cfg).values, want / want.max())
+
+
+@given(params, st.sampled_from([1, 64, 100, N]))
+@settings(max_examples=10, deadline=None)
+def test_chi5_magnitude_map_equals_abs_of_the_samples(kw, block_rows):
+    p = SystemParams(**kw)
+    extent = default_extent(p)
+    grid = spectral_grid(p, extent, N, force_phi_unity=True)
+    with mock.patch.object(susceptibility, "ABS_BLOCK_ROWS", block_rows):
+        d2, d3, mag = susceptibility.chi5_magnitude_map(p, extent, N)
+    assert np.array_equal(d2, grid.delta2_axis) and np.array_equal(d3, grid.delta3_axis)
+    assert np.array_equal(mag, np.abs(grid.values))
+
+
 @given(params, st.sampled_from([("tau12", "tau13"), ("tau13", "tau12")]))
 @settings(max_examples=20, deadline=None)
 def test_rate_free_run_traces_equal_standalone_transforms(kw, traces):

@@ -16,8 +16,8 @@ from sswm.cli import main
 from sswm.errors import ConfigError
 from sswm.oracle import OracleConfig
 from sswm.params import SystemParams, effective_splittings
-from sswm.scenarios import (OUTPUT_KINDS, Scenario, builtin_scenario_names, load_scenario,
-                            parse_config, run_scenario, run_sweep,
+from sswm.scenarios import (OUTPUT_KINDS, Scenario, _write_export, builtin_scenario_names,
+                            load_scenario, parse_config, run_scenario, run_sweep,
                             serialize_config)
 from sswm.susceptibility import MAX_N_POINTS
 
@@ -187,6 +187,38 @@ def test_export_layout(tmp_path, fmt, name, outputs, axes, column, key):
             assert len(rows) == math.prod(n_axis) and min(n_axis) > 1
         assert len(lines) == len(header)
         assert all(re.fullmatch(h, ln) for h, ln in zip(header, lines))
+
+
+def _whole_text_csv(path, header, axes, values, column, step):
+    """The reference form of the CSV writer: every line an f-string, the
+    file joined into one text and written once."""
+    rows = ["# " + h for h in header]
+    rows.append(",".join([name for name, _ in axes] + [column]))
+    cols = [[f"{x:.12e}" for x in ax[::step]] for _, ax in axes]
+    vals = np.asarray(values, dtype=float)[(slice(None, None, step),) * len(axes)].tolist()
+    if len(cols) == 1:
+        rows += [f"{a},{v:.12e}" for a, v in zip(cols[0], vals)]
+    else:
+        for a, row in zip(cols[0], vals):
+            rows += [f"{a},{b},{v:.12e}" for b, v in zip(cols[1], row)]
+    path.write_text("\n".join(rows) + "\n")
+
+
+EDGE_VALUES = [0.0, -0.0, 5e-324, math.inf, -math.inf, math.nan, 1e300, -1.25e-7]
+
+
+@pytest.mark.parametrize("step", [1, 2])
+@pytest.mark.parametrize("shape", [(9,), (7, 5), (1, 1), (0,), (0, 0)])
+def test_streamed_csv_equals_whole_text_writer(tmp_path, shape, step):
+    rng = np.random.default_rng(math.prod(shape) + step)
+    values = rng.normal(size=shape)
+    values.flat[:len(EDGE_VALUES)] = EDGE_VALUES[:values.size]
+    rng.shuffle(values.reshape(-1))
+    axes = [(f"axis{k}_s", np.linspace(-2e-8, 3e-7, n)) for k, n in enumerate(shape)]
+    header = ["scenario: edge", "quantity: test"]
+    _write_export(tmp_path / "streamed.csv", header, axes, values, "value", "value", "csv", step)
+    _whole_text_csv(tmp_path / "whole.csv", header, axes, values, "value", step)
+    assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
 
 def test_directory_named_like_a_preset(tmp_path, monkeypatch):
