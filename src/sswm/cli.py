@@ -87,12 +87,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _out_dir(arg) -> Path:
     """--out, else $SSWM_OUT_DIR, else ./sswm_out; ConfigError, before any
-    work, if it or a parent exists and is not a directory, cannot be looked
-    up, or holds a name longer than its file system allows."""
-    source = "--out" if arg else "SSWM_OUT_DIR"
-    path = Path(arg or os.environ.get(source, "sswm_out"))
-    check_names(path, [], source)
-    return path
+    work, if it is empty, if it or a parent exists and is not a directory,
+    cannot be looked up, or holds a name longer than its file system allows."""
+    source = "--out" if arg is not None else "SSWM_OUT_DIR"
+    path = os.environ.get(source, "sswm_out") if arg is None else arg
+    if not path:
+        raise ConfigError(f"{source}: expected a directory, got an empty name")
+    check_names(Path(path), [], source)
+    return Path(path)
 
 
 def main(argv: list[str] | None = None) -> int:

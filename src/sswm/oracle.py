@@ -28,7 +28,8 @@ from .analysis import TimeTrace, trace_from_grid
 from .blocks import map_blocks
 from .errors import ValidationError
 from .params import SystemParams, effective_splittings, eit_dispersion
-from .susceptibility import SpectralGrid, check_grid, real_first_half, spectral_grid
+from .susceptibility import (SpectralGrid, check_grid, fftshift_in_place, real_first_half,
+                             spectral_grid)
 from .wavepacket import WavepacketGrid
 
 #: Half-width in cells of the tau12 = 0 band that closed-form comparisons drop.
@@ -36,9 +37,6 @@ EDGE_HALFWIDTH_CELLS = 2.5
 
 #: Rows per block when normalized_l2_error sums its squares.
 L2_BLOCK_ROWS = 64
-
-#: Rows per block when the rate grid is squared into its spectrum's memory.
-RATE_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -163,48 +161,23 @@ def _fft2(values: np.ndarray) -> np.ndarray:
 
 def _rate_grid(grid: SpectralGrid, gamma31_si: float) -> WavepacketGrid:
     # (Re^2 + Im^2) of the fft2 times dd^4: wavepacket_numeric's phase factor
-    # has modulus one.  The transform overwrites grid.values, which the
-    # caller owns and no longer reads, and each fftshifted row of the squares
-    # is written into the first half of the same buffer, whose second half
-    # is then released: the rate costs no memory beyond the spectrum's.
-    n = len(grid.delta2_axis)
-    h = n // 2
+    # has modulus one.  The transform overwrites grid.values, which the caller
+    # owns and no longer reads; the squares go into the first half of that
+    # buffer and are fftshifted there, so the rate costs no extra memory.
     dd = float(grid.delta2_axis[1] - grid.delta2_axis[0])
-    F = _fft2(grid.values)
-    vals = F.reshape(-1).view(np.float64)[:n * n].reshape(n, n)
-    halves = (slice(None, h), slice(h, None))
 
-    def square(rows, out):
-        # rate rows `rows` (within one half) into `out`: fftshift (n even)
-        # takes them from the rows h away and swaps the column halves
-        start = (rows.start + h) % n
-        src = slice(start, start + rows.stop - rows.start)
-        np.square(F.imag[src], out=F.imag[src])
-        for j in (0, 1):
-            quad = out[:, halves[1 - j]]
-            np.square(F.real[src, halves[j]], out=quad)
-            quad += F.imag[src, halves[j]]
-            quad *= dd**4
-
-    # Rate row r lands in complex row r // 2.  A rate row r >= h reads
-    # complex row r - h, and complex row r // 2 is read by rate row
-    # r // 2 + h >= r: so these run serially from n-1 down, each block
-    # squared aside before it is written.  A rate row r < h reads complex
-    # row r + h >= h, which no rate row covers, and lands in complex row
-    # r // 2 < h/2, read by the serial pass: these blocks run in parallel.
-    for stop in range(n, h, -RATE_BLOCK_ROWS):
-        rows = slice(max(stop - RATE_BLOCK_ROWS, h), stop)
-        block = np.empty((rows.stop - rows.start, n))
-        square(rows, block)
-        vals[rows] = block
-    map_blocks(lambda rows: square(rows, vals[rows]), h, RATE_BLOCK_ROWS)
+    def square(block):  # the block's Re, Im floats squared in place, then summed aside
+        x = np.square(block.view(np.float64), out=block.view(np.float64))
+        sq = np.add(x[:, ::2], x[:, 1::2])
+        sq *= dd**4
+        return sq
+    vals = real_first_half(_fft2(grid.values), square)
+    fftshift_in_place(vals)
     norm = float(vals.max())
     if not 0 < norm < math.inf:  # a spectrum too small or too large to square
         raise ValidationError(f"the rate grid peaks at {norm!r}: out of the floating-point range")
     vals /= norm
-    del vals
-    vals = real_first_half(F)
-    t = _time_axis(n, dd, gamma31_si)
+    t = _time_axis(len(vals), dd, gamma31_si)
     return WavepacketGrid(tau12_axis=t, tau13_axis=t.copy(), values=vals,
                           normalization=norm)
 
@@ -247,10 +220,10 @@ class OracleRun:
     `traces` has no rate: it makes the cheaper 1D transform of each listed
     direction and refuses any other.  The run transforms its spectrum in
     place (the fft2, or the 1D transform of the last trace; earlier traces
-    transform a copy) and squares it in place: the rate is written into the
-    first half of the spectrum's buffer, whose second half is released.  So
-    a 2048^2 run holds the 64 MB complex spectrum and block-sized
-    temporaries, and keeps only the 32 MB rate past the constructor.
+    transform a copy) and squares it in place: `real_first_half` writes the
+    rate over the spectrum's first half and releases the second, and the
+    rate is fftshifted there.  So a 2048^2 run holds the 64 MB spectrum and
+    block temporaries, and keeps only the 32 MB rate past the constructor.
     `rcc_numeric` and `rcc_cond_numeric` are views of a run.
     """
 

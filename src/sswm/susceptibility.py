@@ -29,8 +29,8 @@ PHI_SERIES_CUTOFF = 1e-6
 #: Rows of delta2 per block when Phi is multiplied into the chi5 grid.
 PHI_BLOCK_ROWS = 128
 
-#: Rows per block when |chi5| is written over the samples it is taken of.
-ABS_BLOCK_ROWS = 64
+#: Rows per block when a real n x n result is written over its complex buffer.
+REAL_BLOCK_ROWS = 64
 
 #: Channel peaks of |chi5| exceed this fraction of its maximum; sidelobes do not.
 RESONANCE_FLOOR = 0.25
@@ -324,39 +324,44 @@ def spectral_grid(
     return SpectralGrid(delta2_axis=d, delta3_axis=d.copy(), values=vals)
 
 
-def real_first_half(values: np.ndarray) -> np.ndarray:
-    """The n x n real result that a stage wrote into the first half of its
-    n x n complex buffer `values`, with the second half given back to the
-    allocator.  `values` is resized in place and may move, so no view taken
-    of it before this call may be read after it."""
+def real_first_half(values: np.ndarray, op) -> np.ndarray:
+    """op(values), an n x n real result, written over the first half of the
+    n x n complex buffer `values`, whose second half is then given back.  op
+    maps a block of complex rows, which it may overwrite, to a fresh array of
+    its real rows (np.abs written over its own input rounds some |z|
+    differently).  Blocks of REAL_BLOCK_ROWS rows are written in ascending
+    order: real rows [a, b) land in complex rows [a/2, b/2), read by then.
+    `values` is resized in place and may move, so no view taken of it before
+    this call may be read after it."""
     n = len(values)
+    out = values.reshape(-1).view(np.float64)[:n * n].reshape(n, n)
+    for start in range(0, n, REAL_BLOCK_ROWS):
+        rows = slice(start, start + REAL_BLOCK_ROWS)
+        out[rows] = op(values[rows])
     values.resize((n * n // 2,), refcheck=False)
     return values.view(np.float64).reshape(n, n)
+
+
+def fftshift_in_place(values: np.ndarray) -> None:
+    """np.fft.fftshift of the n x n array `values`, n even, in place:
+    the top-left quadrant swaps with the bottom-right and the top-right with
+    the bottom-left, in blocks of REAL_BLOCK_ROWS top rows that stop at n/2."""
+    h = len(values) // 2
+    for start in range(0, h, REAL_BLOCK_ROWS):
+        top = slice(start, min(start + REAL_BLOCK_ROWS, h))
+        bottom = slice(top.start + h, top.stop + h)
+        values[top], values[bottom] = np.roll(values[bottom], h, 1), np.roll(values[top], h, 1)
 
 
 def chi5_magnitude_map(p: SystemParams, extent: float,
                        n_points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The delta2 and delta3 axes and |chi5| of
-    `spectral_grid(p, extent, n_points, force_phi_unity=True)`.
-
-    The magnitudes are written over the complex samples, ABS_BLOCK_ROWS rows
-    at a time in ascending order: map rows [a, b) land in complex rows
-    [a/2, b/2), which are read by then.  The map then keeps the first half
-    of the samples' buffer, so no second n^2 array is made.
+    `spectral_grid(p, extent, n_points, force_phi_unity=True)`, written over
+    the first half of the samples' buffer (`real_first_half`), so no second
+    n^2 array is made.
     """
     grid = spectral_grid(p, extent, n_points, force_phi_unity=True)
-    v = grid.values
-    mag = v.reshape(-1).view(np.float64)[:v.size].reshape(v.shape)
-    for start in range(0, n_points, ABS_BLOCK_ROWS):
-        rows = slice(start, start + ABS_BLOCK_ROWS)
-        if start == 0:
-            # the first block overlaps itself: take it aside, since numpy's
-            # own overlap copy runs a loop that rounds some |z| differently
-            mag[rows] = np.abs(v[rows])
-        else:
-            np.abs(v[rows], out=mag[rows])
-    del mag
-    return grid.delta2_axis, grid.delta3_axis, real_first_half(v)
+    return grid.delta2_axis, grid.delta3_axis, real_first_half(grid.values, np.abs)
 
 
 def find_resonances(mag: np.ndarray, delta2_axis, delta3_axis) -> list[dict]:

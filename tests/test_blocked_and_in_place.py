@@ -106,13 +106,14 @@ def test_in_place_rate_grid_equals_shifted_out_of_place_fft2(kw, tukey_alpha):
     assert got.normalization == norm
 
 
-@pytest.mark.parametrize("block_rows", [1, 100, N // 2])
+@pytest.mark.parametrize("block_rows", [1, 100, N // 2, N])
 def test_in_place_rate_grid_is_independent_of_its_block_rows(block_rows):
-    # odd block edges, one-row blocks and one block per half write the rate
-    # into the spectrum's memory in the same order-safe way
+    # odd block edges (100 does not divide N/2, so a swap block must stop
+    # there), one-row blocks, one swap block and one block over the whole
+    # grid write and shift the rate in the spectrum's memory the same way
     p = SystemParams(omega_c1=3.0, omega_c2=5.0, optical_depth=60.0)
     want = OracleRun(p, OracleConfig(n_points=N)).rate
-    with mock.patch.object(oracle, "RATE_BLOCK_ROWS", block_rows):
+    with mock.patch.object(susceptibility, "REAL_BLOCK_ROWS", block_rows):
         got = OracleRun(p, OracleConfig(n_points=N)).rate
     assert np.array_equal(got.values, want.values)
     assert got.normalization == want.normalization
@@ -140,7 +141,7 @@ def test_chi5_magnitude_map_equals_abs_of_the_samples(kw, block_rows):
     p = SystemParams(**kw)
     extent = default_extent(p)
     grid = spectral_grid(p, extent, N, force_phi_unity=True)
-    with mock.patch.object(susceptibility, "ABS_BLOCK_ROWS", block_rows):
+    with mock.patch.object(susceptibility, "REAL_BLOCK_ROWS", block_rows):
         d2, d3, mag = susceptibility.chi5_magnitude_map(p, extent, N)
     assert np.array_equal(d2, grid.delta2_axis) and np.array_equal(d3, grid.delta3_axis)
     assert np.array_equal(mag, np.abs(grid.values))
@@ -248,9 +249,8 @@ def test_factored_grid_and_tau13_marginal_match_direct_forms(kw, which, ideal_re
 
 def _threaded_stages(p, ideal_rect):
     """The output of every stage that runs on the block pool: the chi5 fill,
-    the Phi blocks and the taper (the spectrum), the fft2 and its |F|^2
-    quadrants (the rate), the amplitude, both 1D transforms and the three
-    closed-form grids."""
+    the Phi blocks and the taper (the spectrum), the fft2 (the rate), the
+    amplitude, both 1D transforms and the three closed-form grids."""
     cfg = OracleConfig(n_points=N, tukey_alpha=0.1, ideal_rect=ideal_rect)
     out = [sampled_spectrum(p, cfg).values, OracleRun(p, cfg).rate.values,
            wavepacket_numeric(p, cfg).values]

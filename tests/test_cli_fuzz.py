@@ -4,8 +4,8 @@ and an exit of 2 or 3 prints one `config error:` or `compute error:` line to
 stderr.  A flag's value is drawn both as `--flag=value` and as the next word,
 where argparse reads a word that starts with '-' as a flag.  A scenario file
 may hold bytes that are not UTF-8 or a name too long for the files it
-starts, and `--out` may name a path too long to look up.  A sweep writes no
-NaN into a trace file."""
+starts, and `--out` may be empty (always exit 2) or name a path too long
+to look up.  A sweep writes no NaN into a trace file."""
 import io
 import re
 import tempfile
@@ -97,8 +97,8 @@ def _run(argv: list[str]) -> tuple[int, str]:
 _JUNK = st.sampled_from([b""] * 3) | st.binary(min_size=1, max_size=2)
 
 #: `--out` under the temporary directory: mostly a plain name, else one whose
-#: last or only component is longer than a file name may be.
-_OUT = st.sampled_from(["out"] * 4 + ["a" * 300, "out/" + "b" * 256])
+#: last or only component is longer than a file name may be; or empty.
+_OUT = st.sampled_from(["out"] * 4 + ["a" * 300, "out/" + "b" * 256, ""])
 
 
 @given(mutated_preset(), ORACLE_FLAGS, st.sampled_from(["csv", "json"]), _JUNK,
@@ -110,8 +110,9 @@ def test_fuzzed_config_and_flags_keep_the_exit_contract(text, flags, fmt, junk, 
         data = text.encode()
         cut = int(at * len(data))
         cfg.write_bytes(data[:cut] + junk + data[cut:])
-        _run(["simulate", "--scenario", str(cfg), "--grid-n", "256", "--format", fmt,
-              "--out", str(Path(tmp) / out), *flags])
+        rc, _ = _run(["simulate", "--scenario", str(cfg), "--grid-n", "256", "--format", fmt,
+                      "--out", out and str(Path(tmp) / out), *flags])
+    assert out or rc == 2
 
 
 #: One `--values` piece: a number or word, with or without the gamma31 suffix.

@@ -625,6 +625,21 @@ def test_cli_out_name_too_long_exit_2(command, name, tmp_path, monkeypatch, caps
     assert _one_config_error(capsys).startswith("config error: SSWM_OUT_DIR: ")
 
 
+@pytest.mark.parametrize("command", [["simulate", "--scenario", "fig3c", "--grid-n", "256"],
+                                     ["acceptance", "--criteria", "C12"]])
+def test_cli_empty_out_exit_2(command, tmp_path, monkeypatch, capsys):
+    # an empty --out is not read as ./sswm_out or $SSWM_OUT_DIR, nor an
+    # empty SSWM_OUT_DIR as the working directory: both exit 2 and write nothing
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("SSWM_OUT_DIR", str(tmp_path / "env_out"))
+    assert main([*command, "--out="]) == 2
+    assert _one_config_error(capsys).startswith("config error: --out: ")
+    monkeypatch.setenv("SSWM_OUT_DIR", "")
+    assert main(command) == 2
+    assert _one_config_error(capsys).startswith("config error: SSWM_OUT_DIR: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command,spare", [
     (["simulate"], 5),
     (["sweep", "--param", "optical_depth", "--values", "37,74"], 5),
