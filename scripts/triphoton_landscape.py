@@ -10,9 +10,9 @@ from pathlib import Path
 
 import numpy as np
 
-from sswm import (OracleConfig, OracleRun, SystemParams, derived_frequencies,
-                  extract_period, fit_coherence_time)
-from sswm.analysis import diagonal_offset_trace, first_antinode_offset
+from sswm import (OracleConfig, SystemParams, derived_frequencies, extract_period,
+                  fit_coherence_time, rcc_numeric)
+from sswm.analysis import diagonal_offset_trace, first_antinode_offset, trace_from_grid
 from sswm.oracle import normalized_l2_error, support_edge_mask
 from sswm.wavepacket import analytic_rate_grid
 
@@ -24,21 +24,20 @@ d = derived_frequencies(p)
 print(f"regime: {d.regime.value}, entanglement: {d.entanglement.value}")
 
 cfg = OracleConfig(force_phi_unity=True, tukey_alpha=0.1)
-run = OracleRun(p, cfg)  # one spectrum, every product
-num = run.rate
+num = rcc_numeric(p, cfg)  # one spectrum, every product
 ana = analytic_rate_grid(p, num.tau12_axis, num.tau13_axis, which="chi5")
 mask = support_edge_mask(num.tau12_axis, num.tau13_axis)
 err = normalized_l2_error(num.values, ana.values, mask)
 print(f"oracle vs closed form: normalized L2 = {100 * err:.2f}%")
 
-tr12 = run.trace("tau12")
+tr12 = trace_from_grid(num, "tau12")
 sdir = diagonal_offset_trace(num, first_antinode_offset(num, p))
 print(f"tau12: period {extract_period(tr12) * 1e9:.2f} ns, "
       f"coherence {fit_coherence_time(tr12) * 1e9:.1f} ns")
 print(f"tau13-tau12: period {extract_period(sdir) * 1e9:.2f} ns, "
       f"coherence {fit_coherence_time(sdir) * 1e9:.1f} ns")
 
-tr13 = run.trace("tau13")
+tr13 = trace_from_grid(num, "tau13")
 print(f"conditional tau13 coherence: {fit_coherence_time(tr13) * 1e9:.1f} ns "
       "(temporal-order-driven enhancement)")
 

@@ -10,8 +10,8 @@ from .analysis import (CoherenceFit, ObservableReport, TimeTrace,
                        fit_coherence_time, ordering_violation_mass)
 from .errors import (ConfigError, InsufficientExtremaError, OverdampedError,
                      SingularPointError, SswmError, ValidationError, ZeroMassError)
-from .oracle import (OracleConfig, OracleRun, default_extent, rcc_cond_numeric,
-                     rcc_numeric, wavepacket_numeric)
+from .oracle import (OracleConfig, default_extent, rcc_cond_numeric, rcc_numeric,
+                     wavepacket_numeric)
 from .params import (DerivedFrequencies, Entanglement, Regime, SystemParams,
                      classify_entanglement, classify_regime, derived_frequencies,
                      effective_splittings, eit_dispersion)
@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ChannelWeights", "CoherenceFit", "ConfigError", "DerivedFrequencies",
     "Entanglement", "InsufficientExtremaError",
-    "ObservableReport", "OracleConfig", "OracleRun", "OverdampedError", "Regime",
+    "ObservableReport", "OracleConfig", "OverdampedError", "Regime",
     "SingularPointError", "SpectralGrid", "SswmError", "SystemParams",
     "TimeTrace", "ValidationError", "WavepacketGrid", "ZeroMassError",
     "analytic_rate_grid", "channel_weights", "chi3", "chi5", "chi5_magnitude_map",

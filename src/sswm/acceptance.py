@@ -21,8 +21,8 @@ import numpy as np
 
 from . import analysis
 from .errors import ConfigError
-from .oracle import (EDGE_HALFWIDTH_CELLS, OracleConfig, OracleRun, normalized_l2_error,
-                     rcc_cond_numeric, support_edge_mask)
+from .oracle import (EDGE_HALFWIDTH_CELLS, OracleConfig, normalized_l2_error,
+                     rcc_cond_numeric, rcc_numeric, support_edge_mask)
 from .params import SystemParams, derived_frequencies, effective_splittings
 # spectral_grid stays bound here: perfbench/tracer.py wraps it at each binding
 from .susceptibility import chi5_magnitude_map, find_resonances, spectral_grid  # noqa: F401
@@ -86,16 +86,15 @@ class AcceptanceContext:
 
     @cached_property
     def chi5_point(self) -> Chi5Point:
-        run = OracleRun(self.p_chi5, self.cfg_chi5)
-        num = run.rate
+        num = rcc_numeric(self.p_chi5, self.cfg_chi5)
         sdir = analysis.diagonal_offset_trace(
             num, analysis.first_antinode_offset(num, self.p_chi5))
         ordering_numeric = analysis.ordering_violation_mass(num)
         ana = analytic_rate_grid(self.p_chi5, num.tau12_axis, num.tau13_axis, which="chi5")
         mask = support_edge_mask(num.tau12_axis, num.tau13_axis)
         l2_2d = normalized_l2_error(num.values, ana.values, mask)
-        trace12, trace13 = run.trace("tau12"), run.trace("tau13")
-        del run, num  # the closed form alone from here on
+        trace12, trace13 = (analysis.trace_from_grid(num, w) for w in ("tau12", "tau13"))
+        del num  # the closed form alone from here on
         return Chi5Point(trace12=trace12, trace13=trace13, sdir=sdir, l2_2d=l2_2d,
                          ordering_numeric=ordering_numeric,
                          ordering_analytic=analysis.ordering_violation_mass(ana),
@@ -103,8 +102,9 @@ class AcceptanceContext:
 
     @cached_property
     def hybrid_point_111(self) -> HybridPoint:
-        run = OracleRun(self.p_hybrid(111.0), self.cfg_hybrid)
-        return HybridPoint(run.trace("tau12"), analysis.near_diagonal_trace(run.rate))
+        rate = rcc_numeric(self.p_hybrid(111.0), self.cfg_hybrid)
+        return HybridPoint(analysis.trace_from_grid(rate, "tau12"),
+                           analysis.near_diagonal_trace(rate))
 
     @cached_property
     def fig2(self) -> tuple[SystemParams, list[dict], float, float]:

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import TimeTrace, trace_from_grid
+from .analysis import TimeTrace
 from .blocks import map_blocks
 from .errors import ValidationError
 from .params import SystemParams, effective_splittings, eit_dispersion
@@ -132,8 +132,11 @@ def wavepacket_numeric(p: SystemParams, cfg: OracleConfig | None = None) -> Wave
 
 
 def rcc_numeric(p: SystemParams, cfg: OracleConfig | None = None) -> WavepacketGrid:
-    """|wavepacket_numeric|^2, peak-normalized: the rate of `OracleRun`."""
-    return OracleRun(p, cfg).rate
+    """|wavepacket_numeric|^2, peak-normalized, its scale in `normalization`:
+    the spectrum sampled once, then transformed and squared in its own memory
+    (`_rate_grid`).  Each conditional trace of it is `trace_from_grid`, equal
+    to `rcc_cond_numeric` up to rounding (discrete Parseval)."""
+    return _rate_grid(sampled_spectrum(p, cfg or OracleConfig()), p.gamma31_si)
 
 
 def rcc_cond_numeric(which: str, p: SystemParams,
@@ -144,9 +147,33 @@ def rcc_cond_numeric(which: str, p: SystemParams,
 
     which = "tau12": inner transform over delta2 at fixed delta3;
     which = "tau13": inner transform over delta3 at fixed delta2.
-    This is the trace of a rate-free `OracleRun`.
+    A bad `which` is refused before any sampling.  The 1D transform, the
+    squares and the sum run in the freshly sampled spectrum's memory.
     """
-    return OracleRun(p, cfg, traces=(which,)).trace(which)
+    if which not in ("tau12", "tau13"):
+        raise ValidationError("which must be 'tau12' or 'tau13'")
+    grid = sampled_spectrum(p, cfg or OracleConfig())
+    n = len(grid.delta2_axis)
+    dd = float(grid.delta2_axis[1] - grid.delta2_axis[0])
+    axis = 0 if which == "tau12" else 1
+    G = grid.values
+
+    def transform(lines):
+        # `lines` cut across the transform axis
+        at = (slice(None), lines) if axis == 0 else lines
+        np.fft.fft(G[at], axis=axis, out=G[at])
+    map_blocks(transform, n, n)
+    np.square(G.real, out=G.real)
+    np.square(G.imag, out=G.imag)
+    G.real += G.imag
+    R = G.real.sum(axis=1 - axis) * dd**3
+    R = np.fft.fftshift(R)
+    t = _time_axis(n, dd, p.gamma31_si)
+    peak = float(R.max())
+    if not 0 < peak < math.inf:  # a spectrum too small or too large to square
+        raise ValidationError(f"the {which} trace peaks at {peak!r}: out of the "
+                              f"floating-point range")
+    return TimeTrace(t_axis=t, values=R / peak)
 
 
 def _fft2(values: np.ndarray) -> np.ndarray:
@@ -180,76 +207,6 @@ def _rate_grid(grid: SpectralGrid, gamma31_si: float) -> WavepacketGrid:
     t = _time_axis(len(vals), dd, gamma31_si)
     return WavepacketGrid(tau12_axis=t, tau13_axis=t.copy(), values=vals,
                           normalization=norm)
-
-
-def _conditional(grid: SpectralGrid, which: str, gamma31_si: float) -> TimeTrace:
-    # 1D transform along one detuning, |.|^2, then the sum over the other,
-    # peak-normalized; the transform overwrites grid.values, which the caller
-    # owns and no longer reads
-    n = len(grid.delta2_axis)
-    dd = float(grid.delta2_axis[1] - grid.delta2_axis[0])
-    axis = 0 if which == "tau12" else 1
-    G = grid.values
-
-    def transform(lines):
-        # `lines` cut across the transform axis
-        at = (slice(None), lines) if axis == 0 else lines
-        np.fft.fft(G[at], axis=axis, out=G[at])
-    map_blocks(transform, n, n)
-    np.square(G.real, out=G.real)
-    np.square(G.imag, out=G.imag)
-    G.real += G.imag
-    R = G.real.sum(axis=1 - axis) * dd**3
-    R = np.fft.fftshift(R)
-    t = _time_axis(n, dd, gamma31_si)
-    peak = float(R.max())
-    if not 0 < peak < math.inf:  # a spectrum too small or too large to square
-        raise ValidationError(f"the {which} trace peaks at {peak!r}: out of the "
-                              f"floating-point range")
-    return TimeTrace(t_axis=t, values=R / peak)
-
-
-class OracleRun:
-    """The numeric products of one (params, config) pair, from one spectrum.
-
-    The constructor samples chi5*Phi once (`sampled_spectrum`).  With no
-    `traces` it is a rate run: one fft2 makes the peak-normalized `rate`
-    (its scale in `rate.normalization`), and `trace(which)` integrates that
-    grid over the other delay (`trace_from_grid`) on each call, which equals
-    the 1D transform up to rounding (discrete Parseval).  A run given
-    `traces` has no rate: it makes the cheaper 1D transform of each listed
-    direction and refuses any other.  The run transforms its spectrum in
-    place (the fft2, or the 1D transform of the last trace; earlier traces
-    transform a copy) and squares it in place: `real_first_half` writes the
-    rate over the spectrum's first half and releases the second, and the
-    rate is fftshifted there.  So a 2048^2 run holds the 64 MB spectrum and
-    block temporaries, and keeps only the 32 MB rate past the constructor.
-    `rcc_numeric` and `rcc_cond_numeric` are views of a run.
-    """
-
-    def __init__(self, p: SystemParams, cfg: OracleConfig | None = None, *,
-                 traces: tuple[str, ...] | None = None) -> None:
-        for which in traces or ():
-            if which not in ("tau12", "tau13"):
-                raise ValidationError("which must be 'tau12' or 'tau13'")
-        grid = sampled_spectrum(p, cfg or OracleConfig())
-        self.rate = self._traces = None
-        if traces is None:
-            self.rate = _rate_grid(grid, p.gamma31_si)
-        else:
-            last = len(traces) - 1
-            self._traces = {
-                w: _conditional(grid if i == last else replace(grid, values=grid.values.copy()),
-                                w, p.gamma31_si)
-                for i, w in enumerate(traces)}
-
-    def trace(self, which: str) -> TimeTrace:
-        """The peak-normalized conditional trace along `which`."""
-        if self._traces is None:
-            return trace_from_grid(self.rate, which)
-        if which not in self._traces:
-            raise ValidationError(f"this oracle run has no {which!r} trace")
-        return self._traces[which]
 
 
 def normalized_l2_error(test: np.ndarray, reference: np.ndarray, mask: np.ndarray) -> float:

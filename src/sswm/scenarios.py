@@ -24,11 +24,11 @@ import numpy as np
 
 from . import analysis
 from .errors import ConfigError, OverdampedError, SswmError, ValidationError
-from .oracle import OracleConfig, OracleRun, default_extent
+from .oracle import OracleConfig, default_extent, rcc_cond_numeric, rcc_numeric
 from .params import SystemParams, derived_frequencies, Regime
 # spectral_grid stays bound here: perfbench/tracer.py wraps it at each binding
 from .susceptibility import chi5_magnitude_map, find_resonances, spectral_grid  # noqa: F401
-from .wavepacket import analytic_rate_grid, analytic_tau13_marginal, rcc_cond12
+from .wavepacket import WavepacketGrid, analytic_rate_grid, analytic_tau13_marginal, rcc_cond12
 
 #: Scenario outputs that can be requested.
 OUTPUT_KINDS = (
@@ -87,6 +87,9 @@ class Scenario:
         for o in self.outputs:
             if o not in OUTPUT_KINDS:
                 raise ConfigError(f"unknown output kind {o!r}")
+        # each output is one file: none would be written, or one twice
+        if not self.outputs or len(set(self.outputs)) < len(self.outputs):
+            raise ConfigError(f"outputs must name each output kind once, got {self.outputs!r}")
         for key, v in (("outputs.tmin_ns", self.tmin_ns), ("outputs.tmax_ns", self.tmax_ns)):
             if v is not None and not math.isfinite(v):
                 raise ConfigError(f"{key} must be finite, got {v!r}")
@@ -344,25 +347,29 @@ def _trace_direction(output: str) -> str:
     return "tau12" if "tau12" in output else "tau13"
 
 
-def _scenario_run(sc: Scenario, traces: tuple[str, ...] = ()) -> OracleRun | None:
-    """The one oracle run that the outputs of `sc` (and `traces`) need, or
-    None when no output reads the numeric transform: a rate run, serving
-    both traces, for the report or a 2D rate (the analytic grid is evaluated
-    on the numeric time axes), else a rate-free run of the numeric trace
-    directions.  A report of an overdamped arm fails before any sampling."""
+def _scenario_run(sc: Scenario, traces: tuple[str, ...] = ()
+                  ) -> tuple[WavepacketGrid | None, dict[str, analysis.TimeTrace]]:
+    """The oracle products that the outputs of `sc` (and the directions
+    `traces`) need: the rate, or None, and the numeric trace of each wanted
+    direction.  The report, a 2D rate (the analytic grid is evaluated on the
+    numeric time axes) or both directions take the rate, and each trace is
+    integrated from it; one direction alone is its 1D transform, and with no
+    numeric output nothing is sampled.  A report of an overdamped arm fails
+    before any sampling."""
     if "report" in sc.outputs and derived_frequencies(sc.params).regime is Regime.OVERDAMPED:
         raise OverdampedError("observable report undefined for overdamped arms")
-    if any(out == "report" or out.startswith("rcc2d_") for out in sc.outputs):
-        return OracleRun(sc.params, sc.oracle)
-    want = list(traces) + [_trace_direction(out) for out in sc.outputs
-                           if out.startswith("trace_") and out.endswith("numeric")]
-    return OracleRun(sc.params, sc.oracle, traces=tuple(dict.fromkeys(want))) if want else None
+    want = sorted({*traces, *(_trace_direction(out) for out in sc.outputs
+                              if out.startswith("trace_") and out.endswith("numeric"))})
+    if len(want) == 2 or any(out == "report" or out.startswith("rcc2d_") for out in sc.outputs):
+        rate = rcc_numeric(sc.params, sc.oracle)
+        return rate, {which: analysis.trace_from_grid(rate, which) for which in want}
+    return None, {which: rcc_cond_numeric(which, sc.params, sc.oracle) for which in want}
 
 
-def scenario_report(sc: Scenario, run: OracleRun) -> analysis.ObservableReport:
-    """Fitted observables of one scenario (numeric route) from the rate run
-    `run`, as `_scenario_run` makes it; OverdampedError, before any fit, for
-    an overdamped arm."""
+def scenario_report(sc: Scenario, rate: WavepacketGrid) -> analysis.ObservableReport:
+    """Fitted observables of one scenario (numeric route) from its oracle
+    rate grid, as `_scenario_run` makes it; OverdampedError, before any fit,
+    for an overdamped arm."""
     p = sc.params
     d = derived_frequencies(p)
     if d.regime is Regime.OVERDAMPED:  # no branch fits an overdamped arm
@@ -381,29 +388,28 @@ def scenario_report(sc: Scenario, run: OracleRun) -> analysis.ObservableReport:
     period12 = tau_c_12 = period13 = tau_c_13 = None
     precursor = None
 
-    tr12 = run.trace("tau12")
+    tr12 = analysis.trace_from_grid(rate, "tau12")
     try:
         period12 = analysis.extract_period(tr12)
         tau_c_12 = analysis.fit_coherence_time(tr12)
     except SswmError as exc:
         notes["tau12 fit"] = str(exc)
 
-    grid = run.rate
-    fact = analysis.factorizability_residual(grid)
-    omass = analysis.ordering_violation_mass(grid)
+    fact = analysis.factorizability_residual(rate)
+    omass = analysis.ordering_violation_mass(rate)
 
     if d.regime is Regime.CHI5_DOMINATED:
         try:
-            sdir = analysis.diagonal_offset_trace(grid, analysis.first_antinode_offset(grid, p))
+            sdir = analysis.diagonal_offset_trace(rate, analysis.first_antinode_offset(rate, p))
             period13 = analysis.extract_period(sdir)
             tau_c_13 = analysis.fit_coherence_time(sdir)
         except SswmError as exc:
             notes["tau13 fit"] = str(exc)
     else:
-        cf = analysis.coherence_fit(run.trace("tau13"))
+        cf = analysis.coherence_fit(analysis.trace_from_grid(rate, "tau13"))
         tau_c_13 = cf.time_s
         notes["tau13 fit mode"] = cf.mode
-        precursor = analysis.detect_precursor(analysis.near_diagonal_trace(grid), d)
+        precursor = analysis.detect_precursor(analysis.near_diagonal_trace(rate), d)
 
     return analysis.ObservableReport(
         period12=period12, period13=period13, tau_c_12=tau_c_12,
@@ -412,18 +418,17 @@ def scenario_report(sc: Scenario, run: OracleRun) -> analysis.ObservableReport:
 
 
 def run_scenario(sc: Scenario, out_dir: Path, fmt: str = "csv",
-                 run: OracleRun | None = None) -> tuple[list[Path], list[str]]:
+                 run: tuple | None = None) -> tuple[list[Path], list[str]]:
     """Produce every requested output file; returns the paths written and
     the lines to show (the observable report and the chi5 peak table).
 
-    Every numeric output reads the one oracle run `run`, made by
+    Every numeric output reads `run`, the (rate, traces) pair made by
     `_scenario_run` unless the caller passes one holding what the outputs
     need; the file names are checked before it, and `out_dir` made after.
     """
     out_dir = Path(out_dir)
     check_names(out_dir, [_file_name(sc, out, fmt) for out in sc.outputs], "scenario name")
-    if run is None:
-        run = _scenario_run(sc)
+    rate, traces = _scenario_run(sc) if run is None else run
     out_dir.mkdir(parents=True, exist_ok=True)
     p = sc.params
     header = [f"scenario: {sc.name}", f"params_hash: {p.content_hash()}"]
@@ -438,7 +443,7 @@ def run_scenario(sc: Scenario, out_dir: Path, fmt: str = "csv",
     for out in sc.outputs:
         path = out_dir / _file_name(sc, out, fmt)
         if out == "report":
-            rep = scenario_report(sc, run).lines()
+            rep = scenario_report(sc, rate).lines()
             path.write_text("\n".join(rep) + "\n")
             lines += [f"[{sc.name}] observable report"] + ["  " + ln for ln in rep]
         elif out == "chi5_grid":
@@ -455,7 +460,7 @@ def run_scenario(sc: Scenario, out_dir: Path, fmt: str = "csv",
             lines += [f"  delta2 = {pk['delta2']:+9.3f}, delta3 = {pk['delta3']:+9.3f} gamma31"
                       for pk in peaks]
         elif out.startswith("rcc2d_"):
-            grid = run.rate
+            grid = rate
             if out == "rcc2d_analytic":
                 grid = analytic_rate_grid(p, grid.tau12_axis, grid.tau13_axis,
                                           _analytic_form(p), sc.oracle.ideal_rect)
@@ -466,7 +471,7 @@ def run_scenario(sc: Scenario, out_dir: Path, fmt: str = "csv",
         elif out.startswith("trace_"):
             which = _trace_direction(out)
             if out.endswith("numeric"):
-                tr = run.trace(which)
+                tr = traces[which]
             else:
                 tr = _analytic_trace(p, which, sc.oracle.ideal_rect)
             _write_export(path, header + [f"quantity: {out}"], [("t_s", tr.t_axis)],
@@ -528,11 +533,12 @@ def run_sweep(sc: Scenario, param: str, values: list, out_dir: Path,
                                                  for o in sub.outputs], "scenario name")
     rows = []
     for v, sub in subs:
-        run = _scenario_run(sub, traces=directions)
-        run_scenario(sub, out_dir, fmt=fmt, run=run)
+        rate, traces = _scenario_run(sub, traces=directions)
+        run_scenario(sub, out_dir, fmt=fmt, run=(rate, traces))
+        del rate  # the next point samples its spectrum with no rate alive
         row = {"value": float(complex(v).real)}
         for which in directions:
-            tr = run.trace(which)
+            tr = traces[which]
             try:
                 row[f"{which}_period_ns"] = analysis.extract_period(tr) * 1e9
             except SswmError:

@@ -3,7 +3,7 @@ import warnings
 import pytest
 
 from sswm.acceptance import AcceptanceContext
-from sswm.oracle import OracleRun
+from sswm.oracle import rcc_numeric
 from sswm.wavepacket import analytic_rate_grid
 
 
@@ -18,22 +18,22 @@ def ctx():
 
 
 @pytest.fixture(scope="session")
-def chi5_run(ctx):
-    """The oracle run behind `ctx.chi5_point`, rate grid included."""
-    return OracleRun(ctx.p_chi5, ctx.cfg_chi5)
+def chi5_rate(ctx):
+    """The oracle rate grid behind `ctx.chi5_point`."""
+    return rcc_numeric(ctx.p_chi5, ctx.cfg_chi5)
 
 
 @pytest.fixture(scope="session")
-def rate_analytic(ctx, chi5_run):
-    """The closed-form chi5 rate on the axes of `chi5_run`."""
-    g = chi5_run.rate
+def rate_analytic(ctx, chi5_rate):
+    """The closed-form chi5 rate on the axes of `chi5_rate`."""
+    g = chi5_rate
     return analytic_rate_grid(ctx.p_chi5, g.tau12_axis, g.tau13_axis, which="chi5")
 
 
 @pytest.fixture(scope="session")
-def hybrid_run_111(ctx):
-    """The oracle run behind `ctx.hybrid_point_111`, rate grid included."""
-    return OracleRun(ctx.p_hybrid(111.0), ctx.cfg_hybrid)
+def hybrid_rate_111(ctx):
+    """The oracle rate grid behind `ctx.hybrid_point_111`."""
+    return rcc_numeric(ctx.p_hybrid(111.0), ctx.cfg_hybrid)
 
 
 @pytest.fixture(autouse=True)

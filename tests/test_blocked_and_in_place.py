@@ -18,10 +18,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sswm import analysis, blocks, oracle, susceptibility, wavepacket
+from sswm import analysis, blocks, oracle, scenarios, susceptibility, wavepacket
 from sswm.errors import SingularPointError, ValidationError
-from sswm.oracle import (OracleConfig, OracleRun, _rate_grid, default_extent,
-                         rcc_cond_numeric, sampled_spectrum, wavepacket_numeric)
+from sswm.oracle import (OracleConfig, _rate_grid, default_extent, rcc_cond_numeric,
+                         rcc_numeric, sampled_spectrum, wavepacket_numeric)
 from sswm.params import SystemParams, effective_splittings
 from sswm.susceptibility import PHI_SERIES_CUTOFF, spectral_grid
 from sswm.wavepacket import WavepacketGrid
@@ -112,9 +112,9 @@ def test_in_place_rate_grid_is_independent_of_its_block_rows(block_rows):
     # there), one-row blocks, one swap block and one block over the whole
     # grid write and shift the rate in the spectrum's memory the same way
     p = SystemParams(omega_c1=3.0, omega_c2=5.0, optical_depth=60.0)
-    want = OracleRun(p, OracleConfig(n_points=N)).rate
+    want = rcc_numeric(p, OracleConfig(n_points=N))
     with mock.patch.object(susceptibility, "REAL_BLOCK_ROWS", block_rows):
-        got = OracleRun(p, OracleConfig(n_points=N)).rate
+        got = rcc_numeric(p, OracleConfig(n_points=N))
     assert np.array_equal(got.values, want.values)
     assert got.normalization == want.normalization
 
@@ -147,24 +147,27 @@ def test_chi5_magnitude_map_equals_abs_of_the_samples(kw, block_rows):
     assert np.array_equal(mag, np.abs(grid.values))
 
 
-@given(params, st.sampled_from([("tau12", "tau13"), ("tau13", "tau12")]))
+@given(params, st.sampled_from(["tau12", "tau13"]), st.booleans())
 @settings(max_examples=20, deadline=None)
-def test_rate_free_run_traces_equal_standalone_transforms(kw, traces):
-    # the last trace transforms the run's spectrum in place, the first a copy
+def test_rate_free_run_traces_equal_standalone_transforms(kw, which, summary):
+    # one numeric direction, asked for by an output or only by a sweep's
+    # summary, makes no rate: its trace is the standalone 1D transform
     p = SystemParams(**kw)
     cfg = OracleConfig(n_points=N, tukey_alpha=0.1)
-    run = OracleRun(p, cfg, traces=traces)
-    for which in traces:
-        ref = rcc_cond_numeric(which, p, cfg)
-        assert np.array_equal(run.trace(which).t_axis, ref.t_axis)
-        assert np.array_equal(run.trace(which).values, ref.values)
+    out = f"trace_{which}_{'analytic' if summary else 'numeric'}"
+    sc = scenarios.Scenario(name="x", params=p, oracle=cfg, outputs=(out,))
+    rate, traces = scenarios._scenario_run(sc, traces=(which,) if summary else ())
+    ref = rcc_cond_numeric(which, p, cfg)
+    assert rate is None and list(traces) == [which]
+    assert np.array_equal(traces[which].t_axis, ref.t_axis)
+    assert np.array_equal(traces[which].values, ref.values)
 
 
 @given(params)
 @settings(max_examples=20, deadline=None)
 def test_blocked_residual_equals_whole_grid(kw):
     p = SystemParams(**kw)
-    rate = OracleRun(p, OracleConfig(n_points=N)).rate
+    rate = rcc_numeric(p, OracleConfig(n_points=N))
     rn = rate.values / rate.values.sum()
     want = float(np.abs(rn - np.outer(rn.sum(axis=1), rn.sum(axis=0))).sum())
     with mock.patch.object(analysis, "RESIDUAL_BLOCK_ROWS", 100):
@@ -252,7 +255,7 @@ def _threaded_stages(p, ideal_rect):
     the Phi blocks and the taper (the spectrum), the fft2 (the rate), the
     amplitude, both 1D transforms and the three closed-form grids."""
     cfg = OracleConfig(n_points=N, tukey_alpha=0.1, ideal_rect=ideal_rect)
-    out = [sampled_spectrum(p, cfg).values, OracleRun(p, cfg).rate.values,
+    out = [sampled_spectrum(p, cfg).values, rcc_numeric(p, cfg).values,
            wavepacket_numeric(p, cfg).values]
     out += [rcc_cond_numeric(which, p, cfg).values for which in ("tau12", "tau13")]
     t = np.linspace(-20e-9, 600e-9, 197)

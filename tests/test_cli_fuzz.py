@@ -5,7 +5,9 @@ stderr.  A flag's value is drawn both as `--flag=value` and as the next word,
 where argparse reads a word that starts with '-' as a flag.  A scenario file
 may hold bytes that are not UTF-8 or a name too long for the files it
 starts, and `--out` may be empty (always exit 2) or name a path too long
-to look up.  A sweep writes no NaN into a trace file."""
+to look up.  Half of the simulate draws are unedited presets with valid
+flags, so that the contract is also checked on runs that get past parsing.
+A sweep writes no NaN into a trace file."""
 import io
 import re
 import tempfile
@@ -13,7 +15,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from sswm.cli import main
@@ -101,10 +103,23 @@ _JUNK = st.sampled_from([b""] * 3) | st.binary(min_size=1, max_size=2)
 _OUT = st.sampled_from(["out"] * 4 + ["a" * 300, "out/" + "b" * 256, ""])
 
 
-@given(mutated_preset(), ORACLE_FLAGS, st.sampled_from(["csv", "json"]), _JUNK,
-       st.floats(0.0, 1.0), _OUT)
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_fuzzed_config_and_flags_keep_the_exit_contract(text, flags, fmt, junk, at, out):
+#: Oracle flags that every preset accepts.
+VALID_FLAGS = st.sampled_from([[], ["--ideal-rect"], ["--force-phi-unity"],
+                               ["--extent=32gamma31"]])
+
+#: A scenario file's text, its oracle flags and the bytes spliced into it:
+#: half the draws an unedited preset with valid flags, which runs the
+#: oracle, the other half a mutated preset, fuzzed flags and maybe junk.
+SIMULATE_INPUTS = (
+    st.tuples(st.sampled_from(sorted(PRESET_LINES)).map(
+        lambda name: "\n".join(PRESET_LINES[name]) + "\n"), VALID_FLAGS, st.just(b""))
+    | st.tuples(mutated_preset(), ORACLE_FLAGS, _JUNK))
+
+
+@given(SIMULATE_INPUTS, st.sampled_from(["csv", "json"]), st.floats(0.0, 1.0), _OUT)
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_fuzzed_config_and_flags_keep_the_exit_contract(inputs, fmt, at, out):
+    text, flags, junk = inputs
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "fuzzed.cfg"
         data = text.encode()
@@ -112,6 +127,7 @@ def test_fuzzed_config_and_flags_keep_the_exit_contract(text, flags, fmt, junk, 
         cfg.write_bytes(data[:cut] + junk + data[cut:])
         rc, _ = _run(["simulate", "--scenario", str(cfg), "--grid-n", "256", "--format", fmt,
                       "--out", out and str(Path(tmp) / out), *flags])
+    event(f"exit {rc}")
     assert out or rc == 2
 
 

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from sswm.analysis import (extract_period, fit_coherence_time,
-                           near_diagonal_trace, width_at_half_max)
+                           near_diagonal_trace, trace_from_grid, width_at_half_max)
 from sswm.errors import ValidationError
-from sswm.oracle import (EDGE_HALFWIDTH_CELLS, OracleConfig, OracleRun, _tukey,
+from sswm.oracle import (EDGE_HALFWIDTH_CELLS, OracleConfig, _tukey,
                          default_extent, normalized_l2_error, rcc_cond_numeric,
                          rcc_numeric, sampled_spectrum, support_edge_mask,
                          wavepacket_numeric)
@@ -67,9 +67,9 @@ def test_rate_is_squared_amplitude():
     assert rate.values.max() == 1.0
 
 
-def test_support_orientation(chi5_run):
+def test_support_orientation(chi5_rate):
     # the transform convention must land the wavepacket in the ordered wedge
-    rate = chi5_run.rate
+    rate = chi5_rate
     t12 = rate.tau12_axis[:, None]
     t13 = rate.tau13_axis[None, :]
     inside = rate.values[(t12 >= 0) & (t13 >= t12)].sum()
@@ -77,24 +77,24 @@ def test_support_orientation(chi5_run):
     assert outside < 1e-3 * (inside + outside)
 
 
-def test_causality_leakage(chi5_run):
-    rate = chi5_run.rate
+def test_causality_leakage(chi5_rate):
+    rate = chi5_rate
     o1 = effective_splittings(P).omega_e1 * P.gamma31_si
     early = rate.tau12_axis < -2 / o1
     mass = rate.values[early, :].sum()
     assert mass < 1e-3 * rate.values.sum()
 
 
-def test_diagonal_zero_line(chi5_run):
+def test_diagonal_zero_line(chi5_rate):
     # past the corner transition band the equal-delay line stays dark
-    rate = chi5_run.rate
+    rate = chi5_rate
     i0 = int(np.argmin(np.abs(rate.tau12_axis))) + 5
     diag = np.array([rate.values[i, i] for i in range(i0, len(rate.tau12_axis))])
     assert diag.max() < 1e-3 * rate.values.max()
 
 
-def test_oracle_matches_closed_form_l2(chi5_run, rate_analytic):
-    num, ana = chi5_run.rate, rate_analytic
+def test_oracle_matches_closed_form_l2(chi5_rate, rate_analytic):
+    num, ana = chi5_rate, rate_analytic
     mask = support_edge_mask(num.tau12_axis, num.tau13_axis)
     assert normalized_l2_error(num.values, ana.values, mask) < 0.05
 
@@ -119,12 +119,11 @@ def test_4096_grid_matches_closed_forms_under_c3_bounds():
     # the 2048^2 acceptance configuration refined to 4096^2: same extent,
     # half the spacing, twice the time window, same 5% bounds as C3
     cfg = OracleConfig(force_phi_unity=True, tukey_alpha=0.1, n_points=4096)
-    run = OracleRun(P, cfg)
-    num = run.rate
+    num = rcc_numeric(P, cfg)
     ana = analytic_rate_grid(P, num.tau12_axis, num.tau13_axis, which="chi5")
     mask = support_edge_mask(num.tau12_axis, num.tau13_axis)
     assert normalized_l2_error(num.values, ana.values, mask) < 0.05
-    tr = run.trace("tau12")
+    tr = trace_from_grid(num, "tau12")
     ana12 = rcc_cond12(tr.t_axis, P, normalize=True)
     keep = np.abs(tr.t_axis) > EDGE_HALFWIDTH_CELLS * tr.dt
     assert normalized_l2_error(tr.values, ana12 / ana12.max(), keep) < 0.05
@@ -139,7 +138,7 @@ def test_scale_free_l2_over_extents_under_c3_bound(factor):
     # x0.75 to x2 of the default extent
     cfg = OracleConfig(extent=factor * default_extent(P), force_phi_unity=True,
                        tukey_alpha=0.1)
-    num = OracleRun(P, cfg).rate
+    num = rcc_numeric(P, cfg)
     ana = analytic_rate_grid(P, num.tau12_axis, num.tau13_axis, which="chi5")
     mask = support_edge_mask(num.tau12_axis, num.tau13_axis)
     scale = (np.sum(num.values * ana.values, where=mask)
@@ -170,10 +169,10 @@ def test_conditional_squares_before_integrating():
     assert np.allclose(tr.values, ref / ref.max(), rtol=1e-9, atol=1e-12)
 
 
-def test_conditional_equals_integrated_2d(chi5_run):
+def test_conditional_equals_integrated_2d(chi5_rate):
     # Parseval links the tau12-integrated 2D rate to the tau13 conditional
-    rate = chi5_run.rate
-    tr13 = chi5_run.trace("tau13")
+    rate = chi5_rate
+    tr13 = trace_from_grid(rate, "tau13")
     dt = rate.tau12_axis[1] - rate.tau12_axis[0]
     integrated = rate.values.sum(axis=0) * dt * rate.normalization
     integrated *= P.gamma31_si / (2 * np.pi)
@@ -189,20 +188,20 @@ def test_determinism():
     assert np.array_equal(a.values, b.values)
 
 
-def test_hybrid_precursor_feature(hybrid_run_111):
+def test_hybrid_precursor_feature(hybrid_rate_111):
     # sharp early cut adjacent to the corner, absent from the closed form
-    tr = near_diagonal_trace(hybrid_run_111.rate)
+    tr = near_diagonal_trace(hybrid_rate_111)
     early = tr.values[(tr.t_axis >= 0) & (tr.t_axis <= 50e-9)]
     late = tr.values[(tr.t_axis > 200e-9) & (tr.t_axis < 600e-9)]
     assert early.max() > 10 * np.median(late)
 
 
-def test_no_precursor_in_chi5_regime(chi5_run):
+def test_no_precursor_in_chi5_regime(chi5_rate):
     from sswm.analysis import detect_precursor
     from sswm.params import derived_frequencies
 
     d = derived_frequencies(P)
-    tr = near_diagonal_trace(chi5_run.rate)
+    tr = near_diagonal_trace(chi5_rate)
     assert not detect_precursor(tr, d)
 
 

@@ -8,7 +8,8 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sswm.oracle import (OracleConfig, OracleRun, rcc_cond_numeric, sampled_spectrum,
+from sswm.analysis import trace_from_grid
+from sswm.oracle import (OracleConfig, rcc_cond_numeric, rcc_numeric, sampled_spectrum,
                          wavepacket_numeric)
 from sswm.params import Regime, SystemParams, derived_frequencies
 
@@ -47,11 +48,11 @@ def test_run_traces_match_1d_transforms(rp, cfg):
     p = _draw(rp)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # coarse-grid advisories
-        run = OracleRun(p, cfg)
+        rate = rcc_numeric(p, cfg)
         for which in ("tau12", "tau13"):
-            ref = rcc_cond_numeric(which, p, cfg)
-            assert np.array_equal(run.trace(which).t_axis, ref.t_axis)
-            assert np.max(np.abs(run.trace(which).values - ref.values)) <= 1e-13
+            tr, ref = trace_from_grid(rate, which), rcc_cond_numeric(which, p, cfg)
+            assert np.array_equal(tr.t_axis, ref.t_axis)
+            assert np.max(np.abs(tr.values - ref.values)) <= 1e-13
 
 
 @given(regime_params, configs)

@@ -1,4 +1,6 @@
-"""OracleRun: one spectrum per (params, config), shared by every consumer."""
+"""The oracle's two routes, `rcc_numeric` (the rate) and `rcc_cond_numeric`
+(one 1D trace): one spectrum per (params, config), shared by every consumer
+of a scenario, a sweep point or an acceptance step."""
 import gc
 import os
 import subprocess
@@ -17,9 +19,9 @@ import sswm.oracle
 from sswm import analysis, blocks
 from sswm.acceptance import AcceptanceContext, c08_od_invariance, c11_precursor
 from sswm.errors import ValidationError
-from sswm.oracle import OracleConfig, OracleRun, rcc_cond_numeric, rcc_numeric
+from sswm.oracle import OracleConfig, rcc_cond_numeric, rcc_numeric
 from sswm.params import SystemParams
-from sswm.scenarios import load_scenario, run_scenario, run_sweep
+from sswm.scenarios import _scenario_run, load_scenario, run_scenario, run_sweep
 
 pytestmark = pytest.mark.filterwarnings("ignore:grid spacing", "ignore:extent")
 
@@ -40,29 +42,10 @@ def builds(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("p", [SystemParams(), HYB], ids=["chi5", "hybrid"])
-@pytest.mark.parametrize("tukey_alpha", [0.0, 0.1])
-@pytest.mark.parametrize("force_phi_unity,ideal_rect",
-                         [(False, False), (False, True), (True, False), (True, True)])
-def test_products_equal_standalone_transforms(p, tukey_alpha, force_phi_unity, ideal_rect):
-    cfg = OracleConfig(extent=32.0, n_points=256, tukey_alpha=tukey_alpha,
-                       force_phi_unity=force_phi_unity, ideal_rect=ideal_rect)
-    run = OracleRun(p, cfg)
-    ref = rcc_numeric(p, cfg)
-    assert run.rate.normalization == ref.normalization
-    for name in ("tau12_axis", "tau13_axis", "values"):
-        assert np.array_equal(getattr(run.rate, name), getattr(ref, name))
-    for which in ("tau12", "tau13"):
-        # the run integrates its rate grid (Parseval), the reference the
-        # 1D transforms: equal up to rounding
-        tr = rcc_cond_numeric(which, p, cfg)
-        assert np.array_equal(run.trace(which).t_axis, tr.t_axis)
-        assert np.max(np.abs(run.trace(which).values - tr.values)) <= 1e-13
-
-
-def test_rate_run_makes_one_2d_transform_and_no_conditional(monkeypatch):
-    # the 2D transform is _fft2, which runs np.fft.fft on row then column
-    # blocks; a rate run calls it once, and makes no other transform
+@pytest.fixture
+def transforms(monkeypatch):
+    """Record each `_fft2` call and each np.fft.fft or fft2 call, the latter
+    with whether it ran inside `_fft2`: (name, inside)."""
     calls = []
     inside = []
 
@@ -83,13 +66,34 @@ def test_rate_run_makes_one_2d_transform_and_no_conditional(monkeypatch):
             inside.pop()
 
     monkeypatch.setattr(sswm.oracle, "_fft2", helper)
-    monkeypatch.setattr(sswm.oracle, "_conditional",
-                        counting("_conditional", sswm.oracle._conditional))
     for name in ("fft", "fft2"):
         monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
-    OracleRun(HYB, OracleConfig(extent=32.0, n_points=256))
-    assert calls[0] == ("_fft2", False)
-    assert calls[1:] and set(calls[1:]) == {("fft", True)}
+    return calls
+
+
+@pytest.mark.parametrize("p", [SystemParams(), HYB], ids=["chi5", "hybrid"])
+@pytest.mark.parametrize("tukey_alpha", [0.0, 0.1])
+@pytest.mark.parametrize("force_phi_unity,ideal_rect",
+                         [(False, False), (False, True), (True, False), (True, True)])
+def test_products_equal_standalone_transforms(p, tukey_alpha, force_phi_unity, ideal_rect):
+    cfg = OracleConfig(extent=32.0, n_points=256, tukey_alpha=tukey_alpha,
+                       force_phi_unity=force_phi_unity, ideal_rect=ideal_rect)
+    rate = rcc_numeric(p, cfg)
+    assert rate.values.max() == 1.0 and rate.normalization > 0
+    for which in ("tau12", "tau13"):
+        # the rate grid integrated (Parseval) against the 1D transform:
+        # equal up to rounding
+        tr, ref = analysis.trace_from_grid(rate, which), rcc_cond_numeric(which, p, cfg)
+        assert np.array_equal(tr.t_axis, ref.t_axis)
+        assert np.max(np.abs(tr.values - ref.values)) <= 1e-13
+
+
+def test_rate_run_makes_one_2d_transform_and_no_conditional(transforms):
+    # the 2D transform is _fft2, which runs np.fft.fft on row then column
+    # blocks; the rate calls it once, and makes no other transform
+    rcc_numeric(HYB, OracleConfig(extent=32.0, n_points=256))
+    assert transforms[0] == ("_fft2", False)
+    assert transforms[1:] and set(transforms[1:]) == {("fft", True)}
 
 
 @given(st.sampled_from([1, 2, 3, 8, 256]), st.sampled_from([1, 2, 5, 64, 256]),
@@ -109,34 +113,36 @@ def test_tapered_run_loads_no_scipy():
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = ("import sys, warnings; warnings.simplefilter('ignore')\n"
-            "from sswm.oracle import OracleConfig, OracleRun\n"
+            "from sswm.oracle import OracleConfig, rcc_numeric\n"
             "from sswm.params import SystemParams\n"
-            "OracleRun(SystemParams(), OracleConfig(n_points=256, tukey_alpha=0.1))\n"
+            "rcc_numeric(SystemParams(), OracleConfig(n_points=256, tukey_alpha=0.1))\n"
             "sys.exit(int('scipy' in sys.modules))")
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_run_holds_only_what_was_asked(builds):
     cfg = OracleConfig(force_phi_unity=True, n_points=256)
-    run = OracleRun(SystemParams(), cfg, traces=("tau12",))
-    assert run.rate is None and len(builds) == 1
-    with pytest.raises(ValidationError, match="tau13"):
-        run.trace("tau13")
-    with pytest.raises(ValidationError):
-        OracleRun(SystemParams(), cfg, traces=("tau14",))
-    assert len(builds) == 1  # a bad direction is refused before any build
+    with pytest.raises(ValidationError, match="tau12"):
+        rcc_cond_numeric("tau14", SystemParams(), cfg)
+    assert builds == []  # a bad direction is refused before any build
+    # one numeric direction makes its 1D trace and no rate
+    sc = load_scenario("fig3e")
+    rate, traces = _scenario_run(replace(sc, oracle=replace(sc.oracle, n_points=256)))
+    assert rate is None and list(traces) == ["tau12"] and len(builds) == 1
 
 
 def test_rate_run_serves_both_traces_unlisted(builds):
-    # a rate run lists no direction: each trace integrates its rate grid
-    run = OracleRun(HYB, OracleConfig(extent=32.0, n_points=256))
-    for which in ("tau12", "tau13"):
-        tr, ref = run.trace(which), analysis.trace_from_grid(run.rate, which)
+    # both numeric directions, and no report or 2D rate: the rate is made
+    # once and each trace integrates it
+    sc = load_scenario("fig3c")
+    sc = replace(sc, oracle=replace(sc.oracle, n_points=256),
+                 outputs=("trace_tau12_numeric", "trace_tau13_numeric"))
+    rate, traces = _scenario_run(sc)
+    assert sorted(traces) == ["tau12", "tau13"] and len(builds) == 1
+    for which, tr in traces.items():
+        ref = analysis.trace_from_grid(rate, which)
         assert np.array_equal(tr.t_axis, ref.t_axis)
         assert np.array_equal(tr.values, ref.values)
-    with pytest.raises(ValidationError):
-        run.trace("tau14")
-    assert len(builds) == 1
 
 
 def test_spectrum_released_once_products_are_made(monkeypatch):
@@ -149,20 +155,26 @@ def test_spectrum_released_once_products_are_made(monkeypatch):
         return grid
 
     monkeypatch.setattr(sswm.oracle, "sampled_spectrum", keep_weakref)
-    run = OracleRun(HYB, OracleConfig(extent=32.0, n_points=256, tukey_alpha=0.1))
+    rate = rcc_numeric(HYB, OracleConfig(extent=32.0, n_points=256, tukey_alpha=0.1))
     gc.collect()
     assert len(refs) == 1 and refs[0]() is None
-    assert not np.iscomplexobj(run.rate.values)
+    assert not np.iscomplexobj(rate.values)
 
 
-def test_run_scenario_builds_one_spectrum(builds, tmp_path):
+def test_run_scenario_builds_one_spectrum(builds, transforms, tmp_path):
+    # one spectrum and its one 2D transform serve every output, with the
+    # report or with both numeric traces alone: no 1D transform runs beside it
     sc = load_scenario("fig3d")
-    sc = replace(sc, oracle=replace(sc.oracle, n_points=512),
-                 outputs=("report", "rcc2d_numeric", "rcc2d_analytic",
-                          "trace_tau12_numeric", "trace_tau13_numeric"))
-    paths, _ = run_scenario(sc, tmp_path)
-    assert len(paths) == 5 and all(p.exists() for p in paths)
-    assert len(builds) == 1
+    for outputs in [("report", "rcc2d_numeric", "rcc2d_analytic", "trace_tau12_numeric",
+                     "trace_tau13_numeric"),
+                    ("trace_tau12_numeric", "trace_tau13_numeric")]:
+        builds.clear()
+        transforms.clear()
+        sc = replace(sc, oracle=replace(sc.oracle, n_points=512), outputs=outputs)
+        paths, _ = run_scenario(sc, tmp_path / str(len(outputs)))
+        assert len(paths) == len(outputs) and all(p.exists() for p in paths)
+        assert len(builds) == 1
+        assert [call for call in transforms if not call[1]] == [("_fft2", False)]
 
 
 def test_sweep_builds_and_fits_once_per_point(builds, tmp_path, monkeypatch):

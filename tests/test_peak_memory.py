@@ -5,12 +5,13 @@ holds one row of text, and the acceptance suite keeps no grid between
 criteria.  tracemalloc sees every numpy buffer, and its counts do not
 depend on the allocator or the machine."""
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
 from sswm import acceptance, analysis, scenarios
-from sswm.oracle import (OracleConfig, OracleRun, default_extent, normalized_l2_error,
-                         support_edge_mask)
+from sswm.oracle import (OracleConfig, default_extent, normalized_l2_error, rcc_cond_numeric,
+                         rcc_numeric, support_edge_mask)
 from sswm.params import SystemParams
 from sswm.susceptibility import chi5_magnitude_map, spectral_grid
 from sswm.wavepacket import analytic_rate_grid
@@ -40,7 +41,7 @@ def _peak_rise(fn):
 
 @pytest.fixture(scope="module")
 def hybrid_rate():
-    return OracleRun(HYB, OracleConfig(extent=32.0, n_points=N)).rate
+    return rcc_numeric(HYB, OracleConfig(extent=32.0, n_points=N))
 
 
 def test_spectral_grid_peak():
@@ -53,16 +54,26 @@ def test_spectral_grid_peak():
 def test_oracle_run_with_rate_peak():
     # the spectrum, transformed and squared in place: the Phi blocks of the
     # build set the peak
-    run, rise = _peak_rise(lambda: OracleRun(HYB, OracleConfig(extent=32.0, n_points=N)))
-    assert run.rate.values.nbytes == REAL_GRID
+    rate, rise = _peak_rise(lambda: rcc_numeric(HYB, OracleConfig(extent=32.0, n_points=N)))
+    assert rate.values.nbytes == REAL_GRID
     assert rise <= 1.25 * COMPLEX_GRID
 
 
 def test_rate_free_oracle_run_peak():
     # the 1D transform squares and sums the spectrum in place
-    run, rise = _peak_rise(lambda: OracleRun(HYB, OracleConfig(extent=32.0, n_points=N),
-                                             traces=("tau13",)))
-    assert len(run.trace("tau13").values) == N
+    tr, rise = _peak_rise(lambda: rcc_cond_numeric("tau13", HYB,
+                                                   OracleConfig(extent=32.0, n_points=N)))
+    assert len(tr.values) == N
+    assert rise <= 1.25 * COMPLEX_GRID
+
+
+def test_scenario_with_both_numeric_traces_peak():
+    # fig3c asking for both numeric directions: one spectrum, its rate made
+    # in place, and each trace integrated from the rate
+    sc = scenarios.load_scenario("fig3c")
+    sc = replace(sc, outputs=("trace_tau12_numeric", "trace_tau13_numeric"))
+    (rate, traces), rise = _peak_rise(lambda: scenarios._scenario_run(sc))
+    assert rate.values.nbytes == REAL_GRID and sorted(traces) == ["tau12", "tau13"]
     assert rise <= 1.25 * COMPLEX_GRID
 
 

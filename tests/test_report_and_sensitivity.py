@@ -17,7 +17,7 @@ def test_fig3a_report_headline_values():
 
     sc = load_scenario("fig3a")
     sc = replace(sc, oracle=replace(sc.oracle, n_points=1024))
-    rep = scenario_report(sc, _scenario_run(sc))
+    rep = scenario_report(sc, _scenario_run(sc)[0])
     assert rep.period12 == pytest.approx(21e-9, abs=1e-9)
     assert rep.tau_c_12 == pytest.approx(48e-9, rel=0.10)
     assert rep.tau_c_13 == pytest.approx(52e-9, rel=0.10)

@@ -79,7 +79,8 @@ def scenarios(draw) -> Scenario:
         tmin, tmax = sorted((tmin, tmax))
         assume(tmin < tmax)
     return Scenario(name=draw(_WORD), params=params, oracle=oracle,
-                    outputs=tuple(draw(st.lists(st.sampled_from(OUTPUT_KINDS), max_size=4))),
+                    outputs=tuple(draw(st.lists(st.sampled_from(OUTPUT_KINDS), min_size=1,
+                                                max_size=4, unique=True))),
                     tmin_ns=tmin, tmax_ns=tmax)
 
 
@@ -554,6 +555,12 @@ RETIRED_AT_OTHER_VALUES = {"gamma31": "2gamma31", "gamma42": "2gamma31",
       "--values", "1e308"], "optical_depth = 1e+308"),
     (["sweep", "--scenario", "fig3b", "--grid-n", "256", "--param", "delta_p",
       "--values", "1e308gamma31"], "delta_p = 1e+308"),
+    # each output is one file: a kind named twice, or none at all
+    (["simulate", "--grid-n", "256", "--scenario",
+      ("outputs", "trace_tau12_numeric, trace_tau12_numeric")],
+     "outputs must name each output kind once"),
+    (["simulate", "--grid-n", "256", "--scenario", ("outputs", "")],
+     "outputs must name each output kind once, got ()"),
 ], ids=["extent", "extent-nan", "grid-n", "grid-n-flag-named", "extent-flag-named",
         "sweep-extent-flag-named", "n_points-line-named", "values-word", "values-negative-od", "values-gamma31-word",
         "n_points", "tukey_alpha", "tmin_ns", "gamma31_si", "gamma31_si-zero",
@@ -564,7 +571,7 @@ RETIRED_AT_OTHER_VALUES = {"gamma31": "2gamma31", "gamma42": "2gamma31",
         "extent-double-dash", "extent-leading-dash", "values-leading-dash", "omega_c1-overflow", "omega_c1-gamma31-overflow",
         "gamma31_si-underflow", "delta_p-large", "length_L-small", "extent-overflow",
         "extent-gamma31-overflow", "extent-underflow", "values-od-overflow",
-        "values-delta_p-overflow"])
+        "values-delta_p-overflow", "outputs-duplicate", "outputs-empty"])
 def test_cli_malformed_input_exit_2(argv, names, tmp_path, capsys):
     # every malformed flag or config line is a config error naming the key
     # or flag, never a traceback; '<file>' is an existing file
