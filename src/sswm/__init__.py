@@ -18,8 +18,7 @@ from .params import (DerivedFrequencies, Entanglement, Regime, SystemParams,
 from .susceptibility import (SpectralGrid, chi3, chi5, chi5_magnitude_map, delta_k,
                              find_resonances, phi, spectral_grid)
 from .wavepacket import (ChannelWeights, WavepacketGrid, analytic_rate_grid,
-                         channel_weights, rcc_cascaded_stub, rcc_chi5, rcc_cond12,
-                         wavepacket_chi5, wavepacket_hybrid)
+                         channel_weights, rcc_chi5, rcc_cond12, wavepacket_chi5)
 
 __version__ = "0.1.0"
 
@@ -34,7 +33,7 @@ __all__ = [
     "default_extent", "delta_k", "derived_frequencies", "detect_precursor",
     "effective_splittings", "eit_dispersion", "extract_period",
     "factorizability_residual", "find_resonances", "fit_coherence_time",
-    "ordering_violation_mass", "phi", "rcc_cascaded_stub", "rcc_chi5",
+    "ordering_violation_mass", "phi", "rcc_chi5",
     "rcc_cond12", "rcc_cond_numeric", "rcc_numeric",
-    "spectral_grid", "wavepacket_chi5", "wavepacket_hybrid", "wavepacket_numeric",
+    "spectral_grid", "wavepacket_chi5", "wavepacket_numeric",
 ]

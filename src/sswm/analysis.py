@@ -27,7 +27,7 @@ PRECURSOR_WINDOW = 0.05
 #: A precursor maximum exceeds this multiple of the mid-rectangle median.
 PRECURSOR_PROMINENCE = 1.5
 
-#: Rows per block when factorizability_residual subtracts the marginal product.
+#: Rows per block of r / total in factorizability_residual.
 RESIDUAL_BLOCK_ROWS = 64
 
 
@@ -260,6 +260,14 @@ def factorizability_residual(grid) -> float:
     """L1 distance between the unit-mass rate and the product of its marginals.
 
     0 for exactly separable landscapes, up to 2 for disjoint supports.
+
+    r / total is made one block of RESIDUAL_BLOCK_ROWS rows at a time, in one
+    block buffer, twice: the first pass takes the marginals, the second the
+    row sums of |block - outer(m12, m13)|.  numpy's sum(axis=0) adds the rows
+    one after another, so the column sums carry from block to block; its
+    whole-array sum of a C-contiguous 2^j x 2^k grid is pairwise, which
+    the row sums combined in halving pairs reproduce.  On such grids the value
+    is bitwise that of the whole-grid expressions, on others equal to rounding.
     """
     r = np.asarray(grid.values, dtype=float)
     if np.min(r) < 0:
@@ -267,13 +275,22 @@ def factorizability_residual(grid) -> float:
     total = r.sum()
     if total <= 0:
         raise ZeroMassError("factorizability on a zero-mass grid")
-    rn = r / total
-    m12, m13 = rn.sum(axis=1), rn.sum(axis=0)
-    # rn - outer(m12, m13) in row blocks, in place: one grid of temporaries
-    for start in range(0, len(m12), RESIDUAL_BLOCK_ROWS):
-        rows = slice(start, start + RESIDUAL_BLOCK_ROWS)
-        rn[rows] -= np.outer(m12[rows], m13)
-    return float(np.abs(rn, out=rn).sum())
+    n, step = len(r), RESIDUAL_BLOCK_ROWS
+    buf = np.empty((min(n, step), r.shape[1]))
+    m12, sums, m13 = np.empty(n), np.empty(n), None
+    for start in range(0, n, step):
+        b = np.divide(r[start:start + step], total, out=buf[:min(step, n - start)])
+        b.sum(axis=1, out=m12[start:start + step])
+        if m13 is not None:
+            b[0] += m13
+        m13 = b.sum(axis=0)
+    for start in range(0, n, step):
+        b = np.divide(r[start:start + step], total, out=buf[:min(step, n - start)])
+        b -= np.outer(m12[start:start + step], m13)
+        np.abs(b, out=b).sum(axis=1, out=sums[start:start + step])
+    while len(sums) > 1:  # an odd last sum joins the next level
+        sums = np.append(sums[:-1:2] + sums[1::2], sums[-1:] if len(sums) % 2 else [])
+    return float(sums[0])
 
 
 def ordering_violation_mass(grid) -> float:

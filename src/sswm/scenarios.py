@@ -17,6 +17,7 @@ import importlib.resources
 import json
 import math
 import os
+import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -280,10 +281,9 @@ def _default_window_s(p: SystemParams) -> tuple[float, float]:
     return (-0.1 * span, 1.2 * span)
 
 
-def _crop_grid(grid, tmin: float, tmax: float):
-    i = np.where((grid.tau12_axis >= tmin) & (grid.tau12_axis <= tmax))[0]
-    j = np.where((grid.tau13_axis >= tmin) & (grid.tau13_axis <= tmax))[0]
-    return grid.tau12_axis[i], grid.tau13_axis[j], grid.values[np.ix_(i, j)]
+def _window(axis: np.ndarray, tmin: float, tmax: float) -> slice:
+    """The indices of the increasing `axis` whose samples lie in [tmin, tmax]."""
+    return slice(int(np.searchsorted(axis, tmin)), int(np.searchsorted(axis, tmax, "right")))
 
 
 def _write_export(path: Path, header: list[str], axes: list[tuple[str, np.ndarray]],
@@ -437,6 +437,14 @@ def run_scenario(sc: Scenario, out_dir: Path, fmt: str = "csv",
         tmin = sc.tmin_ns * 1e-9
     if sc.tmax_ns is not None:
         tmax = sc.tmax_ns * 1e-9
+    if any(out.startswith("rcc2d_") for out in sc.outputs):
+        t12, t13 = rate.tau12_axis, rate.tau13_axis
+        window = _window(t12, tmin, tmax), _window(t13, tmin, tmax)
+        lo, hi = max(t12[0], t13[0]), min(t12[-1], t13[-1])
+        if tmin < lo or tmax > hi:
+            warnings.warn(f"export window {tmin * 1e9:.4g} .. {tmax * 1e9:.4g} ns extends past "
+                          f"the rate's time axis {lo * 1e9:.4g} .. {hi * 1e9:.4g} ns; the 2D "
+                          f"exports keep the samples that lie in both", stacklevel=2)
     written: list[Path] = []
     lines: list[str] = []
 
@@ -460,14 +468,15 @@ def run_scenario(sc: Scenario, out_dir: Path, fmt: str = "csv",
             lines += [f"  delta2 = {pk['delta2']:+9.3f}, delta3 = {pk['delta3']:+9.3f} gamma31"
                       for pk in peaks]
         elif out.startswith("rcc2d_"):
-            grid = rate
-            if out == "rcc2d_analytic":
-                grid = analytic_rate_grid(p, grid.tau12_axis, grid.tau13_axis,
-                                          _analytic_form(p), sc.oracle.ideal_rect)
-            t12, t13, vals = _crop_grid(grid, tmin, tmax)
+            grid, (rows, cols) = rate, window
+            if out == "rcc2d_analytic":  # filled on the window alone
+                grid = analytic_rate_grid(p, t12, t13, _analytic_form(p),
+                                          sc.oracle.ideal_rect, window)
+                rows = cols = slice(None)
             _write_export(path, header + [f"normalization: {grid.normalization:.12e}"],
-                          [("tau12_s", t12), ("tau13_s", t13)], vals, "value", "values", fmt)
-            del grid, vals  # later outputs do not read the analytic grid
+                          [("tau12_s", grid.tau12_axis[rows]), ("tau13_s", grid.tau13_axis[cols])],
+                          grid.values[rows, cols], "value", "values", fmt)
+            del grid  # later outputs do not read the analytic grid
         elif out.startswith("trace_"):
             which = _trace_direction(out)
             if out.endswith("numeric"):

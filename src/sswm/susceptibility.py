@@ -26,8 +26,10 @@ POLE_FLOOR = 1e-30
 #: |dk*L| below this switches the detuning function to its series form.
 PHI_SERIES_CUTOFF = 1e-6
 
-#: Rows of delta2 per block when Phi is multiplied into the chi5 grid.
-PHI_BLOCK_ROWS = 128
+#: Rows of delta2 in flight when Phi is multiplied into the chi5 grid: the
+#: blocks of all workers together hold 16 rows of each of two scratch arrays,
+#: 1 MB at n = 2048, and 8 to 128 rows take the same time on 2 cores.
+PHI_BLOCK_ROWS = 16
 
 #: Rows per block when a real n x n result is written over its complex buffer.
 REAL_BLOCK_ROWS = 64
@@ -345,12 +347,18 @@ def real_first_half(values: np.ndarray, op) -> np.ndarray:
 def fftshift_in_place(values: np.ndarray) -> None:
     """np.fft.fftshift of the n x n array `values`, n even, in place:
     the top-left quadrant swaps with the bottom-right and the top-right with
-    the bottom-left, in blocks of REAL_BLOCK_ROWS top rows that stop at n/2."""
+    the bottom-left, in blocks of REAL_BLOCK_ROWS top rows that stop at n/2,
+    each pair through one block-sized temporary."""
     h = len(values) // 2
+    tmp = np.empty((min(REAL_BLOCK_ROWS, h), h), dtype=values.dtype)
     for start in range(0, h, REAL_BLOCK_ROWS):
         top = slice(start, min(start + REAL_BLOCK_ROWS, h))
         bottom = slice(top.start + h, top.stop + h)
-        values[top], values[bottom] = np.roll(values[bottom], h, 1), np.roll(values[top], h, 1)
+        aside = tmp[:top.stop - top.start]
+        for a, b in ((values[top, :h], values[bottom, h:]), (values[top, h:], values[bottom, :h])):
+            aside[...] = a
+            a[...] = b
+            b[...] = aside
 
 
 def chi5_magnitude_map(p: SystemParams, extent: float,

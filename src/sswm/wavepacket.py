@@ -56,13 +56,17 @@ class WavepacketGrid:
 
     def __post_init__(self) -> None:
         for ax in (self.tau12_axis, self.tau13_axis):
-            d = np.diff(ax)
-            if not np.all(d > 0):
-                raise ValidationError("time axes must be strictly increasing")
+            _check_increasing(ax)
         if self.values.shape != (len(self.tau12_axis), len(self.tau13_axis)):
             raise ValidationError("value array shape must match axis lengths")
-        if not np.iscomplexobj(self.values) and np.min(self.values) < 0:
+        if not np.iscomplexobj(self.values) and self.values.size and np.min(self.values) < 0:
             raise ValidationError("rate grids must be non-negative")
+
+
+def _check_increasing(axis: np.ndarray) -> None:
+    """ValidationError unless the time axis `axis` strictly increases."""
+    if not np.all(np.diff(axis) > 0):
+        raise ValidationError("time axes must be strictly increasing")
 
 
 def _check_regime(p: SystemParams, expect: Regime) -> None:
@@ -155,50 +159,6 @@ def hybrid_loss_rate(p: SystemParams) -> float:
     return att / eit_dispersion(p).group_delay
 
 
-def wavepacket_hybrid(tau12, tau13, p: SystemParams, ideal_rect: bool = False):
-    """Hybrid-regime amplitude: chi5 along tau12, a rectangle along tau13.
-
-    B = (O1/2 cos(O1 t12/2) + g_e3 sin(O1 t12/2)) Theta(t12) Theta(s)
-        * Pi(t13; 0, L/nu3) * e^(-loss*t13 - g_e1*t12).
-    g_e3 = gamma51 - gamma_e1, the coefficient filling the same structural
-    slot in the conditional rate.  The closed form contains no early-time
-    precursor by construction: that feature only emerges from the numeric
-    transform.
-    """
-    _check_regime(p, Regime.HYBRID)
-    s = effective_splittings(p)
-    gamma_e3 = p.gamma51 - s.gamma_e1
-    t12_s = np.asarray(tau12, dtype=float)
-    t13_s = np.asarray(tau13, dtype=float)
-    t12 = t12_s * p.gamma31_si
-    o1 = s.omega_e1
-    rect = (t13_s >= 0) & (t13_s <= eit_dispersion(p).group_delay)
-    support = (t12 >= 0) & (t13_s >= t12_s) & rect
-    loss = 0.0 if ideal_rect else hybrid_loss_rate(p)
-    amp = ((o1 / 2 * np.cos(o1 * t12 / 2) + gamma_e3 * np.sin(o1 * t12 / 2))
-           * np.exp(-loss * t13_s - s.gamma_e1 * t12))
-    out = np.where(support, amp, 0.0)
-    return float(out) if out.ndim == 0 else out
-
-
-def rcc_cascaded_stub(tau12, tau13, p: SystemParams):
-    """Cascaded-source reference: a rate that factorizes by construction.
-
-    Returns rcc_cond12(tau12) * m(tau13) with m the second-arm damped
-    oscillation (1 - cos(O2 t13)) e^(-2 g_e2 t13) Theta(t13).  Used as the
-    zero-residual baseline for the factorizability contrast.
-    """
-    _check_regime(p, Regime.CHI5_DOMINATED)  # rcc_cond12's check
-    s = effective_splittings(p)
-    o1, b = s.omega_e1, p.gamma51 - s.gamma_e1
-    t12 = np.asarray(tau12, dtype=float) * p.gamma31_si
-    t13 = np.asarray(tau13, dtype=float) * p.gamma31_si
-    r12 = ((o1 * np.cos(o1 * t12 / 2) + 2 * b * np.sin(o1 * t12 / 2)) ** 2
-           * np.exp(-2 * s.gamma_e1 * t12))
-    m = (1.0 - np.cos(s.omega_e2 * t13)) * np.exp(-2 * s.gamma_e2 * t13)
-    return np.where(t12 >= 0, r12, 0.0) * np.where(t13 >= 0, m, 0.0)
-
-
 #: The regime each closed form of analytic_rate_grid expects.
 _REGIMES = {"chi5": Regime.CHI5_DOMINATED, "hybrid": Regime.HYBRID,
             "cascaded": Regime.CHI5_DOMINATED}
@@ -234,28 +194,49 @@ def _factors(p: SystemParams, which: str, t12: np.ndarray, t13: np.ndarray,
 
 def analytic_rate_grid(p: SystemParams, tau12_axis: np.ndarray,
                        tau13_axis: np.ndarray, which: str = "chi5",
-                       ideal_rect: bool = False) -> WavepacketGrid:
+                       ideal_rect: bool = False,
+                       window: tuple[slice, slice] = (slice(None), slice(None))
+                       ) -> WavepacketGrid:
     """One closed-form rate on a time grid, peak-normalized, from its 1D
     factors after one regime check, whose warning names the caller's line.
-    Row i is row[i] times the tau13 factor (any axes; hybrid keeps tau13 >=
-    tau12 on the axis values), or for chi5 m[j - i], a Toeplitz view of m
-    that is 0 below the diagonal.  `ideal_rect` drops hybrid's loss."""
+    Row i is row[i] times the tau13 factor (any increasing axes; hybrid
+    keeps tau13 >= tau12 on the axis values), or for chi5 m[j - i], a
+    Toeplitz view of m that is 0 below the diagonal.  `ideal_rect` drops
+    hybrid's loss.
+
+    Only the cells of `window`, a (tau12, tau13) pair of index slices, are
+    filled, and the grid holds that window's axes; the default window is the
+    whole grid.  The normalization is the peak of the whole grid all the
+    same, taken from the factors: both are non-negative and rounding is
+    monotone, so a row's peak is its factor times the largest tau13 factor
+    among its cells."""
     if which not in _REGIMES:
         raise ValidationError(f"unknown analytic rate {which!r}")
     _check_regime(p, _REGIMES[which])
     t12 = np.asarray(tau12_axis, dtype=float)
     t13 = np.asarray(tau13_axis, dtype=float)
+    for ax in (t12, t13):
+        _check_increasing(ax)
     row, col = _factors(p, which, t12, t13, ideal_rect)
     n = len(t12)
     cols = (sliding_window_view(np.concatenate([np.zeros(n - 1), col]), n)[::-1]
             if which == "chi5" else np.broadcast_to(col, (n, len(t13))))
-    vals = np.zeros((n, len(t13)))
+    if which == "chi5":  # row i holds m[0], ..., m[n - 1 - i]
+        reach = np.maximum.accumulate(col)[::-1]
+    elif which == "hybrid":  # row i holds the g[j] with t13[j] >= t12[i]
+        suffix = np.append(np.maximum.accumulate(col[::-1])[::-1], 0.0)
+        reach = suffix[np.searchsorted(t13, t12)]
+    else:
+        reach = np.full(n, col.max())
+    norm = float((row * reach).max())
+    rows, cells = window
+    row, cols, t12, t13 = row[rows], cols[rows, cells], t12[rows], t13[cells]
+    vals = np.zeros((len(t12), len(t13)))
 
-    def fill(rows):
-        ordered = which != "hybrid" or t13 >= t12[rows, None]
-        np.multiply(row[rows, None], cols[rows], out=vals[rows], where=ordered)
-    map_blocks(fill, n, n)
-    norm = float(vals.max())
+    def fill(block):
+        ordered = which != "hybrid" or t13 >= t12[block, None]
+        np.multiply(row[block, None], cols[block], out=vals[block], where=ordered)
+    map_blocks(fill, len(t12), len(t12))
     if norm > 0:
         vals /= norm
     return WavepacketGrid(tau12_axis=t12, tau13_axis=t13, values=vals, normalization=norm)

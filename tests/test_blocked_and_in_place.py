@@ -6,11 +6,13 @@ from 1D factors against the literal closed forms, within a rounding
 allowance derived from eps; and every stage run on the block pool against
 the same stage on one worker."""
 import inspect
+import json
 import os
 import sys
 import threading
 import time
 import warnings
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -25,6 +27,8 @@ from sswm.oracle import (OracleConfig, _rate_grid, default_extent, rcc_cond_nume
 from sswm.params import SystemParams, effective_splittings
 from sswm.susceptibility import PHI_SERIES_CUTOFF, spectral_grid
 from sswm.wavepacket import WavepacketGrid
+
+from reference_forms import rcc_cascaded_stub, wavepacket_hybrid
 
 pytestmark = pytest.mark.filterwarnings("ignore:grid spacing", "ignore:extent")
 
@@ -72,7 +76,7 @@ def _check_blocked_phi(p, ideal_rect, block_rows):
     assert np.array_equal(got, want)
 
 
-@given(params, st.booleans(), st.sampled_from([1, 100, 128, N, 1000]))
+@given(params, st.booleans(), st.sampled_from([1, 16, 100, 128, N, 1000]))
 @settings(max_examples=30, deadline=None)
 def test_blocked_phi_equals_whole_grid(kw, ideal_rect, block_rows):
     _check_blocked_phi(SystemParams(**kw), ideal_rect, block_rows)
@@ -175,6 +179,24 @@ def test_blocked_residual_equals_whole_grid(kw):
     assert analysis.factorizability_residual(rate) == want
 
 
+@pytest.mark.parametrize("shape", [(301, 301), (256, 517), (1, 256), (256, 1), (3, 2048)])
+@pytest.mark.parametrize("block_rows", [1, 64, 100])
+def test_blocked_residual_on_other_shapes_equals_whole_grid_to_rounding(shape, block_rows):
+    # only the orders of the sums differ: the last sum, of non-negative terms,
+    # is within log2(cells) roundings of their sum either way, and the tau13
+    # marginal within a rounding per row (numpy adds the rows of a one-column
+    # grid pairwise), which moves the residual by at most rows * eps, as each
+    # marginal sums to 1
+    rng = np.random.default_rng(sum(shape))
+    r = rng.random(shape) ** 4
+    rn = r / r.sum()
+    want = float(np.abs(rn - np.outer(rn.sum(axis=1), rn.sum(axis=0))).sum())
+    with mock.patch.object(analysis, "RESIDUAL_BLOCK_ROWS", block_rows):
+        got = analysis.factorizability_residual(WavepacketGrid(
+            np.arange(shape[0]) + 1.0, np.arange(shape[1]) + 1.0, r))
+    assert abs(got - want) <= 2 * (r.size.bit_length() * want + shape[0]) * EPS
+
+
 def _rate_atol(p, t):
     """Rounding allowance per cell of a peak-normalized closed-form grid.
 
@@ -196,9 +218,9 @@ def _rate_atol(p, t):
 def _direct_rate(p, which, t12, t13, ideal_rect):
     """The literal closed form `which` on the grid t12 x t13."""
     if which == "hybrid":
-        amp = wavepacket.wavepacket_hybrid(t12[:, None], t13[None, :], p, ideal_rect=ideal_rect)
+        amp = wavepacket_hybrid(t12[:, None], t13[None, :], p, ideal_rect=ideal_rect)
         return np.abs(amp) ** 2
-    fn = {"chi5": wavepacket.rcc_chi5, "cascaded": wavepacket.rcc_cascaded_stub}[which]
+    fn = {"chi5": wavepacket.rcc_chi5, "cascaded": rcc_cascaded_stub}[which]
     return fn(t12[:, None], t13[None, :], p)
 
 
@@ -216,8 +238,54 @@ def test_blocked_analytic_grid_equals_whole_grid(kw, which, ideal_rect):
     got = wavepacket.analytic_rate_grid(p, t12, t13, which=which, ideal_rect=ideal_rect)
     atol = _rate_atol(p, t13)
     assert abs(got.normalization - norm) <= atol * norm
+    # the normalization, taken from the factors, is the largest cell exactly
+    assert got.values.max() == (1.0 if got.normalization > 0 else 0.0)
     assert np.all(np.abs(got.values - (want / norm if norm > 0 else want)) <= atol)
     assert np.array_equal(got.values == 0, want == 0)
+
+
+def _crop(grid, tmin, tmax):
+    """The cells of `grid` in [tmin, tmax] on both axes, taken by mask."""
+    i = np.where((grid.tau12_axis >= tmin) & (grid.tau12_axis <= tmax))[0]
+    j = np.where((grid.tau13_axis >= tmin) & (grid.tau13_axis <= tmax))[0]
+    return grid.tau12_axis[i], grid.tau13_axis[j], grid.values[np.ix_(i, j)]
+
+
+@pytest.mark.parametrize("name, ideal_rect, window_ns", [
+    ("fig3a", False, (-30.0, 200.0)),  # chi5
+    ("fig3d", False, (-50.0, 600.0)),  # hybrid with its loss
+    ("fig3d", True, (-50.0, 600.0)),  # hybrid without it
+    ("fig3d", False, (300.0, 600.0)),  # the global peak, at tau12 = 0, lies outside
+    ("fig3a", False, (100.0, 100.5)),  # between two samples: no cell
+], ids=["chi5", "hybrid", "hybrid-ideal", "off-peak", "empty"])
+def test_windowed_analytic_export_equals_crop_of_full_grid(name, ideal_rect, window_ns,
+                                                           tmp_path):
+    # the closed form filled on the export window alone: the same axes, values
+    # and normalization as the window cropped from the whole grid
+    sc = scenarios.load_scenario(name)
+    p, extent = sc.params, sc.oracle.extent or default_extent(sc.params)
+    t = oracle._time_axis(N, 2 * extent / N, p.gamma31_si)
+    rate = WavepacketGrid(t, t.copy(), np.zeros((N, N)), normalization=1.0)
+    form = scenarios._analytic_form(p)
+    full = wavepacket.analytic_rate_grid(p, t, t, form, ideal_rect)
+    t12, t13, vals = _crop(full, window_ns[0] * 1e-9, window_ns[1] * 1e-9)
+    assert (vals.size == 0) == (name == "fig3a" and window_ns[0] == 100.0)
+    assert full.values.max() == 1.0 and (1.0 in vals) == (window_ns[0] < 0)
+
+    window = tuple(scenarios._window(ax, *np.multiply(window_ns, 1e-9)) for ax in (t, t))
+    got = wavepacket.analytic_rate_grid(p, t, t, form, ideal_rect, window)
+    assert np.array_equal(got.tau12_axis, t12) and np.array_equal(got.tau13_axis, t13)
+    assert np.array_equal(got.values, vals) and got.normalization == full.normalization
+
+    sc = replace(sc, oracle=replace(sc.oracle, n_points=N, ideal_rect=ideal_rect),
+                 outputs=("rcc2d_analytic",), tmin_ns=window_ns[0], tmax_ns=window_ns[1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)  # the window lies on the axis
+        [path], _ = scenarios.run_scenario(sc, tmp_path, "json", run=(rate, {}))
+    payload = json.loads(path.read_text())
+    assert payload["tau12_s"] == t12.tolist() and payload["tau13_s"] == t13.tolist()
+    assert payload["values"] == vals.tolist()
+    assert payload["header"][-1] == f"normalization: {full.normalization:.12e}"
 
 
 def test_chi5_grid_needs_one_shared_uniform_axis():

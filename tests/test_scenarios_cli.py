@@ -190,6 +190,24 @@ def test_export_layout(tmp_path, fmt, name, outputs, axes, column, key):
         assert all(re.fullmatch(h, ln) for h, ln in zip(header, lines))
 
 
+def test_export_window_past_the_time_axis_warns_once(tmp_path):
+    # fig3a's default window against the +-245 ns axis of a 256-point grid:
+    # one advisory for both 2D exports, naming both ranges; a window on the
+    # axis gives none
+    import warnings
+    from dataclasses import replace
+
+    sc = small(load_scenario("fig3a"), n_points=256)
+    with pytest.warns(UserWarning) as seen:
+        run_scenario(sc, tmp_path / "past")
+    assert [str(w.message) for w in seen if "export window" in str(w.message)] == [
+        "export window -31.21 .. 374.5 ns extends past the rate's time axis -245.4 .. "
+        "243.4 ns; the 2D exports keep the samples that lie in both"]
+    with warnings.catch_warnings():
+        warnings.filterwarnings("error", "export window")
+        run_scenario(replace(sc, tmin_ns=-30.0, tmax_ns=240.0), tmp_path / "inside")
+
+
 def _whole_text_csv(path, header, axes, values, column, step):
     """The reference form of the CSV writer: every line an f-string, the
     file joined into one text and written once."""

@@ -11,8 +11,9 @@ from sswm.analysis import (TimeTrace, extract_period, factorizability_residual,
 from sswm.errors import OverdampedError
 from sswm.params import SystemParams, derived_frequencies, effective_splittings
 from sswm.wavepacket import (analytic_rate_grid, channel_weights, hybrid_loss_rate,
-                             rcc_cascaded_stub, rcc_chi5, rcc_cond12,
-                             wavepacket_chi5, wavepacket_hybrid)
+                             rcc_chi5, rcc_cond12, wavepacket_chi5)
+
+from reference_forms import rcc_cascaded_stub, wavepacket_hybrid
 
 P = SystemParams()  # couplings 8 gamma31, OD 37
 HYB = SystemParams(omega_c1=2.0, omega_c2=2.0, optical_depth=111.0)
