@@ -261,13 +261,14 @@ def factorizability_residual(grid) -> float:
 
     0 for exactly separable landscapes, up to 2 for disjoint supports.
 
-    r / total is made one block of RESIDUAL_BLOCK_ROWS rows at a time, in one
-    block buffer, twice: the first pass takes the marginals, the second the
-    row sums of |block - outer(m12, m13)|.  numpy's sum(axis=0) adds the rows
-    one after another, so the column sums carry from block to block; its
-    whole-array sum of a C-contiguous 2^j x 2^k grid is pairwise, which
-    the row sums combined in halving pairs reproduce.  On such grids the value
-    is bitwise that of the whole-grid expressions, on others equal to rounding.
+    r / total is made RESIDUAL_BLOCK_ROWS rows at a time in one block
+    buffer, twice: the first pass takes the marginals, the second the row
+    sums of |r / total - outer(m12, m13)|, so no full-size copy is made.
+    numpy adds the rows of a whole-grid sum(axis=0) one after another, so
+    the tau13 marginal carries from block to block, and it sums a
+    C-contiguous 2^j x 2^k grid pairwise, which the row sums combined in
+    halving pairs reproduce: on such grids the value is bitwise that of the
+    whole-grid expressions, on others equal to rounding.
     """
     r = np.asarray(grid.values, dtype=float)
     if np.min(r) < 0:
@@ -288,7 +289,7 @@ def factorizability_residual(grid) -> float:
         b = np.divide(r[start:start + step], total, out=buf[:min(step, n - start)])
         b -= np.outer(m12[start:start + step], m13)
         np.abs(b, out=b).sum(axis=1, out=sums[start:start + step])
-    while len(sums) > 1:  # an odd last sum joins the next level
+    while len(sums) > 1:  # an odd count carries its last sum up a level
         sums = np.append(sums[:-1:2] + sums[1::2], sums[-1:] if len(sums) % 2 else [])
     return float(sums[0])
 
