@@ -14,22 +14,24 @@ amplitude on the shifted spectral axes has modulus one and drops out.  Each
 conditional trace is that grid integrated over the other delay, which equals
 the defining transform-square-integrate order by the discrete Parseval
 identity along the integrated axis; `rcc_cond_numeric` keeps the literal
-1D order as the reference.
+1D order as the reference, streamed in row blocks yet bitwise the n^2 order.
 """
 from __future__ import annotations
 
 import math
 import warnings
 from dataclasses import dataclass
+from threading import get_ident
 
 import numpy as np
 
+from . import blocks
 from .analysis import TimeTrace
 from .blocks import map_blocks
 from .errors import ValidationError
 from .params import SystemParams, effective_splittings, eit_dispersion
 from .susceptibility import (SpectralGrid, check_grid, fftshift_in_place, real_first_half,
-                             spectral_grid)
+                             spectral_grid, spectrum_rows)
 from .wavepacket import WavepacketGrid
 
 #: Half-width in cells of the tau12 = 0 band that closed-form comparisons drop.
@@ -37,6 +39,12 @@ EDGE_HALFWIDTH_CELLS = 2.5
 
 #: Rows per block when normalized_l2_error sums its squares.
 L2_BLOCK_ROWS = 64
+
+#: Rows a conditional trace samples, transforms and squares at a time per
+#: thread, one per accumulator row of numpy's pairwise-sum leaf of LEAF_ROWS
+#: rows.  16 rows ran 8% faster, but their Phi scratch stays in the pool
+#: threads' malloc arenas and raised the peak RSS of `sswm acceptance`.
+TRACE_BLOCK_ROWS, LEAF_ROWS = 8, 128
 
 
 @dataclass(frozen=True)
@@ -71,25 +79,31 @@ def default_extent(p: SystemParams) -> float:
 
 def sampled_spectrum(p: SystemParams, cfg: OracleConfig) -> SpectralGrid:
     """chi5*Phi samples (window applied) ready for the discrete transform."""
+    grid = spectral_grid(p, _extent(p, cfg), cfg.n_points,
+                         force_phi_unity=cfg.force_phi_unity, ideal_rect=cfg.ideal_rect)
+    if cfg.tukey_alpha > 0:  # a fresh array: taper it in place
+        n, w = cfg.n_points, _tukey(cfg.n_points, cfg.tukey_alpha)
+        map_blocks(lambda rows: _taper(grid.values[rows], rows, w, False), n, n)
+    return grid
+
+
+def _extent(p: SystemParams, cfg: OracleConfig) -> float:
+    """cfg's extent or `default_extent`, with the grid-spacing advisory."""
     extent = cfg.extent if cfg.extent is not None else default_extent(p)
     s = effective_splittings(p)
     spacing = 2 * extent / cfg.n_points
     if spacing >= min(s.gamma_e1, s.gamma_e2) / 4:
         warnings.warn(
             f"grid spacing {spacing:.3g} does not resolve the narrower "
-            f"linewidth / 4 = {min(s.gamma_e1, s.gamma_e2) / 4:.3g}", stacklevel=2)
-    grid = spectral_grid(p, extent, cfg.n_points,
-                         force_phi_unity=cfg.force_phi_unity, ideal_rect=cfg.ideal_rect)
-    if cfg.tukey_alpha > 0:
-        w = _tukey(cfg.n_points, cfg.tukey_alpha)
-        values = grid.values  # a fresh array: taper it in place
+            f"linewidth / 4 = {min(s.gamma_e1, s.gamma_e2) / 4:.3g}", stacklevel=3)
+    return extent
 
-        def taper(rows):
-            block = values[rows]
-            block *= w[rows, None]
-            block *= w[None, :]
-        map_blocks(taper, cfg.n_points, cfg.n_points)
-    return grid
+
+def _taper(block: np.ndarray, rows: slice, w: np.ndarray, transposed: bool) -> None:
+    """The Tukey window w on rows `rows` of the samples (of their transpose
+    if `transposed`), in place: times w[delta2] first, then w[delta3]."""
+    for factor in ((w[None, :], w[rows, None]) if transposed else (w[rows, None], w[None, :])):
+        block *= factor
 
 
 def _tukey(n: int, alpha: float) -> np.ndarray:
@@ -147,26 +161,63 @@ def rcc_cond_numeric(which: str, p: SystemParams,
 
     which = "tau12": inner transform over delta2 at fixed delta3;
     which = "tau13": inner transform over delta3 at fixed delta2.
-    A bad `which` is refused before any sampling.  The 1D transform, the
-    squares and the sum run in the freshly sampled spectrum's memory.
-    """
+    A bad `which` is refused before any sampling.
+
+    No n^2 array is made: on every core, `spectrum_rows` blocks of the
+    samples (of their transpose for tau12: both FFTs run along rows) are
+    tapered, transformed and squared in per-thread scratch.  The squares are
+    added in numpy's order for the whole grid, so the trace is bitwise that
+    of `sampled_spectrum` on any worker count: rows in order for tau13, as
+    `sum(axis=0)`; for tau12 the pairwise `sum(axis=1)`, a leaf of LEAF_ROWS
+    rows in one thread's accumulator rows r[i % 8], all in halving trees."""
     if which not in ("tau12", "tau13"):
         raise ValidationError("which must be 'tau12' or 'tau13'")
-    grid = sampled_spectrum(p, cfg or OracleConfig())
-    n = len(grid.delta2_axis)
-    dd = float(grid.delta2_axis[1] - grid.delta2_axis[0])
-    axis = 0 if which == "tau12" else 1
-    G = grid.values
+    cfg = cfg or OracleConfig()
+    n, transposed = cfg.n_points, which == "tau12"
+    d, fill = spectrum_rows(p, _extent(p, cfg), n, cfg.force_phi_unity, cfg.ideal_rect,
+                            transposed)
+    w = _tukey(n, cfg.tukey_alpha) if cfg.tukey_alpha > 0 else None
+    # each thread's block buffer and accumulator rows, made here: a pool
+    # thread's malloc arena would keep them, and raise later stages' peaks
+    k, mine = blocks.workers(), {}
+    spare = zip(np.empty((k, TRACE_BLOCK_ROWS, n), dtype=complex), np.empty((k, 8, n)))
 
-    def transform(lines):
-        # `lines` cut across the transform axis
-        at = (slice(None), lines) if axis == 0 else lines
-        np.fft.fft(G[at], axis=axis, out=G[at])
-    map_blocks(transform, n, n)
-    np.square(G.real, out=G.real)
-    np.square(G.imag, out=G.imag)
-    G.real += G.imag
-    R = G.real.sum(axis=1 - axis) * dd**3
+    def own():  # this thread's pair, taken at its first block
+        return mine.get(get_ident()) or mine.setdefault(get_ident(), next(spare))
+
+    def squares(rows):  # |fft|^2 of the rows, in this thread's block buffer
+        block = own()[0][:rows.stop - rows.start]
+        fill(rows, block)
+        if w is not None:
+            _taper(block, rows, w, transposed)
+        np.fft.fft(block, axis=1, out=block)
+        np.square(block.real, out=block.real)
+        np.square(block.imag, out=block.imag)
+        block.real += block.imag
+        return block.real
+
+    if transposed:
+        leaves = np.empty((n // LEAF_ROWS, n))
+
+        def leaf(one):  # map_blocks hands out one leaf at a time
+            acc, i = own()[1], one.start
+            acc[...] = 0.0
+            for start in range(i * LEAF_ROWS, (i + 1) * LEAF_ROWS, TRACE_BLOCK_ROWS):
+                acc += squares(slice(start, start + TRACE_BLOCK_ROWS))  # row i into r[i % 8]
+            leaves[i] = _halve(acc)
+        map_blocks(leaf, len(leaves), 1)
+        R = _halve(leaves)
+    else:  # one block per thread in each batch, then its rows in order
+        step = TRACE_BLOCK_ROWS * k
+        batch, R = np.empty((step, n)), np.zeros(n)
+        for start in range(0, n, step):
+            def square(span, start=start):
+                batch[span] = squares(slice(start + span.start, start + span.stop))
+            map_blocks(square, min(step, n - start), step)
+            for row in batch[:min(step, n - start)]:
+                R += row
+    dd = float(d[1] - d[0])
+    R *= dd**3
     R = np.fft.fftshift(R)
     t = _time_axis(n, dd, p.gamma31_si)
     peak = float(R.max())
@@ -174,6 +225,13 @@ def rcc_cond_numeric(which: str, p: SystemParams,
         raise ValidationError(f"the {which} trace peaks at {peak!r}: out of the "
                               f"floating-point range")
     return TimeTrace(t_axis=t, values=R / peak)
+
+
+def _halve(x: np.ndarray) -> np.ndarray:
+    """The 2^k rows of x added in a halving tree, as numpy's pairwise sum."""
+    while len(x) > 1:
+        x = x[0::2] + x[1::2]
+    return x[0]
 
 
 def _fft2(values: np.ndarray) -> np.ndarray:

@@ -26,9 +26,9 @@ POLE_FLOOR = 1e-30
 #: |dk*L| below this switches the detuning function to its series form.
 PHI_SERIES_CUTOFF = 1e-6
 
-#: Rows of delta2 in flight when Phi is multiplied into the chi5 grid: the
-#: blocks of all workers together hold 16 rows of each of two scratch arrays,
-#: 1 MB at n = 2048, and 8 to 128 rows take the same time on 2 cores.
+#: Rows of delta2 in flight when chi5*Phi is sampled into the grid: the
+#: blocks of all workers together hold 16 rows of one scratch array, 0.5 MB
+#: at n = 2048, and 8 to 128 rows take the same time on 2 cores.
 PHI_BLOCK_ROWS = 16
 
 #: Rows per block when a real n x n result is written over its complex buffer.
@@ -214,63 +214,64 @@ def _coupling_factor(delta3, p: SystemParams):
     return u21s * u31s + abs(p.omega_c2) ** 2
 
 
-def _chi5_on_grid(p: SystemParams, extent: float, d: np.ndarray) -> np.ndarray:
-    """chi5 on the square FFT grid d x d as A(delta2+delta3) * B(delta3).
-
-    sliding_window_view(A, n)[i, j] is A[i + j], a zero-copy view, so the
-    product, written in row blocks, allocates the one 2D output.
-    """
-    n = len(d)
-    sums = -2 * extent + (2 * extent / n) * np.arange(2 * n - 1)
+def spectrum_rows(p: SystemParams, extent: float, n_points: int,
+                  force_phi_unity: bool = False, ideal_rect: bool = False,
+                  transposed: bool = False):
+    """The delta axis of `spectral_grid` and its one row-block sampler:
+    fill(rows, out) writes rows `rows` of the samples (of their transpose,
+    delta3 down, if `transposed`) into the complex block `out`.  Every
+    product keeps its operand order in both orientations (numpy's SIMD
+    complex multiply is not bitwise commutative), so any tiling, on any
+    threads, gives the samples of `spectral_grid` bitwise.  Checks and
+    warns as `spectral_grid` does."""
+    check_grid(extent, n_points)
+    s = effective_splittings(p)
+    needed = [s.omega_e1, s.omega_e2]
+    if not force_phi_unity:
+        needed.append(eit_dispersion(p).delta_omega_g)
+    if extent < 4 * max(needed):
+        warnings.warn(
+            f"extent {extent:g} < 4x max characteristic frequency "
+            f"{max(needed):g}; spectrum may be truncated", stacklevel=3)
+    d = _fft_axis(extent, n_points)
+    # sliding_window_view(A, n)[i, j] is A[i + j]: zero-copy, symmetric
+    sums = -2 * extent + (2 * extent / n_points) * np.arange(2 * n_points - 1)
     t51s, f1 = _pump_factors(sums, p)
     g41, g51 = _pump_rates(p)
     pre = np.conj(g41) * np.conj(g51) + abs(p.omega_c1) ** 2
-    along_sum = -1j * t51s / (pre * f1)
-    window, inv_f2 = sliding_window_view(along_sum, n), 1.0 / _coupling_factor(d, p)
-    vals = np.empty((n, n), dtype=complex)
-    map_blocks(lambda rows: np.multiply(window[rows], inv_f2, out=vals[rows]), n, n)
-    return vals
+    window = sliding_window_view(-1j * t51s / (pre * f1), n_points)
+    inv_f2 = 1.0 / _coupling_factor(d, p)
 
-
-def _multiply_phi(vals: np.ndarray, d: np.ndarray, p: SystemParams,
-                  ideal_rect: bool) -> None:
-    """Multiply Phi on the square grid d x d into `vals`, in place, in blocks
-    of PHI_BLOCK_ROWS rows of delta2.
-
-    The mismatch splits additively, dk = a(d2) + c(d3), so exp(i dk L) is
-    the outer product of two 1D exponentials; only the division by
-    z = i dk L is 2D, with the series branch on the masked cells.  Each
-    block evaluates the whole-grid expressions on its rows, so the product
-    is bitwise that of a single block while the blocks in flight hold
-    PHI_BLOCK_ROWS rows of temporaries between them.
-    """
+    def chi5(rows, block):
+        return np.multiply(window[rows], inv_f2[rows, None] if transposed else inv_f2,
+                           out=block)
+    if force_phi_unity:
+        return d, chi5
     a, c = _delta_k_parts(d, d, p)
     if ideal_rect:
         c = np.real(c)
-    ea = np.exp(1j * (a * p.length_L))
-    ec = np.exp(1j * (c * p.length_L))
-    n = len(d)
-    # each thread reuses its pair of block buffers: fresh ones per block
-    # cost a page fault per page
+    ea, ec = np.exp(1j * (a * p.length_L)), np.exp(1j * (c * p.length_L))
+    # each thread reuses its chi5 block buffer: fresh ones fault in every page
     scratch = threading.local()
 
-    def multiply(rows):
-        m = rows.stop - rows.start
-        if len(getattr(scratch, "z", ())) < m:
-            scratch.z = np.empty((m, n), dtype=complex)
-            scratch.out = np.empty_like(scratch.z)
-        z, out = scratch.z[:m], scratch.out[:m]
-        np.add.outer(a[rows], c, out=z)
+    def fill(rows, out):
+        if len(getattr(scratch, "z", ())) < rows.stop - rows.start:
+            scratch.z = np.empty((rows.stop - rows.start, n_points), dtype=complex)
+        z = scratch.z[:rows.stop - rows.start]
+        cells = (lambda x, y: (x[None, :], y[rows, None])) if transposed else \
+            (lambda x, y: (x[rows, None], y[None, :]))  # the delta2 operand first
+        # Phi = (exp(z) - 1)/z into out, z = i dk L, series on the masked cells
+        np.add(*cells(a, c), out=z)
         z *= 1j * p.length_L
-        np.multiply.outer(ea[rows], ec, out=out)
+        np.multiply(*cells(ea, ec), out=out)
         small = np.abs(z) < PHI_SERIES_CUTOFF
         z_small = z[small]
         z[small] = 1.0
         out -= 1.0
         out /= z
         out[small] = 1.0 + z_small / 2 + z_small * z_small / 6
-        vals[rows] *= out
-    map_blocks(multiply, n, PHI_BLOCK_ROWS)
+        np.multiply(chi5(rows, z), out, out=out)  # chi5 first, as chi5 *= Phi
+    return d, fill
 
 
 def spectral_grid(
@@ -292,11 +293,10 @@ def spectral_grid(
     expression at the bare pump detuning.  The 2D array is a zero-copy
     sliding window of A times B.  The mismatch is additive,
     dk = a(delta2) + c(delta3), so exp(i dk L) is an outer product and only
-    (exp(i dk L) - 1)/(i dk L) is formed in 2D, in blocks of PHI_BLOCK_ROWS
-    delta2 rows that are multiplied into the chi5 array in place: the build
-    holds its one n^2 complex output (64 MB at 2048^2) and a few MB of block
-    temporaries.  The results agree with the direct chi5() and phi() to
-    rounding.
+    (exp(i dk L) - 1)/(i dk L) is formed in 2D.  `spectrum_rows` fills the
+    output in blocks of PHI_BLOCK_ROWS delta2 rows: the build holds its one
+    n^2 complex output (64 MB at 2048^2) and a few MB of block temporaries.
+    The results agree with the direct chi5() and phi() to rounding.
 
     Every sample is finite: |pre*D| = |pre| |F1| |F2| with each of pre, F1,
     F2 equal to det(y I + M) for y imaginary and M a 2x2 matrix whose
@@ -309,20 +309,10 @@ def spectral_grid(
     This factorization only speeds up the sampling.  The oracle transforms
     the sampled product as an unstructured 2D array and does not use it.
     """
-    check_grid(extent, n_points)
-    s = effective_splittings(p)
-    needed = [s.omega_e1, s.omega_e2]
-    if not force_phi_unity:
-        needed.append(eit_dispersion(p).delta_omega_g)
-    if extent < 4 * max(needed):
-        warnings.warn(
-            f"extent {extent:g} < 4x max characteristic frequency "
-            f"{max(needed):g}; spectrum may be truncated", stacklevel=2)
-
-    d = _fft_axis(extent, n_points)
-    vals = _chi5_on_grid(p, extent, d)
-    if not force_phi_unity:
-        _multiply_phi(vals, d, p, ideal_rect)
+    d, fill = spectrum_rows(p, extent, n_points, force_phi_unity, ideal_rect)
+    vals = np.empty((n_points, n_points), dtype=complex)
+    map_blocks(lambda rows: fill(rows, vals[rows]), n_points,
+               n_points if force_phi_unity else PHI_BLOCK_ROWS)
     return SpectralGrid(delta2_axis=d, delta3_axis=d.copy(), values=vals)
 
 
@@ -379,27 +369,17 @@ def find_resonances(mag: np.ndarray, delta2_axis, delta3_axis) -> list[dict]:
     3x3-neighbourhood maxima, returned sorted by magnitude (descending) as
     dicts with delta2/delta3 coordinates and magnitude.
     """
-    if mag.size == 0 or not np.any(mag > 0):
+    peak = mag.max() if mag.size else 0  # NaN if any cell is: then no cell passes
+    if not (peak > 0 or np.any(mag > 0)):
         raise ValidationError("find_resonances needs a non-empty grid")
-    peak = mag.max()
-    hits = []
-    core = mag[1:-1, 1:-1]
-    neighborhood_max = np.ones_like(core, dtype=bool)
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            if di == 0 and dj == 0:
-                continue
-            shifted = mag[1 + di:mag.shape[0] - 1 + di, 1 + dj:mag.shape[1] - 1 + dj]
-            neighborhood_max &= core >= shifted
+    # the neighbour tests at the interior cells above the floor, row-major
+    i, j = np.add(np.nonzero(mag[1:-1, 1:-1] > RESONANCE_FLOOR * peak), 1)
+    v = mag[i, j]
     # strict on the lexicographically earlier side to avoid plateau doubles
-    neighborhood_max &= core > mag[:-2, 1:-1]
-    neighborhood_max &= core > mag[1:-1, :-2]
-    neighborhood_max &= core > RESONANCE_FLOOR * peak
-    for i, j in np.argwhere(neighborhood_max):
-        hits.append({
-            "delta2": float(delta2_axis[i + 1]),
-            "delta3": float(delta3_axis[j + 1]),
-            "magnitude": float(core[i, j]),
-        })
+    keep = (v > mag[i - 1, j]) & (v > mag[i, j - 1])
+    for di, dj in ((-1, -1), (-1, 1), (0, 1), (1, -1), (1, 0), (1, 1)):
+        keep &= v >= mag[i + di, j + dj]
+    hits = [{"delta2": float(delta2_axis[a]), "delta3": float(delta3_axis[b]),
+             "magnitude": float(m)} for a, b, m in zip(i[keep], j[keep], v[keep])]
     hits.sort(key=lambda h: -h["magnitude"])
     return hits

@@ -1,9 +1,13 @@
-"""Literal closed forms that only tests read: the references that
+"""Literal forms that only tests read: the references that
 `wavepacket.analytic_rate_grid` is checked against for its "hybrid" and
-"cascaded" rates, each with the regime check of the library's forms."""
+"cascaded" rates, each with the regime check of the library's forms, and
+the whole-map peak finder that `susceptibility.find_resonances` is checked
+against."""
 import numpy as np
 
+from sswm.errors import ValidationError
 from sswm.params import Regime, SystemParams, effective_splittings, eit_dispersion
+from sswm.susceptibility import RESONANCE_FLOOR
 from sswm.wavepacket import _check_regime, hybrid_loss_rate
 
 
@@ -49,3 +53,32 @@ def rcc_cascaded_stub(tau12, tau13, p: SystemParams):
            * np.exp(-2 * s.gamma_e1 * t12))
     m = (1.0 - np.cos(s.omega_e2 * t13)) * np.exp(-2 * s.gamma_e2 * t13)
     return np.where(t12 >= 0, r12, 0.0) * np.where(t13 >= 0, m, 0.0)
+
+
+def find_resonances_whole_map(mag: np.ndarray, delta2_axis, delta3_axis) -> list[dict]:
+    """`susceptibility.find_resonances` as eight neighbour tests over the
+    whole interior: a boolean map per neighbour, then the floor."""
+    if mag.size == 0 or not np.any(mag > 0):
+        raise ValidationError("find_resonances needs a non-empty grid")
+    peak = mag.max()
+    hits = []
+    core = mag[1:-1, 1:-1]
+    neighborhood_max = np.ones_like(core, dtype=bool)
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            if di == 0 and dj == 0:
+                continue
+            shifted = mag[1 + di:mag.shape[0] - 1 + di, 1 + dj:mag.shape[1] - 1 + dj]
+            neighborhood_max &= core >= shifted
+    # strict on the lexicographically earlier side to avoid plateau doubles
+    neighborhood_max &= core > mag[:-2, 1:-1]
+    neighborhood_max &= core > mag[1:-1, :-2]
+    neighborhood_max &= core > RESONANCE_FLOOR * peak
+    for i, j in np.argwhere(neighborhood_max):
+        hits.append({
+            "delta2": float(delta2_axis[i + 1]),
+            "delta3": float(delta3_axis[j + 1]),
+            "magnitude": float(core[i, j]),
+        })
+    hits.sort(key=lambda h: -h["magnitude"])
+    return hits

@@ -1,7 +1,7 @@
 """The blocked and in-place paths against their whole-grid, out-of-place
 forms, bitwise, over random parameters: the Phi product of spectral_grid,
-the in-place transforms of the oracle and the marginal subtraction of the
-factorizability residual; the closed-form grids and tau13 marginals built
+the in-place rate and the streamed conditional traces of the oracle and the
+marginal subtraction of the factorizability residual; the closed-form grids and tau13 marginals built
 from 1D factors against the literal closed forms, within a rounding
 allowance derived from eps; and every stage run on the block pool against
 the same stage on one worker."""
@@ -69,7 +69,7 @@ def _phi_whole_grid(d, p, ideal_rect):
 def _check_blocked_phi(p, ideal_rect, block_rows):
     extent = default_extent(p)
     d = susceptibility._fft_axis(extent, N)
-    want = susceptibility._chi5_on_grid(p, extent, d)
+    want = spectral_grid(p, extent, N, force_phi_unity=True).values
     want *= _phi_whole_grid(d, p, ideal_rect)
     with mock.patch.object(susceptibility, "PHI_BLOCK_ROWS", block_rows):
         got = spectral_grid(p, extent, N, ideal_rect=ideal_rect).values
@@ -123,12 +123,8 @@ def test_in_place_rate_grid_is_independent_of_its_block_rows(block_rows):
     assert got.normalization == want.normalization
 
 
-@given(params, st.sampled_from(["tau12", "tau13"]))
-@settings(max_examples=10, deadline=None)
-def test_in_place_conditional_equals_out_of_place_squares(kw, which):
+def _check_conditional_equals_out_of_place_squares(which, p, cfg):
     # the literal order: the transform, Re^2 + Im^2 in a fresh array, the sum
-    p = SystemParams(**kw)
-    cfg = OracleConfig(n_points=N, tukey_alpha=0.1)
     grid = sampled_spectrum(p, cfg)
     dd = float(grid.delta2_axis[1] - grid.delta2_axis[0])
     axis = 0 if which == "tau12" else 1
@@ -137,6 +133,45 @@ def test_in_place_conditional_equals_out_of_place_squares(kw, which):
     sq += G.imag**2
     want = np.fft.fftshift(sq.sum(axis=1 - axis) * dd**3)
     assert np.array_equal(rcc_cond_numeric(which, p, cfg).values, want / want.max())
+
+
+@given(params, st.sampled_from(["tau12", "tau13"]), st.sampled_from([N, 2 * N]),
+       st.sampled_from([0.0, 0.1]), st.booleans(), st.booleans())
+@settings(max_examples=20, deadline=None)
+def test_in_place_conditional_equals_out_of_place_squares(kw, which, n, tukey_alpha,
+                                                          force_phi_unity, ideal_rect):
+    # the streamed blocks against the whole-grid transform, square and sum:
+    # 2 and 4 leaves of numpy's pairwise tree for tau12, rows added in order
+    # for tau13
+    cfg = OracleConfig(n_points=n, tukey_alpha=tukey_alpha,
+                       force_phi_unity=force_phi_unity, ideal_rect=ideal_rect)
+    _check_conditional_equals_out_of_place_squares(which, SystemParams(**kw), cfg)
+
+
+def test_conditional_at_2048_equals_out_of_place_squares(ctx):
+    # C8's tau12 trace at OD 37: 16 leaves, the full tree
+    _check_conditional_equals_out_of_place_squares("tau12", ctx.p_hybrid(37.0),
+                                                   ctx.cfg_hybrid)
+
+
+@pytest.mark.parametrize("which", ["tau12", "tau13"])
+def test_conditional_warns_as_the_sampled_spectrum(which):
+    # a coarse grid on a narrow window: both advisories, with their texts,
+    # in their order, pointing at the caller's line
+    p, cfg = SystemParams(), OracleConfig(extent=20.0, n_points=N)
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        line = inspect.currentframe().f_lineno + 1
+        rcc_cond_numeric(which, p, cfg)
+    assert [str(w.message) for w in seen] == [
+        "grid spacing 0.156 does not resolve the narrower linewidth / 4 = 0.128",
+        "extent 20 < 4x max characteristic frequency 21.7364; spectrum may be truncated"]
+    assert [(w.category, w.filename, w.lineno) for w in seen] == [
+        (UserWarning, __file__, line)] * 2
+    with warnings.catch_warnings(record=True) as spectrum:
+        warnings.simplefilter("always")
+        sampled_spectrum(p, cfg)
+    assert [str(w.message) for w in spectrum] == [str(w.message) for w in seen]
 
 
 @given(params, st.sampled_from([1, 64, 100, N]))
@@ -401,6 +436,33 @@ def test_concurrent_callers_share_the_pool():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in callers)
     assert all(np.array_equal(g, w) for g, w in zip(grids, want, strict=True))
+
+
+def test_concurrent_streamed_traces_equal_one_worker():
+    # more calling threads and workers than cores, switching often: each
+    # thread's leaves, accumulator rows and batch rows stay its own
+    p = SystemParams(omega_c1=3.0, omega_c2=3.0)
+    cfg = OracleConfig(n_points=2 * N, tukey_alpha=0.1)
+    with mock.patch.object(blocks, "workers", lambda: 1):
+        want = {which: rcc_cond_numeric(which, p, cfg).values for which in ("tau12", "tau13")}
+    got = []
+
+    def run(which):
+        got.extend((which, rcc_cond_numeric(which, p, cfg).values) for _ in range(4))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.object(blocks, "workers", lambda: 2 * os.cpu_count() + 1):
+            callers = [threading.Thread(target=run, args=(which,)) for which in ("tau12", "tau13")]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers) and len(got) == 8
+    assert all(np.array_equal(values, want[which]) for which, values in got)
 
 
 @pytest.mark.parametrize("workers", [1, 3])

@@ -30,15 +30,18 @@ HYB = SystemParams(omega_c1=2.0, omega_c2=2.0, optical_depth=111.0)
 
 @pytest.fixture
 def builds(monkeypatch):
-    """Count the spectrum builds behind sampled_spectrum."""
+    """Count the spectrum samplings: the n^2 grids behind sampled_spectrum
+    and the row-block samplers behind each conditional trace."""
     calls = []
-    real = sswm.oracle.spectral_grid
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counting(real):
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(sswm.oracle, "spectral_grid", counting)
+    for name in ("spectral_grid", "spectrum_rows"):
+        monkeypatch.setattr(sswm.oracle, name, counting(getattr(sswm.oracle, name)))
     return calls
 
 

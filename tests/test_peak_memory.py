@@ -71,11 +71,12 @@ def test_run_scenario_given_its_run_peak(name, fmt, tmp_path):
 
 
 def test_rate_free_oracle_run_peak():
-    # the 1D transform squares and sums the spectrum in place
+    # the 1D trace streams blocks of sampled rows through per-thread
+    # scratch: no n^2 array
     tr, rise = _peak_rise(lambda: rcc_cond_numeric("tau13", HYB,
                                                    OracleConfig(extent=32.0, n_points=N)))
     assert len(tr.values) == N
-    assert rise <= 1.05 * COMPLEX_GRID
+    assert rise <= 0.1 * COMPLEX_GRID
 
 
 def test_scenario_with_both_numeric_traces_peak():

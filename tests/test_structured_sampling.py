@@ -67,7 +67,7 @@ def _phi_atol(d, p, ideal_rect, phi_ref):
 def test_structured_chi5_matches_direct(kw):
     p = SystemParams(**kw)
     extent, d = _grid_axis(p)
-    structured = susceptibility._chi5_on_grid(p, extent, d)
+    structured = spectral_grid(p, extent, N, force_phi_unity=True).values
     direct = chi5(d[:, None], d[None, :], p)
     assert np.all(np.abs(structured - direct) <= _chi5_rtol(p, extent) * np.abs(direct))
 
@@ -75,10 +75,11 @@ def test_structured_chi5_matches_direct(kw):
 @given(grid_params, st.booleans())
 @settings(max_examples=40, deadline=None)
 def test_structured_phi_matches_direct(kw, ideal_rect):
+    # Phi is the product over chi5, two roundings more, far below 1e-12
     p = SystemParams(**kw)
-    _, d = _grid_axis(p)
-    structured = np.ones((len(d), len(d)), dtype=complex)
-    susceptibility._multiply_phi(structured, d, p, ideal_rect)
+    extent, d = _grid_axis(p)
+    structured = spectral_grid(p, extent, N, ideal_rect=ideal_rect).values
+    structured /= spectral_grid(p, extent, N, force_phi_unity=True).values
     direct = phi(d[:, None], d[None, :], p, ideal_rect=ideal_rect)
     assert np.all(np.abs(structured - direct) <= _phi_atol(d, p, ideal_rect, direct))
 

@@ -16,6 +16,8 @@ from sswm.susceptibility import (_fft_axis, _pump_rates, _tee, _upsilon,
                                  find_resonances, phi, phi_of_dkl, spectral_grid)
 from sswm.wavepacket import hybrid_loss_rate
 
+from reference_forms import find_resonances_whole_map
+
 FIG2 = SystemParams(omega_c1=40.0, omega_c2=40.0)
 
 
@@ -278,6 +280,37 @@ def test_find_resonances_point_reflection_closure():
     for d2, d3 in peaks:
         assert any(abs(d2 + q2) <= 2 * cell and abs(d3 + q3) <= 2 * cell
                    for q2, q3 in peaks)
+
+
+@given(st.integers(1, 12), st.integers(1, 12), st.sampled_from([2, 3, 5, 1000]),
+       st.integers(0, 2**32 - 1),
+       st.sampled_from(["plain", "nan", "border_peak", "all_below_floor"]))
+@settings(max_examples=300, deadline=None)
+def test_find_resonances_equals_whole_map_form(rows, cols, levels, seed, kind):
+    # the candidate-cell neighbour tests against the eight whole-map boolean
+    # maps: the same hits in the same order, or the same refusal; few levels
+    # make ties and plateaus, many make distinct cells
+    rng = np.random.default_rng(seed)
+    mag = rng.integers(0, levels, (rows, cols)) / (levels - 1)
+    if kind == "nan":
+        mag[rng.integers(rows), rng.integers(cols)] = np.nan
+    elif kind == "border_peak":
+        # the largest cell on the border: only interior cells can be hits
+        mag[rng.choice([0, rows - 1]), rng.integers(cols)] = 1.5
+    elif kind == "all_below_floor":
+        mag *= 0.2
+        mag[0, 0] = 1.0
+    d2, d3 = np.arange(rows) * 0.5 - 1.0, np.arange(cols) * 0.25 + 2.0
+    try:
+        want = find_resonances_whole_map(mag, d2, d3)
+    except ValidationError:
+        with pytest.raises(ValidationError):
+            find_resonances(mag, d2, d3)
+        return
+    got = find_resonances(mag, d2, d3)
+    assert got == want
+    if kind == "all_below_floor":
+        assert got == []
 
 
 def test_find_resonances_empty_grid():
