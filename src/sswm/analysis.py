@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .blocks import ordered_sum, pairwise_sum
 from .errors import InsufficientExtremaError, ValidationError, ZeroMassError
 from .params import derived_frequencies
 
@@ -264,10 +265,10 @@ def factorizability_residual(grid) -> float:
     r / total is made RESIDUAL_BLOCK_ROWS rows at a time in one block
     buffer, twice: the first pass takes the marginals, the second the row
     sums of |r / total - outer(m12, m13)|, so no full-size copy is made.
-    numpy adds the rows of a whole-grid sum(axis=0) one after another, so
-    the tau13 marginal carries from block to block, and it sums a
-    C-contiguous 2^j x 2^k grid pairwise, which the row sums combined in
-    halving pairs reproduce: on such grids the value is bitwise that of the
+    The tau13 marginal carries from block to block in `ordered_sum`, numpy's
+    order for a whole-grid sum(axis=0), and the row sums are combined in
+    `pairwise_sum`, which is numpy's order for the sum of a C-contiguous
+    2^j x 2^k grid: on such grids the value is bitwise that of the
     whole-grid expressions, on others equal to rounding.
     """
     r = np.asarray(grid.values, dtype=float)
@@ -278,20 +279,16 @@ def factorizability_residual(grid) -> float:
         raise ZeroMassError("factorizability on a zero-mass grid")
     n, step = len(r), RESIDUAL_BLOCK_ROWS
     buf = np.empty((min(n, step), r.shape[1]))
-    m12, sums, m13 = np.empty(n), np.empty(n), None
+    m12, sums, m13 = np.empty(n), np.empty(n), np.zeros(r.shape[1])
     for start in range(0, n, step):
         b = np.divide(r[start:start + step], total, out=buf[:min(step, n - start)])
         b.sum(axis=1, out=m12[start:start + step])
-        if m13 is not None:
-            b[0] += m13
-        m13 = b.sum(axis=0)
+        m13 = ordered_sum(b, m13)
     for start in range(0, n, step):
         b = np.divide(r[start:start + step], total, out=buf[:min(step, n - start)])
         b -= np.outer(m12[start:start + step], m13)
         np.abs(b, out=b).sum(axis=1, out=sums[start:start + step])
-    while len(sums) > 1:  # an odd count carries its last sum up a level
-        sums = np.append(sums[:-1:2] + sums[1::2], sums[-1:] if len(sums) % 2 else [])
-    return float(sums[0])
+    return float(pairwise_sum(sums))
 
 
 def ordering_violation_mass(grid) -> float:

@@ -1,20 +1,26 @@
-"""Row or column blocks of one 2D stage, run on every core.
+"""Row or column blocks of one 2D stage, run on every core, and numpy's two
+summation orders, so that a blocked reduction equals the whole-grid one.
 
 numpy's FFT and elementwise loops release the GIL, so the blocks of a
 2048^2 stage run in parallel: on the calling thread and on a pool of one
 thread per further CPU in this process's affinity mask, made on first use,
-with no setting.  The caller takes blocks too because each pool thread's
-malloc arena keeps the temporaries it freed: the caller's share reuses its
-own heap, which keeps peak RSS near that of one thread.  A block writes
-only its own slice and reduces nothing, so a stage's output does not depend
-on the worker count; reductions stay with the caller.  A block must not
-call `map_blocks` itself.
+with no setting.  A block writes only its own slice and reduces nothing, so
+a stage's output does not depend on the worker count; reductions stay with
+the caller.  A block must not call `map_blocks` itself.
+
+Scratch that a block reuses is made by the calling thread and handed out by
+`map_blocks`: the j-th thread gets scratch[j] with every block it runs, and
+no other thread gets it.  So no pool thread allocates a stage's buffers,
+and none is left in a pool thread's malloc arena, which would keep it for
+the rest of the process.
 """
 from __future__ import annotations
 
 import functools
 import os
 import threading
+
+import numpy as np
 
 _pool_lock = threading.Lock()
 
@@ -30,35 +36,57 @@ def _pool(k: int):
     return ThreadPoolExecutor(k, thread_name_prefix="sswm-block")
 
 
-def map_blocks(fn, n: int, budget: int) -> None:
+def map_blocks(fn, n: int, budget: int, scratch=None) -> None:
     """fn(block) for consecutive slices that tile range(n), each at most
-    budget // workers() long, so the slices in flight hold at most `budget`
-    lines.  Each of the workers() threads takes the next block until none is
-    left.  Returns once every thread is done; an exception raised in a block
-    ends that thread's share and reaches the caller unchanged."""
-    k = workers()
+    budget // k long, so the slices in flight hold at most `budget` lines.
+    Each of k threads takes the next block until none is left: k is
+    workers(), or len(scratch) if given, and then the j-th thread, the
+    caller being the 0th, runs fn(block, scratch[j]).  Returns once every
+    thread is done; an exception raised in a block ends that thread's share
+    and reaches the caller unchanged."""
+    k = workers() if scratch is None else len(scratch)
     step = max(1, budget // k)
     todo = iter([slice(start, min(start + step, n)) for start in range(0, n, step)])
     todo_lock = threading.Lock()
 
-    def drain():
+    def drain(j):
+        own = () if scratch is None else (scratch[j],)
         while True:
             with todo_lock:
                 block = next(todo, None)
             if block is None:
                 return
-            fn(block)
+            fn(block, *own)
 
     if k == 1 or step >= n:
-        drain()
+        drain(0)
         return
     with _pool_lock:
         pool = _pool(k - 1)
-    futures = [pool.submit(drain) for _ in range(k - 1)]
+    futures = [pool.submit(drain, j) for j in range(1, k)]
     try:
-        drain()
+        drain(0)
     finally:
         for future in futures:
             future.exception()  # wait for all, so no block outlives the call
     for future in futures:
         future.result()
+
+
+def pairwise_sum(x: np.ndarray):
+    """x[0] + x[1] + ... in numpy's pairwise halving tree: neighbours added
+    level by level, an odd count carrying its last entry up a level.  numpy
+    sums a contiguous run of up to 128 floats in 8 accumulators r[i % 8],
+    added in this tree, and halves a longer run at a multiple of 8, so 2^k
+    leaves of 128 summed this way give its `sum` of the whole run."""
+    while len(x) > 1:
+        x = np.concatenate((x[:-1:2] + x[1::2], x[len(x) & ~1:]))
+    return x[0]
+
+
+def ordered_sum(rows: np.ndarray, carry: np.ndarray) -> np.ndarray:
+    """carry + rows[0] + rows[1] + ..., one row after another: numpy's
+    `sum(axis=0)` of a C-contiguous grid, carried from a block of its rows
+    to the next (the first carry is zeros).  rows[0] is overwritten."""
+    rows[0] += carry
+    return rows.sum(axis=0)

@@ -21,13 +21,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from threading import get_ident
 
 import numpy as np
 
 from . import blocks
 from .analysis import TimeTrace
-from .blocks import map_blocks
 from .errors import ValidationError
 from .params import SystemParams, effective_splittings, eit_dispersion
 from .susceptibility import (SpectralGrid, check_grid, fftshift_in_place, real_first_half,
@@ -42,8 +40,8 @@ L2_BLOCK_ROWS = 64
 
 #: Rows a conditional trace samples, transforms and squares at a time per
 #: thread, one per accumulator row of numpy's pairwise-sum leaf of LEAF_ROWS
-#: rows.  16 rows ran 8% faster, but their Phi scratch stays in the pool
-#: threads' malloc arenas and raised the peak RSS of `sswm acceptance`.
+#: rows.  16 rows ran faster, but the Phi temporaries that the pool threads
+#: free stay in their malloc arenas and raise the peak RSS of later stages.
 TRACE_BLOCK_ROWS, LEAF_ROWS = 8, 128
 
 
@@ -79,12 +77,8 @@ def default_extent(p: SystemParams) -> float:
 
 def sampled_spectrum(p: SystemParams, cfg: OracleConfig) -> SpectralGrid:
     """chi5*Phi samples (window applied) ready for the discrete transform."""
-    grid = spectral_grid(p, _extent(p, cfg), cfg.n_points,
-                         force_phi_unity=cfg.force_phi_unity, ideal_rect=cfg.ideal_rect)
-    if cfg.tukey_alpha > 0:  # a fresh array: taper it in place
-        n, w = cfg.n_points, _tukey(cfg.n_points, cfg.tukey_alpha)
-        map_blocks(lambda rows: _taper(grid.values[rows], rows, w, False), n, n)
-    return grid
+    return spectral_grid(p, _extent(p, cfg), cfg.n_points, force_phi_unity=cfg.force_phi_unity,
+                         ideal_rect=cfg.ideal_rect, taper=_tukey(cfg.n_points, cfg.tukey_alpha))
 
 
 def _extent(p: SystemParams, cfg: OracleConfig) -> float:
@@ -99,17 +93,13 @@ def _extent(p: SystemParams, cfg: OracleConfig) -> float:
     return extent
 
 
-def _taper(block: np.ndarray, rows: slice, w: np.ndarray, transposed: bool) -> None:
-    """The Tukey window w on rows `rows` of the samples (of their transpose
-    if `transposed`), in place: times w[delta2] first, then w[delta3]."""
-    for factor in ((w[None, :], w[rows, None]) if transposed else (w[rows, None], w[None, :])):
-        block *= factor
-
-
-def _tukey(n: int, alpha: float) -> np.ndarray:
+def _tukey(n: int, alpha: float) -> np.ndarray | None:
     """The symmetric Tukey window of `scipy.signal.windows.tukey(n, alpha)`,
     0 < alpha <= 1, written with the same expressions in the same order so
-    the samples are bitwise equal (alpha = 1 is scipy's Hann branch)."""
+    the samples are bitwise equal (alpha = 1 is scipy's Hann branch); None,
+    no taper, for alpha 0."""
+    if alpha == 0:
+        return None
     if alpha >= 1.0:
         return 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n))
     k = np.arange(n, dtype=np.float64)
@@ -164,58 +154,48 @@ def rcc_cond_numeric(which: str, p: SystemParams,
     A bad `which` is refused before any sampling.
 
     No n^2 array is made: on every core, `spectrum_rows` blocks of the
-    samples (of their transpose for tau12: both FFTs run along rows) are
-    tapered, transformed and squared in per-thread scratch.  The squares are
+    tapered samples (of their transpose for tau12: both FFTs run along rows)
+    are transformed and squared in scratch the caller made for each thread
+    (`map_blocks`).  The squares are
     added in numpy's order for the whole grid, so the trace is bitwise that
     of `sampled_spectrum` on any worker count: rows in order for tau13, as
     `sum(axis=0)`; for tau12 the pairwise `sum(axis=1)`, a leaf of LEAF_ROWS
-    rows in one thread's accumulator rows r[i % 8], all in halving trees."""
+    rows in one thread's accumulator rows r[i % 8], all in halving trees
+    (`blocks.ordered_sum` and `blocks.pairwise_sum`)."""
     if which not in ("tau12", "tau13"):
         raise ValidationError("which must be 'tau12' or 'tau13'")
     cfg = cfg or OracleConfig()
     n, transposed = cfg.n_points, which == "tau12"
     d, fill = spectrum_rows(p, _extent(p, cfg), n, cfg.force_phi_unity, cfg.ideal_rect,
-                            transposed)
-    w = _tukey(n, cfg.tukey_alpha) if cfg.tukey_alpha > 0 else None
-    # each thread's block buffer and accumulator rows, made here: a pool
-    # thread's malloc arena would keep them, and raise later stages' peaks
-    k, mine = blocks.workers(), {}
-    spare = zip(np.empty((k, TRACE_BLOCK_ROWS, n), dtype=complex), np.empty((k, 8, n)))
+                            transposed, _tukey(n, cfg.tukey_alpha))
+    # each thread's block buffer and Phi scratch, and its accumulator rows
+    k = blocks.workers()
+    scratch = list(zip(*np.empty((2, k, TRACE_BLOCK_ROWS, n), dtype=complex), np.empty((k, 8, n))))
 
-    def own():  # this thread's pair, taken at its first block
-        return mine.get(get_ident()) or mine.setdefault(get_ident(), next(spare))
-
-    def squares(rows):  # |fft|^2 of the rows, in this thread's block buffer
-        block = own()[0][:rows.stop - rows.start]
-        fill(rows, block)
-        if w is not None:
-            _taper(block, rows, w, transposed)
-        np.fft.fft(block, axis=1, out=block)
-        np.square(block.real, out=block.real)
-        np.square(block.imag, out=block.imag)
-        block.real += block.imag
-        return block.real
+    def squares(rows, own):  # |fft|^2 of the rows, in this thread's block buffer
+        block = own[0][:rows.stop - rows.start]
+        fill(rows, block, own[1])
+        return _squares(np.fft.fft(block, axis=1, out=block))
 
     if transposed:
         leaves = np.empty((n // LEAF_ROWS, n))
 
-        def leaf(one):  # map_blocks hands out one leaf at a time
-            acc, i = own()[1], one.start
+        def leaf(one, own):  # map_blocks hands out one leaf at a time
+            acc, i = own[2], one.start
             acc[...] = 0.0
             for start in range(i * LEAF_ROWS, (i + 1) * LEAF_ROWS, TRACE_BLOCK_ROWS):
-                acc += squares(slice(start, start + TRACE_BLOCK_ROWS))  # row i into r[i % 8]
-            leaves[i] = _halve(acc)
-        map_blocks(leaf, len(leaves), 1)
-        R = _halve(leaves)
+                acc += squares(slice(start, start + TRACE_BLOCK_ROWS), own)  # row i into r[i % 8]
+            leaves[i] = blocks.pairwise_sum(acc)
+        blocks.map_blocks(leaf, len(leaves), 1, scratch)
+        R = blocks.pairwise_sum(leaves)
     else:  # one block per thread in each batch, then its rows in order
         step = TRACE_BLOCK_ROWS * k
         batch, R = np.empty((step, n)), np.zeros(n)
         for start in range(0, n, step):
-            def square(span, start=start):
-                batch[span] = squares(slice(start + span.start, start + span.stop))
-            map_blocks(square, min(step, n - start), step)
-            for row in batch[:min(step, n - start)]:
-                R += row
+            def square(span, own, start=start):
+                batch[span] = squares(slice(start + span.start, start + span.stop), own)
+            blocks.map_blocks(square, min(step, n - start), step, scratch)
+            R = blocks.ordered_sum(batch[:min(step, n - start)], R)
     dd = float(d[1] - d[0])
     R *= dd**3
     R = np.fft.fftshift(R)
@@ -227,11 +207,11 @@ def rcc_cond_numeric(which: str, p: SystemParams,
     return TimeTrace(t_axis=t, values=R / peak)
 
 
-def _halve(x: np.ndarray) -> np.ndarray:
-    """The 2^k rows of x added in a halving tree, as numpy's pairwise sum."""
-    while len(x) > 1:
-        x = x[0::2] + x[1::2]
-    return x[0]
+def _squares(block: np.ndarray) -> np.ndarray:
+    """Re^2 + Im^2 of the complex rows `block`, written over and returned as
+    block.real: both floats squared in place, then added."""
+    x = np.square(block.view(np.float64), out=block.view(np.float64))
+    return np.add(x[:, ::2], x[:, 1::2], out=x[:, ::2])
 
 
 def _fft2(values: np.ndarray) -> np.ndarray:
@@ -239,8 +219,8 @@ def _fft2(values: np.ndarray) -> np.ndarray:
     axis 1 on row blocks, then along axis 0 on column blocks, which is
     fft2's own order."""
     n0, n1 = values.shape
-    map_blocks(lambda rows: np.fft.fft(values[rows], axis=1, out=values[rows]), n0, n0)
-    map_blocks(lambda cols: np.fft.fft(values[:, cols], axis=0, out=values[:, cols]), n1, n1)
+    blocks.map_blocks(lambda rows: np.fft.fft(values[rows], axis=1, out=values[rows]), n0, n0)
+    blocks.map_blocks(lambda cols: np.fft.fft(values[:, cols], axis=0, out=values[:, cols]), n1, n1)
     return values
 
 
@@ -250,13 +230,7 @@ def _rate_grid(grid: SpectralGrid, gamma31_si: float) -> WavepacketGrid:
     # owns and no longer reads; the squares go into the first half of that
     # buffer and are fftshifted there, so the rate costs no extra memory.
     dd = float(grid.delta2_axis[1] - grid.delta2_axis[0])
-
-    def square(block):  # the block's Re, Im floats squared in place, then summed aside
-        x = np.square(block.view(np.float64), out=block.view(np.float64))
-        sq = np.add(x[:, ::2], x[:, 1::2])
-        sq *= dd**4
-        return sq
-    vals = real_first_half(_fft2(grid.values), square)
+    vals = real_first_half(_fft2(grid.values), lambda block: _squares(block) * dd**4)
     fftshift_in_place(vals)
     norm = float(vals.max())
     if not 0 < norm < math.inf:  # a spectrum too small or too large to square

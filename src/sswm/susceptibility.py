@@ -9,14 +9,13 @@ so each symbol has a single definition.
 from __future__ import annotations
 
 import math
-import threading
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .blocks import map_blocks
+from . import blocks
 from .errors import SingularPointError, ValidationError
 from .params import C_LIGHT, GAMMA31, SystemParams, effective_splittings, eit_dispersion
 
@@ -216,14 +215,16 @@ def _coupling_factor(delta3, p: SystemParams):
 
 def spectrum_rows(p: SystemParams, extent: float, n_points: int,
                   force_phi_unity: bool = False, ideal_rect: bool = False,
-                  transposed: bool = False):
+                  transposed: bool = False, taper: np.ndarray | None = None):
     """The delta axis of `spectral_grid` and its one row-block sampler:
-    fill(rows, out) writes rows `rows` of the samples (of their transpose,
-    delta3 down, if `transposed`) into the complex block `out`.  Every
+    fill(rows, out, z) writes rows `rows` of the samples (of their transpose,
+    delta3 down, if `transposed`), times the window `taper` along delta2 and
+    then along delta3 if given, into the complex block `out`; `z` is complex
+    scratch of at least out's rows, unused under `force_phi_unity`.  Every
     product keeps its operand order in both orientations (numpy's SIMD
     complex multiply is not bitwise commutative), so any tiling, on any
-    threads, gives the samples of `spectral_grid` bitwise.  Checks and
-    warns as `spectral_grid` does."""
+    threads, gives the samples of `spectral_grid` bitwise.  Checks and warns
+    as `spectral_grid` does."""
     check_grid(extent, n_points)
     s = effective_splittings(p)
     needed = [s.omega_e1, s.omega_e2]
@@ -241,36 +242,32 @@ def spectrum_rows(p: SystemParams, extent: float, n_points: int,
     pre = np.conj(g41) * np.conj(g51) + abs(p.omega_c1) ** 2
     window = sliding_window_view(-1j * t51s / (pre * f1), n_points)
     inv_f2 = 1.0 / _coupling_factor(d, p)
+    if not force_phi_unity:
+        a, c = _delta_k_parts(d, d, p)
+        if ideal_rect:
+            c = np.real(c)
+        ea, ec = np.exp(1j * (a * p.length_L)), np.exp(1j * (c * p.length_L))
 
-    def chi5(rows, block):
-        return np.multiply(window[rows], inv_f2[rows, None] if transposed else inv_f2,
-                           out=block)
-    if force_phi_unity:
-        return d, chi5
-    a, c = _delta_k_parts(d, d, p)
-    if ideal_rect:
-        c = np.real(c)
-    ea, ec = np.exp(1j * (a * p.length_L)), np.exp(1j * (c * p.length_L))
-    # each thread reuses its chi5 block buffer: fresh ones fault in every page
-    scratch = threading.local()
-
-    def fill(rows, out):
-        if len(getattr(scratch, "z", ())) < rows.stop - rows.start:
-            scratch.z = np.empty((rows.stop - rows.start, n_points), dtype=complex)
-        z = scratch.z[:rows.stop - rows.start]
+    def fill(rows, out, z):
         cells = (lambda x, y: (x[None, :], y[rows, None])) if transposed else \
             (lambda x, y: (x[rows, None], y[None, :]))  # the delta2 operand first
-        # Phi = (exp(z) - 1)/z into out, z = i dk L, series on the masked cells
-        np.add(*cells(a, c), out=z)
-        z *= 1j * p.length_L
-        np.multiply(*cells(ea, ec), out=out)
-        small = np.abs(z) < PHI_SERIES_CUTOFF
-        z_small = z[small]
-        z[small] = 1.0
-        out -= 1.0
-        out /= z
-        out[small] = 1.0 + z_small / 2 + z_small * z_small / 6
-        np.multiply(chi5(rows, z), out, out=out)  # chi5 first, as chi5 *= Phi
+        if not force_phi_unity:
+            # Phi = (exp(z) - 1)/z into out, z = i dk L, series on the masked cells
+            z = np.add(*cells(a, c), out=z[:len(out)])
+            z *= 1j * p.length_L
+            np.multiply(*cells(ea, ec), out=out)
+            small = np.abs(z) < PHI_SERIES_CUTOFF
+            z_small = z[small]
+            z[small] = 1.0
+            out -= 1.0
+            out /= z
+            out[small] = 1.0 + z_small / 2 + z_small * z_small / 6
+        chi5 = np.multiply(window[rows], inv_f2[rows, None] if transposed else inv_f2,
+                           out=out if force_phi_unity else z)
+        if not force_phi_unity:
+            np.multiply(chi5, out, out=out)  # chi5 first, as chi5 *= Phi
+        for w in () if taper is None else cells(taper, taper):
+            out *= w
     return d, fill
 
 
@@ -280,10 +277,12 @@ def spectral_grid(
     n_points: int,
     force_phi_unity: bool = False,
     ideal_rect: bool = False,
+    taper: np.ndarray | None = None,
 ) -> SpectralGrid:
     """Sample chi5*Phi on the FFT-ready grid [-extent, extent) x n_points.
 
-    extent and n_points must pass check_grid.
+    extent and n_points must pass check_grid.  `taper`, n_points weights,
+    multiplies the samples along delta2 and then along delta3.
 
     The grid is filled from 1D evaluations.  Both axes are
     -extent + step*arange(n), so delta2 + delta3 takes only the 2n-1 values
@@ -309,10 +308,11 @@ def spectral_grid(
     This factorization only speeds up the sampling.  The oracle transforms
     the sampled product as an unstructured 2D array and does not use it.
     """
-    d, fill = spectrum_rows(p, extent, n_points, force_phi_unity, ideal_rect)
+    d, fill = spectrum_rows(p, extent, n_points, force_phi_unity, ideal_rect, taper=taper)
     vals = np.empty((n_points, n_points), dtype=complex)
-    map_blocks(lambda rows: fill(rows, vals[rows]), n_points,
-               n_points if force_phi_unity else PHI_BLOCK_ROWS)
+    k = blocks.workers()  # each thread's Phi scratch holds one block of rows
+    z = np.empty((k, max(1, PHI_BLOCK_ROWS // k), n_points), dtype=complex)
+    blocks.map_blocks(lambda rows, z: fill(rows, vals[rows], z), n_points, PHI_BLOCK_ROWS, z)
     return SpectralGrid(delta2_axis=d, delta3_axis=d.copy(), values=vals)
 
 

@@ -212,6 +212,10 @@ def test_blocked_residual_equals_whole_grid(kw):
     with mock.patch.object(analysis, "RESIDUAL_BLOCK_ROWS", 100):
         assert analysis.factorizability_residual(rate) == want
     assert analysis.factorizability_residual(rate) == want
+    m13 = np.zeros(N)  # the tau13 marginal carried from block to block
+    for start in range(0, N, 100):
+        m13 = blocks.ordered_sum(rn[start:start + 100].copy(), m13)
+    assert np.array_equal(m13, rn.sum(axis=0))
 
 
 @pytest.mark.parametrize("shape", [(301, 301), (256, 517), (1, 256), (256, 1), (3, 2048)])
@@ -230,6 +234,10 @@ def test_blocked_residual_on_other_shapes_equals_whole_grid_to_rounding(shape, b
         got = analysis.factorizability_residual(WavepacketGrid(
             np.arange(shape[0]) + 1.0, np.arange(shape[1]) + 1.0, r))
     assert abs(got - want) <= 2 * (r.size.bit_length() * want + shape[0]) * EPS
+    m13 = np.zeros(shape[1])
+    for start in range(0, shape[0], block_rows):
+        m13 = blocks.ordered_sum(rn[start:start + block_rows].copy(), m13)
+    assert np.all(np.abs(m13 - rn.sum(axis=0)) <= shape[0] * EPS * rn.sum(axis=0))
 
 
 def _rate_atol(p, t):
@@ -414,6 +422,47 @@ def test_map_blocks_tiles_range_within_budget(workers):
     seen.sort(key=lambda rows: rows.start)
     assert [i for rows in seen for i in range(100)[rows]] == list(range(100))
     assert max(rows.stop - rows.start for rows in seen) == 64 // workers
+    # with scratch, the j-th thread (the caller the 0th) gets the caller's
+    # scratch[j] with every block it runs, and no other thread gets it
+    scratch, runs = [bytearray(1) for _ in range(workers)], []
+
+    def fn(rows, buf):
+        runs.append((rows, threading.get_ident(), buf))
+        time.sleep(0.005)  # so that every thread takes a block
+    with mock.patch.object(blocks, "workers", lambda: workers):
+        blocks.map_blocks(fn, 100, 64, scratch)
+    runs.sort(key=lambda run: run[0].start)
+    assert [i for rows, _, _ in runs for i in range(100)[rows]] == list(range(100))
+    assert all(any(buf is mine for mine in scratch) for _, _, buf in runs)
+    held = {}
+    for _, thread, buf in runs:
+        held.setdefault(thread, set()).add(id(buf))
+    assert all(len(bufs) == 1 for bufs in held.values())
+    assert len(set.union(*held.values())) == len(held)
+    assert held[threading.get_ident()] == {id(scratch[0])}
+
+
+def _pairwise_emulation(x, leaf):
+    """np.sum of the contiguous float64 run x if numpy's pairwise sum took
+    blocks of `leaf` floats: each block summed in 8 accumulators r[i % 8],
+    those and the blocks then added in halving trees."""
+    steps = x.reshape(-1, leaf // 8, 8)  # block, step, accumulator
+    r = steps[:, 0].copy()
+    for step in range(1, leaf // 8):
+        r += steps[:, step]
+    return blocks.pairwise_sum(blocks.pairwise_sum(r.T))
+
+
+def test_np_sum_follows_numpy_pairwise_block_of_128():
+    # the streamed tau12 trace and the factorizability residual are bitwise
+    # their whole-grid sums only while numpy sums in this order
+    rng = np.random.default_rng(2048)
+    xs = [rng.standard_normal(2048) * 10.0 ** rng.integers(-3, 4, 2048) for _ in range(50)]
+    for x in xs:
+        assert np.sum(x) == _pairwise_emulation(x, 128), (
+            f"numpy {np.__version__} no longer sums in its pairwise block (PW_BLOCKSIZE) of "
+            f"128 floats with 8 accumulators: LEAF_ROWS and blocks.pairwise_sum must follow")
+    assert any(np.sum(x) != _pairwise_emulation(x, 64) for x in xs)
 
 
 def test_concurrent_callers_share_the_pool():
