@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocks import ordered_sum, pairwise_sum
+from .blocks import ordered_sum, pairwise_sum, row_blocks
 from .errors import InsufficientExtremaError, ValidationError, ZeroMassError
 from .params import derived_frequencies
 
@@ -27,9 +27,6 @@ PRECURSOR_WINDOW = 0.05
 
 #: A precursor maximum exceeds this multiple of the mid-rectangle median.
 PRECURSOR_PROMINENCE = 1.5
-
-#: Rows per block of r / total in factorizability_residual.
-RESIDUAL_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -262,9 +259,9 @@ def factorizability_residual(grid) -> float:
 
     0 for exactly separable landscapes, up to 2 for disjoint supports.
 
-    r / total is made RESIDUAL_BLOCK_ROWS rows at a time in one block
-    buffer, twice: the first pass takes the marginals, the second the row
-    sums of |r / total - outer(m12, m13)|, so no full-size copy is made.
+    r / total is made one `row_blocks` block at a time, twice: the first
+    pass takes the marginals, the second the row sums of
+    |r / total - outer(m12, m13)|, so no full-size copy is made.
     The tau13 marginal carries from block to block in `ordered_sum`, numpy's
     order for a whole-grid sum(axis=0), and the row sums are combined in
     `pairwise_sum`, which is numpy's order for the sum of a C-contiguous
@@ -277,32 +274,30 @@ def factorizability_residual(grid) -> float:
     total = r.sum()
     if total <= 0:
         raise ZeroMassError("factorizability on a zero-mass grid")
-    n, step = len(r), RESIDUAL_BLOCK_ROWS
-    buf = np.empty((min(n, step), r.shape[1]))
+    n = len(r)
     m12, sums, m13 = np.empty(n), np.empty(n), np.zeros(r.shape[1])
-    for start in range(0, n, step):
-        b = np.divide(r[start:start + step], total, out=buf[:min(step, n - start)])
-        b.sum(axis=1, out=m12[start:start + step])
+    for rows in row_blocks(n):
+        b = r[rows] / total
+        b.sum(axis=1, out=m12[rows])
         m13 = ordered_sum(b, m13)
-    for start in range(0, n, step):
-        b = np.divide(r[start:start + step], total, out=buf[:min(step, n - start)])
-        b -= np.outer(m12[start:start + step], m13)
-        np.abs(b, out=b).sum(axis=1, out=sums[start:start + step])
+    for rows in row_blocks(n):
+        b = r[rows] / total
+        b -= np.outer(m12[rows], m13)
+        np.abs(b, out=b).sum(axis=1, out=sums[rows])
     return float(pairwise_sum(sums))
 
 
 def ordering_violation_mass(grid) -> float:
-    """Fraction of total mass where tau12 < 0 or tau13 < tau12."""
+    """Fraction of total mass where tau12 < 0 or tau13 < tau12.  Both axes
+    increase, so a row's cells outside the wedge are a prefix of its columns
+    (all of them where tau12 < 0), summed row by row: no n x n mask."""
     r = np.asarray(grid.values, dtype=float)
     total = r.sum()
     if total <= 0:
         raise ZeroMassError("ordering mass on a zero-mass grid")
-    t12 = np.asarray(grid.tau12_axis)[:, None]
-    t13 = np.asarray(grid.tau13_axis)[None, :]
-    # one 2D mask, built in place, and a `where` sum: no masked copy
-    bad = t13 < t12
-    bad |= t12 < 0
-    return float(r.sum(where=bad) / total)
+    t12, t13 = np.asarray(grid.tau12_axis), np.asarray(grid.tau13_axis)
+    k = np.where(t12 < 0, len(t13), np.searchsorted(t13, t12))
+    return float(sum(row[:j].sum() for row, j in zip(r, k)) / total)
 
 
 def trace_from_grid(grid, axis: str = "tau13") -> TimeTrace:

@@ -1,18 +1,20 @@
-"""Row or column blocks of one 2D stage, run on every core, and numpy's two
-summation orders, so that a blocked reduction equals the whole-grid one.
+"""The package's block sizes and its 2D stages run in blocks on every core.
 
 numpy's FFT and elementwise loops release the GIL, so the blocks of a
 2048^2 stage run in parallel: on the calling thread and on a pool of one
 thread per further CPU in this process's affinity mask, made on first use,
 with no setting.  A block writes only its own slice and reduces nothing, so
 a stage's output does not depend on the worker count; reductions stay with
-the caller.  A block must not call `map_blocks` itself.
+the caller, serially over `row_blocks`, and add in numpy's own orders
+(`pairwise_sum`, `ordered_sum`), so a blocked sum equals the whole-grid one.
+A block must not call `map_blocks` itself.
 
 Scratch that a block reuses is made by the calling thread and handed out by
 `map_blocks`: the j-th thread gets scratch[j] with every block it runs, and
-no other thread gets it.  So no pool thread allocates a stage's buffers,
-and none is left in a pool thread's malloc arena, which would keep it for
-the rest of the process.
+no other thread gets it.  Temporaries a block makes for itself (the Phi
+fill's |z| and series mask, pocketfft's work buffers, the closed-form fill's
+ordering mask) are made in the thread that runs it, and a pool thread's
+malloc arena may keep them for the rest of the process.
 """
 from __future__ import annotations
 
@@ -21,6 +23,14 @@ import os
 import threading
 
 import numpy as np
+
+#: Rows per block of a serial pass over an n x n grid, read at call time: a
+#: block-sized temporary is 1 MB of floats at n = 2048.
+ROWS = 64
+
+#: numpy's pairwise sum: a leaf of up to PAIRWISE_LEAF floats is summed in
+#: PAIRWISE_LANES accumulators r[i % lanes].  `PHI_BLOCK_ROWS` is the sampler's.
+PAIRWISE_LEAF, PAIRWISE_LANES = 128, 8
 
 _pool_lock = threading.Lock()
 
@@ -34,6 +44,11 @@ def workers() -> int:
 def _pool(k: int):
     from concurrent.futures import ThreadPoolExecutor  # off the CLI import path
     return ThreadPoolExecutor(k, thread_name_prefix="sswm-block")
+
+
+def row_blocks(n: int) -> list[slice]:
+    """Slices of ROWS rows, the last one shorter, that tile range(n) in order."""
+    return [slice(start, min(start + ROWS, n)) for start in range(0, n, ROWS)]
 
 
 def map_blocks(fn, n: int, budget: int, scratch=None) -> None:
@@ -76,9 +91,9 @@ def map_blocks(fn, n: int, budget: int, scratch=None) -> None:
 def pairwise_sum(x: np.ndarray):
     """x[0] + x[1] + ... in numpy's pairwise halving tree: neighbours added
     level by level, an odd count carrying its last entry up a level.  numpy
-    sums a contiguous run of up to 128 floats in 8 accumulators r[i % 8],
-    added in this tree, and halves a longer run at a multiple of 8, so 2^k
-    leaves of 128 summed this way give its `sum` of the whole run."""
+    sums a contiguous run of up to PAIRWISE_LEAF floats in PAIRWISE_LANES
+    accumulators, added in this tree, and halves a longer run at a multiple
+    of the lanes, so 2^k leaves summed this way give its `sum` of the run."""
     while len(x) > 1:
         x = np.concatenate((x[:-1:2] + x[1::2], x[len(x) & ~1:]))
     return x[0]

@@ -35,15 +35,6 @@ from .wavepacket import WavepacketGrid
 #: Half-width in cells of the tau12 = 0 band that closed-form comparisons drop.
 EDGE_HALFWIDTH_CELLS = 2.5
 
-#: Rows per block when normalized_l2_error sums its squares.
-L2_BLOCK_ROWS = 64
-
-#: Rows a conditional trace samples, transforms and squares at a time per
-#: thread, one per accumulator row of numpy's pairwise-sum leaf of LEAF_ROWS
-#: rows.  16 rows ran faster, but the Phi temporaries that the pool threads
-#: free stay in their malloc arenas and raise the peak RSS of later stages.
-TRACE_BLOCK_ROWS, LEAF_ROWS = 8, 128
-
 
 @dataclass(frozen=True)
 class OracleConfig:
@@ -156,12 +147,12 @@ def rcc_cond_numeric(which: str, p: SystemParams,
     No n^2 array is made: on every core, `spectrum_rows` blocks of the
     tapered samples (of their transpose for tau12: both FFTs run along rows)
     are transformed and squared in scratch the caller made for each thread
-    (`map_blocks`).  The squares are
+    (`map_blocks`), `blocks.PAIRWISE_LANES` rows at a time.  The squares are
     added in numpy's order for the whole grid, so the trace is bitwise that
     of `sampled_spectrum` on any worker count: rows in order for tau13, as
-    `sum(axis=0)`; for tau12 the pairwise `sum(axis=1)`, a leaf of LEAF_ROWS
-    rows in one thread's accumulator rows r[i % 8], all in halving trees
-    (`blocks.ordered_sum` and `blocks.pairwise_sum`)."""
+    `sum(axis=0)`; for tau12 the pairwise `sum(axis=1)`, a leaf of
+    `blocks.PAIRWISE_LEAF` rows in one thread's accumulator rows, one per
+    lane, all in halving trees (`blocks.ordered_sum`, `blocks.pairwise_sum`)."""
     if which not in ("tau12", "tau13"):
         raise ValidationError("which must be 'tau12' or 'tau13'")
     cfg = cfg or OracleConfig()
@@ -169,8 +160,8 @@ def rcc_cond_numeric(which: str, p: SystemParams,
     d, fill = spectrum_rows(p, _extent(p, cfg), n, cfg.force_phi_unity, cfg.ideal_rect,
                             transposed, _tukey(n, cfg.tukey_alpha))
     # each thread's block buffer and Phi scratch, and its accumulator rows
-    k = blocks.workers()
-    scratch = list(zip(*np.empty((2, k, TRACE_BLOCK_ROWS, n), dtype=complex), np.empty((k, 8, n))))
+    k, lanes, leaf_rows = blocks.workers(), blocks.PAIRWISE_LANES, blocks.PAIRWISE_LEAF
+    scratch = list(zip(*np.empty((2, k, lanes, n), dtype=complex), np.empty((k, lanes, n))))
 
     def squares(rows, own):  # |fft|^2 of the rows, in this thread's block buffer
         block = own[0][:rows.stop - rows.start]
@@ -178,24 +169,23 @@ def rcc_cond_numeric(which: str, p: SystemParams,
         return _squares(np.fft.fft(block, axis=1, out=block))
 
     if transposed:
-        leaves = np.empty((n // LEAF_ROWS, n))
+        leaves = np.empty((n // leaf_rows, n))
 
         def leaf(one, own):  # map_blocks hands out one leaf at a time
             acc, i = own[2], one.start
             acc[...] = 0.0
-            for start in range(i * LEAF_ROWS, (i + 1) * LEAF_ROWS, TRACE_BLOCK_ROWS):
-                acc += squares(slice(start, start + TRACE_BLOCK_ROWS), own)  # row i into r[i % 8]
+            for start in range(i * leaf_rows, (i + 1) * leaf_rows, lanes):
+                acc += squares(slice(start, start + lanes), own)  # row i into r[i % lanes]
             leaves[i] = blocks.pairwise_sum(acc)
         blocks.map_blocks(leaf, len(leaves), 1, scratch)
         R = blocks.pairwise_sum(leaves)
-    else:  # one block per thread in each batch, then its rows in order
-        step = TRACE_BLOCK_ROWS * k
-        batch, R = np.empty((step, n)), np.zeros(n)
-        for start in range(0, n, step):
-            def square(span, own, start=start):
+    else:  # the blocks of each batch on every thread, then its rows in order
+        batch, R = np.empty((min(blocks.ROWS, n), n)), np.zeros(n)
+        for rows in blocks.row_blocks(n):
+            def square(span, own, start=rows.start):
                 batch[span] = squares(slice(start + span.start, start + span.stop), own)
-            blocks.map_blocks(square, min(step, n - start), step, scratch)
-            R = blocks.ordered_sum(batch[:min(step, n - start)], R)
+            blocks.map_blocks(square, rows.stop - rows.start, lanes * k, scratch)
+            R = blocks.ordered_sum(batch[:rows.stop - rows.start], R)
     dd = float(d[1] - d[0])
     R *= dd**3
     R = np.fft.fftshift(R)
@@ -244,15 +234,13 @@ def _rate_grid(grid: SpectralGrid, gamma31_si: float) -> WavepacketGrid:
 def normalized_l2_error(test: np.ndarray, reference: np.ndarray, mask: np.ndarray) -> float:
     """||test - reference||_2 / ||reference||_2 over the cells of `mask`.
 
-    The squares are summed in blocks of L2_BLOCK_ROWS rows, serially, with
-    the mask as the sums' `where`, so no masked copy or full-size difference
-    is made."""
+    The squares are summed over `blocks.row_blocks`, serially, with the mask
+    as the sums' `where`, so no masked copy or full-size difference is made."""
     t = np.asarray(test, dtype=float)
     r = np.asarray(reference, dtype=float)
     keep = np.broadcast_to(mask, r.shape)
     err = norm = 0.0
-    for start in range(0, len(r), L2_BLOCK_ROWS):
-        rows = slice(start, start + L2_BLOCK_ROWS)
+    for rows in blocks.row_blocks(len(r)):
         diff = t[rows] - r[rows]
         err += float(np.square(diff, out=diff).sum(where=keep[rows]))
         norm += float(np.square(r[rows]).sum(where=keep[rows]))

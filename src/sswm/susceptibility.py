@@ -30,9 +30,6 @@ PHI_SERIES_CUTOFF = 1e-6
 #: at n = 2048, and 8 to 128 rows take the same time on 2 cores.
 PHI_BLOCK_ROWS = 16
 
-#: Rows per block when a real n x n result is written over its complex buffer.
-REAL_BLOCK_ROWS = 64
-
 #: Channel peaks of |chi5| exceed this fraction of its maximum; sidelobes do not.
 RESONANCE_FLOOR = 0.25
 
@@ -321,14 +318,13 @@ def real_first_half(values: np.ndarray, op) -> np.ndarray:
     n x n complex buffer `values`, whose second half is then given back.  op
     maps a block of complex rows, which it may overwrite, to a fresh array of
     its real rows (np.abs written over its own input rounds some |z|
-    differently).  Blocks of REAL_BLOCK_ROWS rows are written in ascending
+    differently).  The blocks of `blocks.row_blocks` are written in ascending
     order: real rows [a, b) land in complex rows [a/2, b/2), read by then.
     `values` is resized in place and may move, so no view taken of it before
     this call may be read after it."""
     n = len(values)
     out = values.reshape(-1).view(np.float64)[:n * n].reshape(n, n)
-    for start in range(0, n, REAL_BLOCK_ROWS):
-        rows = slice(start, start + REAL_BLOCK_ROWS)
+    for rows in blocks.row_blocks(n):
         out[rows] = op(values[rows])
     values.resize((n * n // 2,), refcheck=False)
     return values.view(np.float64).reshape(n, n)
@@ -337,12 +333,11 @@ def real_first_half(values: np.ndarray, op) -> np.ndarray:
 def fftshift_in_place(values: np.ndarray) -> None:
     """np.fft.fftshift of the n x n array `values`, n even, in place:
     the top-left quadrant swaps with the bottom-right and the top-right with
-    the bottom-left, in blocks of REAL_BLOCK_ROWS top rows that stop at n/2,
-    each pair through one block-sized temporary."""
+    the bottom-left, in the `blocks.row_blocks` of the top n/2 rows, each
+    pair through one block-sized temporary."""
     h = len(values) // 2
-    tmp = np.empty((min(REAL_BLOCK_ROWS, h), h), dtype=values.dtype)
-    for start in range(0, h, REAL_BLOCK_ROWS):
-        top = slice(start, min(start + REAL_BLOCK_ROWS, h))
+    tmp = np.empty((min(blocks.ROWS, h), h), dtype=values.dtype)
+    for top in blocks.row_blocks(h):
         bottom = slice(top.start + h, top.stop + h)
         aside = tmp[:top.stop - top.start]
         for a, b in ((values[top, :h], values[bottom, h:]), (values[top, h:], values[bottom, :h])):

@@ -10,10 +10,13 @@ from sswm.analysis import (TimeTrace, coherence_fit, detect_precursor,
                            fit_coherence_time, local_maxima,
                            ordering_violation_mass, width_at_half_max)
 from sswm.errors import InsufficientExtremaError, ValidationError, ZeroMassError
+from sswm.oracle import rcc_numeric
 from sswm.params import SystemParams, derived_frequencies
+from sswm.scenarios import load_scenario
 from sswm.wavepacket import analytic_rate_grid, rcc_cond12
 
 G = SystemParams().gamma31_si
+EPS = np.finfo(float).eps
 
 
 class FakeGrid:
@@ -188,6 +191,50 @@ def test_ordering_mass_mirrored_half():
     mirrored = inside + inside[::-1, ::-1]  # equal mass on the reflected wedge
     m = ordering_violation_mass(FakeGrid(t, t, mirrored))
     assert m == pytest.approx(0.5, abs=0.01)
+
+
+def _masked_ordering_mass(grid):
+    """The reference: one n x n out-of-wedge mask and a `where` sum."""
+    r = np.asarray(grid.values, dtype=float)
+    t12 = np.asarray(grid.tau12_axis)[:, None]
+    t13 = np.asarray(grid.tau13_axis)[None, :]
+    bad = t13 < t12
+    bad |= t12 < 0
+    return float(r.sum(where=bad) / r.sum())
+
+
+def _check_ordering_mass_against_masked(grid):
+    # the row pass adds the same cells in another order: within a rounding
+    # per row (or per column) of the masked sum, relative, as every cell is >= 0
+    got, want = ordering_violation_mass(grid), _masked_ordering_mass(grid)
+    assert abs(got - want) <= max(grid.values.shape) * EPS * want
+    return got, want
+
+
+@pytest.mark.parametrize("name", ["fig3a", "fig3d", "C9"])
+def test_ordering_mass_equals_masked_sum_on_oracle_rates(name, request):
+    # the two presets' rates and C9's tapered chi5 point print the same digits
+    if name == "C9":
+        rate = request.getfixturevalue("chi5_rate")
+    else:
+        sc = load_scenario(name)
+        rate = rcc_numeric(sc.params, sc.oracle)
+    got, want = _check_ordering_mass_against_masked(rate)
+    assert f"{got:.2e}" == f"{want:.2e}"
+
+
+@pytest.mark.parametrize("shape, t12_span", [
+    ((301, 301), (-1.0, 1.0)), ((256, 517), (-1.0, 1.0)), ((517, 256), (-0.5, 1.5)),
+    ((1, 517), (-1.0, -0.5)), ((1, 517), (0.2, 0.3)), ((64, 300), (-2.0, -0.5)),
+    ((300, 64), (0.1, 1.5))])
+def test_ordering_mass_equals_masked_sum_on_random_grids(shape, t12_span):
+    # increasing axes of random spacing, one row, tau12 all negative (every
+    # cell outside the wedge) and all positive
+    rng = np.random.default_rng(sum(shape))
+    t12 = np.sort(rng.uniform(*t12_span, shape[0]))
+    t13 = np.sort(rng.uniform(-1.0, 1.5, shape[1]))
+    got, _ = _check_ordering_mass_against_masked(FakeGrid(t12, t13, rng.random(shape) ** 4))
+    assert (got == pytest.approx(1.0, rel=shape[0] * EPS)) == (t12[-1] < 0)
 
 
 def test_width_at_half_max_interpolates():

@@ -117,7 +117,7 @@ def test_in_place_rate_grid_is_independent_of_its_block_rows(block_rows):
     # grid write and shift the rate in the spectrum's memory the same way
     p = SystemParams(omega_c1=3.0, omega_c2=5.0, optical_depth=60.0)
     want = rcc_numeric(p, OracleConfig(n_points=N))
-    with mock.patch.object(susceptibility, "REAL_BLOCK_ROWS", block_rows):
+    with mock.patch.object(blocks, "ROWS", block_rows):
         got = rcc_numeric(p, OracleConfig(n_points=N))
     assert np.array_equal(got.values, want.values)
     assert got.normalization == want.normalization
@@ -136,16 +136,17 @@ def _check_conditional_equals_out_of_place_squares(which, p, cfg):
 
 
 @given(params, st.sampled_from(["tau12", "tau13"]), st.sampled_from([N, 2 * N]),
-       st.sampled_from([0.0, 0.1]), st.booleans(), st.booleans())
+       st.sampled_from([0.0, 0.1]), st.booleans(), st.booleans(), st.sampled_from([1, 64, 100]))
 @settings(max_examples=20, deadline=None)
 def test_in_place_conditional_equals_out_of_place_squares(kw, which, n, tukey_alpha,
-                                                          force_phi_unity, ideal_rect):
+                                                          force_phi_unity, ideal_rect, rows):
     # the streamed blocks against the whole-grid transform, square and sum:
     # 2 and 4 leaves of numpy's pairwise tree for tau12, rows added in order
-    # for tau13
+    # for tau13, in batches of any row count
     cfg = OracleConfig(n_points=n, tukey_alpha=tukey_alpha,
                        force_phi_unity=force_phi_unity, ideal_rect=ideal_rect)
-    _check_conditional_equals_out_of_place_squares(which, SystemParams(**kw), cfg)
+    with mock.patch.object(blocks, "ROWS", rows):
+        _check_conditional_equals_out_of_place_squares(which, SystemParams(**kw), cfg)
 
 
 def test_conditional_at_2048_equals_out_of_place_squares(ctx):
@@ -180,7 +181,7 @@ def test_chi5_magnitude_map_equals_abs_of_the_samples(kw, block_rows):
     p = SystemParams(**kw)
     extent = default_extent(p)
     grid = spectral_grid(p, extent, N, force_phi_unity=True)
-    with mock.patch.object(susceptibility, "REAL_BLOCK_ROWS", block_rows):
+    with mock.patch.object(blocks, "ROWS", block_rows):
         d2, d3, mag = susceptibility.chi5_magnitude_map(p, extent, N)
     assert np.array_equal(d2, grid.delta2_axis) and np.array_equal(d3, grid.delta3_axis)
     assert np.array_equal(mag, np.abs(grid.values))
@@ -209,7 +210,7 @@ def test_blocked_residual_equals_whole_grid(kw):
     rate = rcc_numeric(p, OracleConfig(n_points=N))
     rn = rate.values / rate.values.sum()
     want = float(np.abs(rn - np.outer(rn.sum(axis=1), rn.sum(axis=0))).sum())
-    with mock.patch.object(analysis, "RESIDUAL_BLOCK_ROWS", 100):
+    with mock.patch.object(blocks, "ROWS", 100):
         assert analysis.factorizability_residual(rate) == want
     assert analysis.factorizability_residual(rate) == want
     m13 = np.zeros(N)  # the tau13 marginal carried from block to block
@@ -230,7 +231,7 @@ def test_blocked_residual_on_other_shapes_equals_whole_grid_to_rounding(shape, b
     r = rng.random(shape) ** 4
     rn = r / r.sum()
     want = float(np.abs(rn - np.outer(rn.sum(axis=1), rn.sum(axis=0))).sum())
-    with mock.patch.object(analysis, "RESIDUAL_BLOCK_ROWS", block_rows):
+    with mock.patch.object(blocks, "ROWS", block_rows):
         got = analysis.factorizability_residual(WavepacketGrid(
             np.arange(shape[0]) + 1.0, np.arange(shape[1]) + 1.0, r))
     assert abs(got - want) <= 2 * (r.size.bit_length() * want + shape[0]) * EPS
@@ -440,15 +441,21 @@ def test_map_blocks_tiles_range_within_budget(workers):
     assert all(len(bufs) == 1 for bufs in held.values())
     assert len(set.union(*held.values())) == len(held)
     assert held[threading.get_ident()] == {id(scratch[0])}
+    # the serial passes' row blocks: ROWS rows in order, the last one shorter,
+    # for n not a multiple of ROWS and for n below it
+    for n, sizes in ((100, [64, 36]), (30, [30])):
+        tiles = blocks.row_blocks(n)
+        assert [i for rows in tiles for i in range(n)[rows]] == list(range(n))
+        assert [rows.stop - rows.start for rows in tiles] == sizes
 
 
-def _pairwise_emulation(x, leaf):
+def _pairwise_emulation(x, leaf, lanes=blocks.PAIRWISE_LANES):
     """np.sum of the contiguous float64 run x if numpy's pairwise sum took
-    blocks of `leaf` floats: each block summed in 8 accumulators r[i % 8],
-    those and the blocks then added in halving trees."""
-    steps = x.reshape(-1, leaf // 8, 8)  # block, step, accumulator
+    blocks of `leaf` floats: each block summed in `lanes` accumulators
+    r[i % lanes], those and the blocks then added in halving trees."""
+    steps = x.reshape(-1, leaf // lanes, lanes)  # block, step, accumulator
     r = steps[:, 0].copy()
-    for step in range(1, leaf // 8):
+    for step in range(1, leaf // lanes):
         r += steps[:, step]
     return blocks.pairwise_sum(blocks.pairwise_sum(r.T))
 
@@ -458,11 +465,13 @@ def test_np_sum_follows_numpy_pairwise_block_of_128():
     # their whole-grid sums only while numpy sums in this order
     rng = np.random.default_rng(2048)
     xs = [rng.standard_normal(2048) * 10.0 ** rng.integers(-3, 4, 2048) for _ in range(50)]
+    leaf, lanes = blocks.PAIRWISE_LEAF, blocks.PAIRWISE_LANES
     for x in xs:
-        assert np.sum(x) == _pairwise_emulation(x, 128), (
+        assert np.sum(x) == _pairwise_emulation(x, leaf), (
             f"numpy {np.__version__} no longer sums in its pairwise block (PW_BLOCKSIZE) of "
-            f"128 floats with 8 accumulators: LEAF_ROWS and blocks.pairwise_sum must follow")
-    assert any(np.sum(x) != _pairwise_emulation(x, 64) for x in xs)
+            f"{leaf} floats with {lanes} accumulators: blocks.PAIRWISE_LEAF, "
+            f"blocks.PAIRWISE_LANES and blocks.pairwise_sum must follow")
+    assert any(np.sum(x) != _pairwise_emulation(x, leaf // 2) for x in xs)
 
 
 def test_concurrent_callers_share_the_pool():

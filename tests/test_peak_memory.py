@@ -98,6 +98,17 @@ def test_chi5_magnitude_map_peak():
     assert rise <= 1.1 * COMPLEX_GRID
 
 
+def test_fig2_given_its_map_peak(monkeypatch):
+    # C1's peak search (one n^2 boolean mask, 0.125 real grids) and C2's
+    # central-symmetry deviation over row blocks: no n^2 difference
+    p = SystemParams(omega_c1=40.0, omega_c2=40.0)
+    d2, d3, mag = chi5_magnitude_map(p, 320.0, N)
+    monkeypatch.setattr(acceptance, "chi5_magnitude_map", lambda *args: (d2, d3, mag))
+    (_, peaks, _, dev), rise = _peak_rise(lambda: acceptance.AcceptanceContext().fig2)
+    assert len(peaks) == 4 and dev < 1e-12
+    assert rise <= 0.2 * REAL_GRID
+
+
 def test_csv_writer_peak(hybrid_rate, tmp_path):
     # 128 x 2048 cells streamed one tau12 row at a time: the text of a row,
     # not of the file
@@ -117,10 +128,10 @@ def test_factorizability_residual_peak(hybrid_rate):
 
 
 def test_ordering_violation_mass_peak(hybrid_rate):
-    # the out-of-wedge mask and a `where` sum, no masked copy
+    # one prefix length per row: no n x n mask (4 MB, 0.125 real grids)
     mass, rise = _peak_rise(lambda: analysis.ordering_violation_mass(hybrid_rate))
     assert 0 < mass < 1
-    assert rise <= 0.3 * REAL_GRID
+    assert rise <= 0.01 * REAL_GRID
 
 
 def test_normalized_l2_error_peak(hybrid_rate):
