@@ -100,19 +100,16 @@ def local_maxima(tr: TimeTrace) -> np.ndarray:
     a small fraction of a sample for smooth oscillations.
     """
     y = np.asarray(tr.values, dtype=float)
-    t = tr.t_axis
     peak = y.max()
     if peak <= 0:
         return np.empty((0, 2))
-    out = []
-    dt = tr.dt
-    for i in range(1, len(y) - 1):
-        if y[i] > y[i - 1] and y[i] >= y[i + 1] and y[i] > MAXIMA_FLOOR * peak:
-            den = y[i - 1] - 2 * y[i] + y[i + 1]
-            off = 0.5 * (y[i - 1] - y[i + 1]) / den if den != 0 else 0.0
-            off = float(np.clip(off, -0.5, 0.5))
-            out.append((t[i] + off * dt, y[i] - 0.25 * (y[i - 1] - y[i + 1]) * off))
-    return np.array(out) if out else np.empty((0, 2))
+    a, b, c = y[:-2], y[1:-1], y[2:]
+    sel = (b > a) & (b >= c) & (b > MAXIMA_FLOOR * peak)
+    a, b, c = a[sel], b[sel], c[sel]
+    den = a - 2 * b + c
+    off = np.divide(0.5 * (a - c), den, out=np.zeros_like(den), where=den != 0)
+    off = np.clip(off, -0.5, 0.5)
+    return np.column_stack([tr.t_axis[1:-1][sel] + off * tr.dt, b - 0.25 * (a - c) * off])
 
 
 def _dominant_spacing_cluster(diffs: np.ndarray) -> np.ndarray:
@@ -124,14 +121,8 @@ def _dominant_spacing_cluster(diffs: np.ndarray) -> np.ndarray:
     the cluster with the larger mean (artifacts cluster short).
     """
     order = np.sort(diffs)
-    clusters = [[order[0]]]
-    for d in order[1:]:
-        if d <= clusters[-1][-1] * 1.08:
-            clusters[-1].append(d)
-        else:
-            clusters.append([d])
-    best = max(clusters, key=lambda c: (len(c), float(np.mean(c))))
-    return np.asarray(best)
+    clusters = np.split(order, np.flatnonzero(order[1:] > order[:-1] * 1.08) + 1)
+    return max(clusters, key=lambda c: (len(c), float(c.mean())))
 
 
 def extract_period(tr: TimeTrace) -> float:
@@ -145,26 +136,16 @@ def extract_period(tr: TimeTrace) -> float:
 
 
 def _halfmax_span(t: np.ndarray, y: np.ndarray, level: float) -> float:
-    """Total time where y >= level, with linear edge interpolation."""
-    above = y >= level
-    if not above.any():
-        return 0.0
-    total = 0.0
-    start = None
-    for i, a in enumerate(above):
-        if a and start is None:
-            start = t[i]
-            if i > 0:  # interpolate the rising crossing
-                frac = (level - y[i - 1]) / (y[i] - y[i - 1])
-                start = t[i - 1] + frac * (t[i] - t[i - 1])
-        elif not a and start is not None:
-            frac = (y[i - 1] - level) / (y[i - 1] - y[i])
-            end = t[i - 1] + frac * (t[i] - t[i - 1])
-            total += end - start
-            start = None
-    if start is not None:
-        total += t[-1] - start
-    return float(total)
+    """Total time where y >= level, with linear edge interpolation: the runs
+    above the level, from rising to falling edge, added one after another."""
+    edge = np.diff((y >= level).astype(np.int8), prepend=0, append=0)
+    rise, fall = np.flatnonzero(edge > 0), np.flatnonzero(edge < 0)
+    start, end = t[rise], t[fall - 1]
+    i = rise[rise > 0]
+    start[rise > 0] = t[i - 1] + (level - y[i - 1]) / (y[i] - y[i - 1]) * (t[i] - t[i - 1])
+    i = fall[fall < len(y)]
+    end[fall < len(y)] = t[i - 1] + (y[i - 1] - level) / (y[i - 1] - y[i]) * (t[i] - t[i - 1])
+    return float(np.cumsum(np.append(0.0, end - start))[-1])
 
 
 def coherence_fit(tr: TimeTrace) -> CoherenceFit:
@@ -192,11 +173,11 @@ def coherence_fit(tr: TimeTrace) -> CoherenceFit:
     pk = local_maxima(tr)
     if len(pk) < 3:
         # monotone decay: every sample above the floor is an envelope point
-        sel = y > MAXIMA_FLOOR * peak
-        if not _is_monotone_decay(y, sel):
+        idx = np.flatnonzero(y > MAXIMA_FLOOR * peak)
+        if len(idx) < 3 or not np.all(np.diff(y[idx[0]:idx[-1] + 1]) <= 0):
             raise InsufficientExtremaError(
                 "trace has neither >= 3 maxima nor monotone decay")
-        pk = np.column_stack([tr.t_axis[sel], y[sel]])
+        pk = np.column_stack([tr.t_axis[idx], y[idx]])
 
     tt, vv = pk[:, 0], pk[:, 1]
     logv = np.log(vv)
@@ -210,23 +191,16 @@ def coherence_fit(tr: TimeTrace) -> CoherenceFit:
                         residual=residual, n_maxima=len(pk))
 
 
-def _is_monotone_decay(y: np.ndarray, sel: np.ndarray) -> bool:
-    idx = np.where(sel)[0]
-    if len(idx) < 3:
-        return False
-    seg = y[idx[0]:idx[-1] + 1]
-    return bool(np.all(np.diff(seg) <= 0))
-
-
 def _envelope_crossing(t: np.ndarray, v: np.ndarray) -> float:
     """First log-interpolated time coordinate where the envelope <= max/e."""
     target = v.max() / math.e
     i_peak = int(np.argmax(v))
-    for i in range(i_peak + 1, len(v)):
-        if v[i] <= target:
-            v0, v1 = v[i - 1], v[i]
-            frac = (math.log(v0) - math.log(target)) / (math.log(v0) - math.log(v1))
-            return float(t[i - 1] + frac * (t[i] - t[i - 1]))
+    below = i_peak + 1 + np.flatnonzero(v[i_peak + 1:] <= target)
+    if len(below):
+        i = below[0]
+        v0, v1 = v[i - 1], v[i]
+        frac = (math.log(v0) - math.log(target)) / (math.log(v0) - math.log(v1))
+        return float(t[i - 1] + frac * (t[i] - t[i - 1]))
     # envelope never crosses within the trace: extrapolate from the last pair
     v0, v1 = v[-2], v[-1]
     if v1 >= v0:

@@ -274,11 +274,12 @@ def parse_sweep_values(text: str, param: str, sc: Scenario) -> list[float]:
 # execution and export
 
 
-def _default_window_s(p: SystemParams) -> tuple[float, float]:
+def _default_window_s(p: SystemParams, lo: float, hi: float) -> tuple[float, float]:
+    """The export window sized from `p`, clamped to the time axis [lo, hi]."""
     d = derived_frequencies(p)
     span = max(d.group_delay, 6.0 / (2 * d.gamma_e1 * p.gamma31_si),
                6.0 / (2 * d.gamma_e2 * p.gamma31_si))
-    return (-0.1 * span, 1.2 * span)
+    return (max(-0.1 * span, lo), min(1.2 * span, hi))
 
 
 def _window(axis: np.ndarray, tmin: float, tmax: float) -> slice:
@@ -432,16 +433,16 @@ def run_scenario(sc: Scenario, out_dir: Path, fmt: str = "csv",
     out_dir.mkdir(parents=True, exist_ok=True)
     p = sc.params
     header = [f"scenario: {sc.name}", f"params_hash: {p.content_hash()}"]
-    tmin, tmax = _default_window_s(p)
-    if sc.tmin_ns is not None:
-        tmin = sc.tmin_ns * 1e-9
-    if sc.tmax_ns is not None:
-        tmax = sc.tmax_ns * 1e-9
     if any(out.startswith("rcc2d_") for out in sc.outputs):
         t12, t13 = rate.tau12_axis, rate.tau13_axis
-        window = _window(t12, tmin, tmax), _window(t13, tmin, tmax)
         lo, hi = max(t12[0], t13[0]), min(t12[-1], t13[-1])
-        if tmin < lo or tmax > hi:
+        tmin, tmax = _default_window_s(p, lo, hi)
+        if sc.tmin_ns is not None:
+            tmin = sc.tmin_ns * 1e-9
+        if sc.tmax_ns is not None:
+            tmax = sc.tmax_ns * 1e-9
+        window = _window(t12, tmin, tmax), _window(t13, tmin, tmax)
+        if tmin < lo or tmax > hi:  # an explicit bound past the axis
             warnings.warn(f"export window {tmin * 1e9:.4g} .. {tmax * 1e9:.4g} ns extends past "
                           f"the rate's time axis {lo * 1e9:.4g} .. {hi * 1e9:.4g} ns; the 2D "
                           f"exports keep the samples that lie in both", stacklevel=2)

@@ -1,11 +1,15 @@
 import math
+import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import reference_forms as loop
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sswm.analysis import (TimeTrace, coherence_fit, detect_precursor,
+from sswm import analysis
+from sswm.analysis import (CoherenceFit, TimeTrace, coherence_fit, detect_precursor,
                            extract_period, factorizability_residual,
                            fit_coherence_time, local_maxima,
                            ordering_violation_mass, width_at_half_max)
@@ -272,3 +276,78 @@ def test_detect_precursor_synthetic():
     spike = 3.0 * np.exp(-0.5 * ((t - 0.02 * T) / (0.004 * T)) ** 2)
     assert detect_precursor(TimeTrace(t_axis=t, values=plateau + spike), d)
     assert not detect_precursor(TimeTrace(t_axis=t, values=plateau), d)
+
+
+@st.composite
+def scan_traces(draw):
+    """Traces of 1-60 samples for the fit scans: quantized values (ties,
+    plateaus, zero runs, runs touching either end, one-sample runs), uniform
+    values, monotone decays, damped oscillations and envelopes that never
+    reach 1/e; each may carry a triple (b - ulp, b, b), a maximum whose
+    parabola has den == 0."""
+    n = draw(st.integers(1, 60))
+    k = np.arange(n)
+    kind = draw(st.sampled_from(["quantized", "uniform", "decay", "oscillation", "slow"]))
+    if kind == "quantized":
+        y = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)), dtype=float)
+    elif kind == "uniform":
+        y = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    elif kind == "decay":
+        y = np.exp(-draw(st.floats(0.01, 1.0)) * k)
+    elif kind == "oscillation":
+        y = np.exp(-k / draw(st.floats(2.0, 40.0))) * np.cos(draw(st.floats(0.2, 2.0)) * k) ** 2
+    else:  # at most e^-0.59 of the peak after 60 samples
+        y = np.exp(-draw(st.floats(0.0, 0.01)) * k)
+    if n >= 3 and draw(st.booleans()):
+        j, b = draw(st.integers(0, n - 3)), float(draw(st.integers(1, 3)))
+        y[j:j + 3] = np.nextafter(b, 0.0), b, b
+    return TimeTrace(t_axis=draw(st.floats(-50.0, 50.0)) + draw(st.floats(0.01, 3.0)) * k,
+                     values=y)
+
+
+def _bits(f, *args):
+    """The bytes of what `f` returns, or the type and text of what it raises,
+    with the categories of the warnings it gives."""
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        try:
+            out = f(*args)
+        except Exception as exc:
+            out = (type(exc), str(exc))
+    if isinstance(out, CoherenceFit):
+        out = tuple(float(x).hex() if isinstance(x, float) else x for x in astuple(out))
+    elif not isinstance(out, tuple):
+        out = (np.asarray(out).dtype, np.shape(out), np.asarray(out).tobytes())
+    return out, {w.category for w in seen}
+
+
+_PLATEAU = TimeTrace(t_axis=np.arange(9.0), values=np.array([0, 2, 2, 1, 3, 3, 3, 0, 1.0]))
+_DEN_ZERO = TimeTrace(t_axis=np.arange(8.0), values=np.array(
+    [0, np.nextafter(1.0, 0.0), 1, 1, 0, np.nextafter(2.0, 0.0), 2, 2]))
+#: 15 runs above half the peak, whose lengths np.sum would add in another order
+_MANY_RUNS = TimeTrace(t_axis=-31.36 + 1.83 * np.arange(60.0), values=np.array(
+    [3, 0, 2, 3, 0, 2, 3, 2, 3, 0, 3, 0, 2, 2, 0, 1, 0, 2, 3, 3, 0, 0, 2, 3, 3, 2, 3, 0, 1, 1,
+     0, 0, 0, 0, 0, 0, 0, 2, 2, 3, 3, 1, 2, 0, 3, 2, 3, 2, 0, 2, 0, 3, 0, 2, 0, 2, 3, 0, 3, 2.0]))
+
+
+@given(scan_traces(), st.lists(st.sampled_from([0.9, 1.0, 1.05, 1.075, 1.08, 1.085, 1.2]),
+                               min_size=1, max_size=30), st.floats(0.0, 1.0))
+@example(_PLATEAU, [1.0, 1.075, 1.085, 1.075], 0.5)
+@example(_DEN_ZERO, [1.2, 1.0, 1.08, 1.0, 1.05, 1.2, 1.085], 0.3)
+@example(_MANY_RUNS, [1.0], 0.5)
+@settings(max_examples=300, deadline=None)
+def test_fit_scans_equal_their_loop_forms_bitwise(tr, ratios, frac):
+    # each array form against the per-sample loop it replaced: the same
+    # floats bit for bit, or the same error type and text, and the same
+    # warning categories
+    y, t = np.asarray(tr.values), tr.t_axis
+    pairs = [("local_maxima", (tr,)), ("extract_period", (tr,)), ("coherence_fit", (tr,)),
+             ("_dominant_spacing_cluster", (np.cumprod(ratios),))]
+    pairs += [("_halfmax_span", (t, y, scale * y.max())) for scale in (0.5, 0.1, frac)]
+    if len(y) >= 2 and y.min() > 0:
+        pairs.append(("_envelope_crossing", (t, y)))
+    pk = loop.local_maxima(tr) if len(y) >= 2 else []
+    if len(pk) >= 2:
+        pairs.append(("_dominant_spacing_cluster", (np.diff(pk[:, 0]),)))
+    for name, args in pairs:
+        assert _bits(getattr(analysis, name), *args) == _bits(getattr(loop, name), *args), name

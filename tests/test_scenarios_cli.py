@@ -191,21 +191,34 @@ def test_export_layout(tmp_path, fmt, name, outputs, axes, column, key):
 
 
 def test_export_window_past_the_time_axis_warns_once(tmp_path):
-    # fig3a's default window against the +-245 ns axis of a 256-point grid:
-    # one advisory for both 2D exports, naming both ranges; a window on the
-    # axis gives none
+    # fig3a's window sized from its params, -31.21 .. 374.5 ns, against the
+    # +-245 ns axis of a 256-point grid: given explicitly, one advisory for
+    # both 2D exports, naming both ranges; as the default it is clamped to
+    # the axis, gives none and writes the same files (fig3d likewise).  A
+    # window on the axis gives none
     import warnings
     from dataclasses import replace
 
-    sc = small(load_scenario("fig3a"), n_points=256)
-    with pytest.warns(UserWarning) as seen:
-        run_scenario(sc, tmp_path / "past")
-    assert [str(w.message) for w in seen if "export window" in str(w.message)] == [
-        "export window -31.21 .. 374.5 ns extends past the rate's time axis -245.4 .. "
-        "243.4 ns; the 2D exports keep the samples that lie in both"]
-    with warnings.catch_warnings():
-        warnings.filterwarnings("error", "export window")
-        run_scenario(replace(sc, tmin_ns=-30.0, tmax_ns=240.0), tmp_path / "inside")
+    from sswm.scenarios import _default_window_s
+
+    for name in ("fig3a", "fig3d"):
+        sc = small(load_scenario(name), n_points=256)
+        tmin, tmax = _default_window_s(sc.params, -math.inf, math.inf)
+        with pytest.warns(UserWarning) as seen:
+            past, _ = run_scenario(replace(sc, tmin_ns=tmin * 1e9, tmax_ns=tmax * 1e9),
+                                   tmp_path / name / "past")
+        warned = [str(w.message) for w in seen if "export window" in str(w.message)]
+        assert len(warned) == 1 and "extends past the rate's time axis" in warned[0]
+        if name == "fig3a":
+            assert warned == [
+                "export window -31.21 .. 374.5 ns extends past the rate's time axis -245.4 .. "
+                "243.4 ns; the 2D exports keep the samples that lie in both"]
+        with warnings.catch_warnings():
+            warnings.filterwarnings("error", "export window")
+            default, _ = run_scenario(sc, tmp_path / name / "default")
+            run_scenario(replace(sc, tmin_ns=-30.0, tmax_ns=240.0), tmp_path / name / "inside")
+        assert [f.name for f in default] == [f.name for f in past]
+        assert all(f.read_bytes() == g.read_bytes() for f, g in zip(default, past))
 
 
 def _whole_text_csv(path, header, axes, values, column, step):
