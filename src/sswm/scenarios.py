@@ -377,7 +377,7 @@ def scenario_report(sc: Scenario, rate: WavepacketGrid) -> analysis.ObservableRe
         raise OverdampedError("observable report undefined for overdamped arms")
     notes = {
         "regime": d.regime.value,
-        "entanglement": "n/a" if d.entanglement is None else d.entanglement.value,
+        "entanglement": d.entanglement.value,
         "omega_e1 (gamma31)": f"{d.omega_e1:.4f}",
         "omega_e2 (gamma31)": f"{d.omega_e2:.4f}",
         "group delay": f"{d.group_delay * 1e9:.1f} ns",

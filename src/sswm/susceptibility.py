@@ -367,8 +367,14 @@ def find_resonances(mag: np.ndarray, delta2_axis, delta3_axis) -> list[dict]:
     peak = mag.max() if mag.size else 0  # NaN if any cell is: then no cell passes
     if not (peak > 0 or np.any(mag > 0)):
         raise ValidationError("find_resonances needs a non-empty grid")
-    # the neighbour tests at the interior cells above the floor, row-major
-    i, j = np.add(np.nonzero(mag[1:-1, 1:-1] > RESONANCE_FLOOR * peak), 1)
+    # the neighbour tests at the interior cells above the floor, row-major,
+    # found one row block at a time
+    inner = mag[1:-1, 1:-1]
+    cells = [np.empty((2, 0), np.intp)]
+    for b in blocks.row_blocks(len(inner)):
+        r, c = np.nonzero(inner[b] > RESONANCE_FLOOR * peak)
+        cells.append((r + b.start + 1, c + 1))
+    i, j = np.concatenate(cells, axis=1)
     v = mag[i, j]
     # strict on the lexicographically earlier side to avoid plateau doubles
     keep = (v > mag[i - 1, j]) & (v > mag[i, j - 1])

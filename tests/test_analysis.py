@@ -1,6 +1,7 @@
 import math
+import re
 import warnings
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -28,6 +29,31 @@ class FakeGrid:
         self.tau12_axis = np.asarray(t12, dtype=float)
         self.tau13_axis = np.asarray(t13, dtype=float)
         self.values = np.asarray(values, dtype=float)
+
+
+_T = np.linspace(0.0, 1.0, 8)
+
+#: (call, error type, its exact message) for each refusal of the public API.
+REFUSALS = [
+    (lambda: TimeTrace(t_axis=_T, values=np.zeros(7)), ValidationError,
+     "values length must match t_axis"),
+    (lambda: width_at_half_max(TimeTrace(t_axis=_T, values=np.zeros(8))), ZeroMassError,
+     "width of an identically zero trace"),
+    (lambda: ordering_violation_mass(FakeGrid(_T, _T, np.zeros((8, 8)))), ZeroMassError,
+     "ordering mass on a zero-mass grid"),
+    (lambda: analysis.trace_from_grid(FakeGrid(_T, _T, np.ones((8, 8))), "tau23"),
+     ValidationError, "axis must be 'tau12' or 'tau13'"),
+    (lambda: detect_precursor(TimeTrace(t_axis=_T, values=np.ones(8)),
+                              replace(derived_frequencies(SystemParams()), group_delay=0.0)),
+     ValidationError, "detect_precursor needs the group delay"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS,
+                         ids=["length", "zero-width", "zero-mass", "axis", "no-group-delay"])
+def test_refusals(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def synthetic_trace(tau_c=100e-9, omega=2 * math.pi / 21e-9, n=20000,

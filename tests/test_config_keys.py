@@ -85,13 +85,16 @@ LINE_ERRORS = [
     ("params", "1", "unknown key 'params'"),
     # the per-line OracleConfig check
     ("oracle.n_points", "1000", "n_points must be a power of two >= 256"),
+    # a line with no '=' (value None: the line is the key alone)
+    ("params.gamma41 1gamma31", None, "expected 'key = value'"),
 ]
 
 
 @pytest.mark.parametrize("key,value,message", LINE_ERRORS,
                          ids=[f"{k}={v}" for k, v, _ in LINE_ERRORS])
 def test_line_error_messages(key, value, message):
-    lines = [f"{key} = {value}"] + [f"{k} = {v}" for k, v in _BASE.items() if k != key]
+    lines = [key if value is None else f"{key} = {value}"]
+    lines += [f"{k} = {v}" for k, v in _BASE.items() if k != key]
     with pytest.raises(ConfigError) as err:
         parse_config("\n".join(lines) + "\n", "pin.cfg")
     assert str(err.value) == "pin.cfg: line 1: " + message

@@ -28,6 +28,8 @@ def test_config_validation():
         OracleConfig(n_points=2048, tukey_alpha=1.5)
     with pytest.raises(ValidationError):
         OracleConfig(extent=-1.0)
+    with pytest.raises(ValidationError, match="reference grid has zero norm"):
+        normalized_l2_error(np.ones((4, 4)), np.zeros((4, 4)), np.ones((4, 4), bool))
 
 
 def test_default_extent_rule():

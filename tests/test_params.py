@@ -178,6 +178,8 @@ def test_group_delay_scaling():
 def test_params_validation():
     with pytest.raises(ValidationError):
         SystemParams(gamma21=0.0)
+    with pytest.raises(ValidationError, match="needs merged splittings and dispersion"):
+        classify_regime(effective_splittings(SystemParams()))
     with pytest.raises(ValidationError):
         SystemParams(omega_c1=0.0)
     with pytest.raises(ValidationError):

@@ -26,6 +26,22 @@ def test_fig3a_report_headline_values():
     assert any("period" in line for line in rep.lines())
 
 
+def test_report_notes_a_failed_fit():
+    # fig3a on a 4 gamma31 window: too few maxima along tau12 and along
+    # tau13 - tau12; the report keeps both errors as notes and prints n/a
+    from dataclasses import replace
+
+    sc = load_scenario("fig3a")
+    sc = replace(sc, oracle=replace(sc.oracle, n_points=256, extent=4.0))
+    with pytest.warns(UserWarning, match="spectrum may be truncated"):
+        rate = _scenario_run(sc)[0]
+    rep = scenario_report(sc, rate)
+    assert rep.period12 is None and rep.tau_c_12 is None and rep.period13 is None
+    assert rep.notes["tau12 fit"] == "period fit needs >= 3 maxima, found 1"
+    assert rep.notes["tau13 fit"] == "period fit needs >= 3 maxima, found 0"
+    assert "period tau12          : n/a" in rep.lines()
+
+
 def test_dephasing_sensitivity_of_coherence():
     # a 10x larger ground dephasing shifts the second-arm coherence time far
     # outside its 10% acceptance window while leaving the period criterion

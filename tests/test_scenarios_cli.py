@@ -146,6 +146,17 @@ def test_run_scenario_fig2(tmp_path):
     assert "delta2_gamma31,delta3_gamma31,abs_value" in text
 
 
+def test_chi5_grid_auto_extent_is_the_default_extent(tmp_path):
+    # oracle.extent = auto maps |chi5| over default_extent(params)
+    from sswm.oracle import default_extent
+
+    sc = small(load_scenario("fig2"), n_points=256, extent=None)
+    auto, _ = run_scenario(sc, tmp_path / "auto")
+    given, _ = run_scenario(small(sc, n_points=256, extent=default_extent(sc.params)),
+                            tmp_path / "given")
+    assert auto[0].read_bytes() == given[0].read_bytes()
+
+
 CELL = r"-?\d\.\d{12}e[+-]\d{2}"
 
 
@@ -330,6 +341,17 @@ def test_sweep_row_survives_failed_coherence_fit(tmp_path, monkeypatch):
     assert failed["tau13_fit_mode"] == "failed"
     assert math.isnan(float(failed["tau13_coherence_ns"]))
     assert dict(zip(header, rows[2]))["tau13_fit_mode"] != "failed"
+
+
+def test_sweep_row_of_a_trace_no_fit_takes(tmp_path):
+    # the plain fig3f sweep's OD 37 trace: both the period and the coherence
+    # fit fail, its row keeps nan/"failed" and the width; OD 74 fits
+    sc = small(load_scenario("fig3f"), n_points=256)
+    _, lines = run_sweep(sc, "optical_depth", [37.0, 74.0], tmp_path)
+    assert lines[1:3] == [
+        "  param_optical_depth,tau13_period_ns,tau13_coherence_ns,tau13_fit_mode,tau13_width_ns",
+        "  37,nan,nan,failed,196.266"]
+    assert ",width," in lines[3]
 
 
 def test_sweep_rejects_bad_input(tmp_path):
@@ -592,6 +614,8 @@ RETIRED_AT_OTHER_VALUES = {"gamma31": "2gamma31", "gamma42": "2gamma31",
      "outputs must name each output kind once"),
     (["simulate", "--grid-n", "256", "--scenario", ("outputs", "")],
      "outputs must name each output kind once, got ()"),
+    (["simulate", "--grid-n", "256", "--scenario", ("outputs", "report, bogus")],
+     "unknown output kind 'bogus'"),
 ], ids=["extent", "extent-nan", "grid-n", "grid-n-flag-named", "extent-flag-named",
         "sweep-extent-flag-named", "n_points-line-named", "values-word", "values-negative-od", "values-gamma31-word",
         "n_points", "tukey_alpha", "tmin_ns", "gamma31_si", "gamma31_si-zero",
@@ -602,7 +626,7 @@ RETIRED_AT_OTHER_VALUES = {"gamma31": "2gamma31", "gamma42": "2gamma31",
         "extent-double-dash", "extent-leading-dash", "values-leading-dash", "omega_c1-overflow", "omega_c1-gamma31-overflow",
         "gamma31_si-underflow", "delta_p-large", "length_L-small", "extent-overflow",
         "extent-gamma31-overflow", "extent-underflow", "values-od-overflow",
-        "values-delta_p-overflow", "outputs-duplicate", "outputs-empty"])
+        "values-delta_p-overflow", "outputs-duplicate", "outputs-empty", "outputs-unknown"])
 def test_cli_malformed_input_exit_2(argv, names, tmp_path, capsys):
     # every malformed flag or config line is a config error naming the key
     # or flag, never a traceback; '<file>' is an existing file
@@ -779,6 +803,34 @@ def test_cli_values_keep_their_meaning(tmp_path, monkeypatch, capsys):
                  "--values", "37gamma31", "--out", str(tmp_path)]) == 2
     assert "does not take gamma31 units" in capsys.readouterr().err
     assert seen == [[2.0, 4.0, 8.5], [37.0, 74.0]]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["simulate", "--scenario", "fig3a", "--format", "xml"],
+     "argument --format: invalid choice: 'xml'"),
+    (["simulate"], "the following arguments are required: --scenario"),
+    (["sweep", "--scenario", "fig3f", "--param", "bogus", "--values", "1"],
+     "argument --param: invalid choice: 'bogus'"),
+    (["nope"], "argument command: invalid choice: 'nope'"),
+], ids=["format", "no-scenario", "param", "command"])
+def test_cli_usage_error_exit_2(argv, message, capsys):
+    # argparse's own refusals: its usage line and message, exit 2
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: sswm") and message in err
+
+
+def test_cli_usage_error_process_exit_2():
+    # the same refusal from `python -m sswm.cli`: exit 2, no traceback
+    src = str(Path(sswm.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "sswm.cli", "simulate", "--scenario", "fig3a",
+                           "--format", "xml"], env=env, capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage: sswm") and "Traceback" not in proc.stderr
 
 
 def test_cli_unknown_scenario_exit_2(tmp_path):

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from sswm import blocks
 from sswm.errors import ValidationError
 from sswm.oracle import _time_axis, default_extent
 from sswm.params import Regime, SystemParams, derived_frequencies, effective_splittings
 from sswm.scenarios import builtin_scenario_names, load_scenario
-from sswm.susceptibility import (_fft_axis, _pump_rates, _tee, _upsilon,
+from sswm.susceptibility import (SpectralGrid, _fft_axis, _pump_rates, _tee, _upsilon,
                                  check_uniform, chi3, chi5, d_function, delta_k,
                                  find_resonances, phi, phi_of_dkl, spectral_grid)
 from sswm.wavepacket import hybrid_loss_rate
@@ -197,6 +199,9 @@ def test_spectral_grid_validation():
         spectral_grid(FIG2, 60.0, 512 + 1)
     with pytest.raises(ValidationError):
         spectral_grid(FIG2, -5.0, 512)
+    ax = np.linspace(-1.0, 1.0, 4)
+    with pytest.raises(ValidationError, match="shape must match axis lengths"):
+        SpectralGrid(ax, ax, np.zeros((4, 3)))
 
 
 @pytest.mark.parametrize("extent", [math.nan, math.inf, -math.inf])
@@ -284,12 +289,14 @@ def test_find_resonances_point_reflection_closure():
 
 @given(st.integers(1, 12), st.integers(1, 12), st.sampled_from([2, 3, 5, 1000]),
        st.integers(0, 2**32 - 1),
-       st.sampled_from(["plain", "nan", "border_peak", "all_below_floor"]))
+       st.sampled_from(["plain", "nan", "border_peak", "all_below_floor"]),
+       st.sampled_from([1, 3, blocks.ROWS]))
 @settings(max_examples=300, deadline=None)
-def test_find_resonances_equals_whole_map_form(rows, cols, levels, seed, kind):
+def test_find_resonances_equals_whole_map_form(rows, cols, levels, seed, kind, block_rows):
     # the candidate-cell neighbour tests against the eight whole-map boolean
     # maps: the same hits in the same order, or the same refusal; few levels
-    # make ties and plateaus, many make distinct cells
+    # make ties and plateaus, many make distinct cells; row blocks of 1 and 3
+    # put candidates on both sides of a block seam
     rng = np.random.default_rng(seed)
     mag = rng.integers(0, levels, (rows, cols)) / (levels - 1)
     if kind == "nan":
@@ -304,10 +311,11 @@ def test_find_resonances_equals_whole_map_form(rows, cols, levels, seed, kind):
     try:
         want = find_resonances_whole_map(mag, d2, d3)
     except ValidationError:
-        with pytest.raises(ValidationError):
+        with mock.patch.object(blocks, "ROWS", block_rows), pytest.raises(ValidationError):
             find_resonances(mag, d2, d3)
         return
-    got = find_resonances(mag, d2, d3)
+    with mock.patch.object(blocks, "ROWS", block_rows):
+        got = find_resonances(mag, d2, d3)
     assert got == want
     if kind == "all_below_floor":
         assert got == []

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -8,10 +9,11 @@ from hypothesis import strategies as st
 
 from sswm.analysis import (TimeTrace, extract_period, factorizability_residual,
                            fit_coherence_time, trace_from_grid)
-from sswm.errors import OverdampedError
+from sswm.errors import OverdampedError, ValidationError
 from sswm.params import SystemParams, derived_frequencies, effective_splittings
-from sswm.wavepacket import (analytic_rate_grid, channel_weights, hybrid_loss_rate,
-                             rcc_chi5, rcc_cond12, wavepacket_chi5)
+from sswm.wavepacket import (WavepacketGrid, analytic_rate_grid, analytic_tau13_marginal,
+                             channel_weights, hybrid_loss_rate, rcc_chi5, rcc_cond12,
+                             wavepacket_chi5)
 
 from reference_forms import rcc_cascaded_stub, wavepacket_hybrid
 
@@ -220,6 +222,27 @@ def test_overdamped_rejected():
         wavepacket_chi5(1e-9, 2e-9, p)
     with pytest.raises(OverdampedError):
         rcc_cond12(1e-9, p)
+    with pytest.raises(OverdampedError, match="arm 1 overdamped"):
+        channel_weights(p)
+
+
+_T = np.linspace(0.0, 1e-7, 4)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: WavepacketGrid(_T, _T, np.zeros((4, 3))),
+     "value array shape must match axis lengths"),
+    (lambda: WavepacketGrid(_T, _T, -np.ones((4, 4))), "rate grids must be non-negative"),
+    (lambda: WavepacketGrid(_T[::-1], _T, np.zeros((4, 4))),
+     "time axes must be strictly increasing"),
+    (lambda: analytic_rate_grid(P, _T, _T, which="hybrid_stub"),
+     "unknown analytic rate 'hybrid_stub'"),
+    (lambda: analytic_tau13_marginal(P, _T, which="cascaded"),
+     "no tau13 marginal for analytic rate 'cascaded'"),
+], ids=["shape", "negative", "axis-order", "which", "marginal-which"])
+def test_grid_refusals(call, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_regime_mismatch_warns():

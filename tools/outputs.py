@@ -5,11 +5,27 @@
     python tools/outputs.py compare A B
 
 `build` runs the canonical set with TREE's `src` first on PYTHONPATH, each
-command in DIR so that every path it prints is relative: `simulate` on every
-preset in TREE in csv and in json, the three sweeps of the CI workflow, the
-three scripts under TREE/scripts, and `acceptance`.  Each run writes into its
-own directory under DIR, and its stdout, stderr (with TREE's path written as
-`<tree>`) and exit code are saved under DIR/logs.  The runs are serial.
+command in DIR so that every path it prints is relative.  Each run writes
+into the directory of its name under DIR:
+
+- `sim_<preset>`: `simulate` on every preset in TREE, csv;
+- `json_<preset>`: the same in json;
+- `sweep`, `sweep_plain` and `sweep_omega_c1`: the three sweeps in SWEEPS;
+- `<script>`: each script under TREE/scripts, by its file's stem;
+- `acceptance`.
+
+With seven presets and three scripts that is 21 runs.
+
+Each run's stdout, stderr (with TREE's path written as `<tree>`) and exit
+code are saved under DIR/logs as `<run>.stdout`, `<run>.stderr` and
+`<run>.exit`.  The runs are serial, and they inherit the caller's
+environment, so PYTHONWARNINGS reaches every one.  A run that exits non-zero
+has its stderr printed after its exit line, and `build` then exits 1.  The
+csv preset logs followed by the sweep logs in that order hold the reports
+that `tests/golden/reports.txt` pins, line for line:
+
+    cd DIR/logs
+    cat sim_*.stdout sweep.stdout sweep_plain.stdout sweep_omega_c1.stdout
 
 `compare` walks both builds and prints one line per file: identical,
 different, or only in one build.  A differing file whose text matches once
@@ -17,7 +33,8 @@ its numbers are set aside is numeric: its line gives how many numbers differ
 and their maximum absolute and relative difference.  The last line is the
 summary, and the exit code is 1 on any difference, else 0.
 
-The tool itself uses only the standard library.
+CI runs `build` once under warnings as errors, once under `taskset -c 0`,
+and `compare`s the two.  The tool itself uses only the standard library.
 """
 from __future__ import annotations
 
@@ -30,7 +47,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-#: The sweeps of the CI workflow, each with its output directory.
+#: The canonical sweeps, each with its output directory.
 SWEEPS = {
     "sweep": ["--scenario", "fig3f", "--param", "optical_depth", "--values", "37,74,111",
               "--ideal-rect"],
@@ -50,8 +67,8 @@ def canonical_runs(tree: Path) -> dict[str, list[str]]:
     cli = [sys.executable, "-m", "sswm.cli"]
     runs = {}
     for cfg in sorted((tree / "src" / "sswm" / "scenarios").glob("*.cfg")):
-        for fmt in ("csv", "json"):
-            name = f"simulate_{cfg.stem}_{fmt}"
+        for prefix, fmt in (("sim", "csv"), ("json", "json")):
+            name = f"{prefix}_{cfg.stem}"
             runs[name] = cli + ["simulate", "--scenario", cfg.stem, "--format", fmt,
                                 "--out", name]
     for name, args in SWEEPS.items():
@@ -74,16 +91,20 @@ def build(tree: Path, out: Path) -> int:
     logs.mkdir(parents=True)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(tree / "src"), os.environ.get("PYTHONPATH")]))}
+    runs = canonical_runs(tree)
     failed = 0
-    for name, argv in canonical_runs(tree).items():
+    for name, argv in runs.items():
         proc = subprocess.run(argv, cwd=out, env=env, capture_output=True)
+        err = proc.stderr.replace(bytes(tree), b"<tree>")
         (logs / f"{name}.stdout").write_bytes(proc.stdout)
-        (logs / f"{name}.stderr").write_bytes(proc.stderr.replace(bytes(tree), b"<tree>"))
+        (logs / f"{name}.stderr").write_bytes(err)
         (logs / f"{name}.exit").write_text(f"{proc.returncode}\n")
-        failed += proc.returncode != 0
         print(f"{name}: exit {proc.returncode}")
-    print(f"built {out}: {len(canonical_runs(tree))} runs, {failed} with a non-zero exit")
-    return 0
+        if proc.returncode:
+            failed += 1
+            print(err.decode(errors="replace"), end="")
+    print(f"built {out}: {len(runs)} runs, {failed} with a non-zero exit")
+    return int(failed > 0)
 
 
 def numeric_difference(a: bytes, b: bytes) -> tuple[int, float, float] | None:
