@@ -10,7 +10,7 @@ from pathlib import Path
 
 from sswm import (OracleConfig, SystemParams, derived_frequencies, detect_precursor,
                   extract_period, rcc_cond_numeric, rcc_numeric)
-from sswm.analysis import near_diagonal_trace, trace_from_grid, width_at_half_max
+from sswm.analysis import fit_trace, near_diagonal_trace, trace_from_grid
 
 out = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("out")
 out.mkdir(parents=True, exist_ok=True)
@@ -22,7 +22,7 @@ for od in (37.0, 74.0, 111.0):
     d = derived_frequencies(p)
     tr13 = rcc_cond_numeric("tau13", p, OracleConfig(extent=32.0, tukey_alpha=0.1,
                                                      ideal_rect=True))
-    width = width_at_half_max(tr13) * 1e9
+    width = fit_trace(tr13).width * 1e9
     rate = rcc_numeric(p, cfg)  # full Phi: the rate and tau12
     period = extract_period(trace_from_grid(rate, "tau12")) * 1e9
     pre = detect_precursor(near_diagonal_trace(rate), d)

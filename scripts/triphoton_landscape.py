@@ -10,9 +10,9 @@ from pathlib import Path
 
 import numpy as np
 
-from sswm import (OracleConfig, SystemParams, derived_frequencies, extract_period,
-                  fit_coherence_time, rcc_numeric)
-from sswm.analysis import diagonal_offset_trace, first_antinode_offset, trace_from_grid
+from sswm import OracleConfig, SystemParams, derived_frequencies, extract_period, rcc_numeric
+from sswm.analysis import (coherence_fit, diagonal_offset_trace, first_antinode_offset,
+                           trace_from_grid)
 from sswm.oracle import normalized_l2_error, support_edge_mask
 from sswm.wavepacket import analytic_rate_grid
 
@@ -33,12 +33,12 @@ print(f"oracle vs closed form: normalized L2 = {100 * err:.2f}%")
 tr12 = trace_from_grid(num, "tau12")
 sdir = diagonal_offset_trace(num, first_antinode_offset(num, p))
 print(f"tau12: period {extract_period(tr12) * 1e9:.2f} ns, "
-      f"coherence {fit_coherence_time(tr12) * 1e9:.1f} ns")
+      f"coherence {coherence_fit(tr12).time_s * 1e9:.1f} ns")
 print(f"tau13-tau12: period {extract_period(sdir) * 1e9:.2f} ns, "
-      f"coherence {fit_coherence_time(sdir) * 1e9:.1f} ns")
+      f"coherence {coherence_fit(sdir).time_s * 1e9:.1f} ns")
 
 tr13 = trace_from_grid(num, "tau13")
-print(f"conditional tau13 coherence: {fit_coherence_time(tr13) * 1e9:.1f} ns "
+print(f"conditional tau13 coherence: {coherence_fit(tr13).time_s * 1e9:.1f} ns "
       "(temporal-order-driven enhancement)")
 
 sel = (num.tau12_axis >= -30e-9) & (num.tau12_axis <= 320e-9)

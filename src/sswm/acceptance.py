@@ -176,8 +176,8 @@ def c04_rabi_period(ctx: AcceptanceContext) -> CriterionResult:
 
 def c05_coherence_times(ctx: AcceptanceContext) -> CriterionResult:
     pt = ctx.chi5_point
-    t12 = analysis.fit_coherence_time(pt.trace12) * 1e9
-    t13 = analysis.fit_coherence_time(pt.sdir) * 1e9
+    t12 = analysis.coherence_fit(pt.trace12).time_s * 1e9
+    t13 = analysis.coherence_fit(pt.sdir).time_s * 1e9
     ok = abs(t12 - 48) <= 4.8 and abs(t13 - 52) <= 5.2
     return CriterionResult(
         "C5", "triphoton coherence times",

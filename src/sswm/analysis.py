@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blocks import ordered_sum, pairwise_sum, row_blocks
-from .errors import InsufficientExtremaError, ValidationError, ZeroMassError
+from .errors import InsufficientExtremaError, SswmError, ValidationError, ZeroMassError
 from .params import derived_frequencies
 
 #: Local maxima below this fraction of the trace peak are tail noise.
@@ -52,7 +52,7 @@ class TimeTrace:
 
 @dataclass(frozen=True)
 class CoherenceFit:
-    """Result of fit_coherence_time with the branch that produced it."""
+    """Result of coherence_fit with the branch that produced it."""
 
     time_s: float
     mode: str  # "envelope_slope" | "envelope_crossing" | "width"
@@ -214,14 +214,30 @@ def fit_coherence_time(tr: TimeTrace) -> float:
     return coherence_fit(tr).time_s
 
 
-def width_at_half_max(tr: TimeTrace) -> float:
-    """Total time the trace spends at or above half its maximum (edges
-    linearly interpolated); the direct width measure for plateau-like traces.
-    """
+@dataclass(frozen=True)
+class TraceFit:
+    """The fits of one trace (see fit_trace), `errors` in the order they ran."""
+
+    width: float
+    period: float | None = None
+    coherence: CoherenceFit | None = None
+    errors: dict = field(default_factory=dict)
+
+
+def fit_trace(tr: TimeTrace) -> TraceFit:
+    """The width at half the peak, period and CoherenceFit of `tr`, where a
+    failed fit becomes data: a package error leaves that fit None and its text
+    in `errors` under its name.  ZeroMassError for an identically zero trace."""
     y = np.asarray(tr.values, dtype=float)
     if y.max() <= 0:
-        raise ZeroMassError("width of an identically zero trace")
-    return _halfmax_span(tr.t_axis, y, 0.5 * y.max())
+        raise ZeroMassError("fit of an identically zero trace")
+    fits, errors = {}, {}
+    for name, fit in (("period", extract_period), ("coherence", coherence_fit)):
+        try:
+            fits[name] = fit(tr)
+        except SswmError as exc:
+            errors[name] = str(exc)
+    return TraceFit(_halfmax_span(tr.t_axis, y, 0.5 * y.max()), errors=errors, **fits)
 
 
 # ---------------------------------------------------------------------------

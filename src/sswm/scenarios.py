@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis
-from .errors import ConfigError, OverdampedError, SswmError, ValidationError
+from .errors import ConfigError, OverdampedError, ValidationError
 from .oracle import OracleConfig, default_extent, rcc_cond_numeric, rcc_numeric
 from .params import SystemParams, derived_frequencies, Regime
 # spectral_grid stays bound here: perfbench/tracer.py wraps it at each binding
@@ -386,35 +386,33 @@ def scenario_report(sc: Scenario, rate: WavepacketGrid) -> analysis.ObservableRe
         "dw_t (gamma31)": f"{d.delta_omega_t:.4f}",
         "dw_t/2pi": f"{d.delta_omega_t * p.gamma31_si / (2 * math.pi) / 1e6:.3f} MHz",
     }
-    period12 = tau_c_12 = period13 = tau_c_13 = None
-    precursor = None
 
-    tr12 = analysis.trace_from_grid(rate, "tau12")
-    try:
-        period12 = analysis.extract_period(tr12)
-        tau_c_12 = analysis.fit_coherence_time(tr12)
-    except SswmError as exc:
-        notes["tau12 fit"] = str(exc)
+    def fitted(direction: str, tr: analysis.TimeTrace, shown=("period", "coherence")) -> list:
+        """The fits `shown` of `tr`, each None where it failed; the first
+        failure among them is the `<direction> fit` note."""
+        fit = analysis.fit_trace(tr)
+        notes.update([(f"{direction} fit", fit.errors[k]) for k in shown if k in fit.errors][:1])
+        return [getattr(fit, k) for k in shown]
 
+    period12, cf12 = fitted("tau12", analysis.trace_from_grid(rate, "tau12"))
     fact = analysis.factorizability_residual(rate)
     omass = analysis.ordering_violation_mass(rate)
-
+    period13 = cf13 = precursor = None
     if d.regime is Regime.CHI5_DOMINATED:
         try:
             sdir = analysis.diagonal_offset_trace(rate, analysis.first_antinode_offset(rate, p))
-            period13 = analysis.extract_period(sdir)
-            tau_c_13 = analysis.fit_coherence_time(sdir)
-        except SswmError as exc:
+        except ValidationError as exc:
             notes["tau13 fit"] = str(exc)
-    else:
-        cf = analysis.coherence_fit(analysis.trace_from_grid(rate, "tau13"))
-        tau_c_13 = cf.time_s
-        notes["tau13 fit mode"] = cf.mode
+        else:
+            period13, cf13 = fitted("tau13", sdir)
+    else:  # the report prints no period of the hybrid rectangle
+        cf13, = fitted("tau13", analysis.trace_from_grid(rate, "tau13"), ("coherence",))
+        if cf13 is not None:
+            notes["tau13 fit mode"] = cf13.mode
         precursor = analysis.detect_precursor(analysis.near_diagonal_trace(rate), d)
-
     return analysis.ObservableReport(
-        period12=period12, period13=period13, tau_c_12=tau_c_12,
-        tau_c_13=tau_c_13, factorizability_residual=fact,
+        period12=period12, period13=period13, tau_c_12=getattr(cf12, "time_s", None),
+        tau_c_13=getattr(cf13, "time_s", None), factorizability_residual=fact,
         ordering_violation_mass=omass, precursor_detected=precursor, notes=notes)
 
 
@@ -425,11 +423,13 @@ def run_scenario(sc: Scenario, out_dir: Path, fmt: str = "csv",
 
     Every numeric output reads `run`, the (rate, traces) pair made by
     `_scenario_run` unless the caller passes one holding what the outputs
-    need; the file names are checked before it, and `out_dir` made after.
+    need; the file names are checked before it, and the report computed and
+    `out_dir` made after it, so a report that fails leaves no file.
     """
     out_dir = Path(out_dir)
     check_names(out_dir, [_file_name(sc, out, fmt) for out in sc.outputs], "scenario name")
     rate, traces = _scenario_run(sc) if run is None else run
+    rep = scenario_report(sc, rate).lines() if "report" in sc.outputs else None
     out_dir.mkdir(parents=True, exist_ok=True)
     p = sc.params
     header = [f"scenario: {sc.name}", f"params_hash: {p.content_hash()}"]
@@ -452,7 +452,6 @@ def run_scenario(sc: Scenario, out_dir: Path, fmt: str = "csv",
     for out in sc.outputs:
         path = out_dir / _file_name(sc, out, fmt)
         if out == "report":
-            rep = scenario_report(sc, rate).lines()
             path.write_text("\n".join(rep) + "\n")
             lines += [f"[{sc.name}] observable report"] + ["  " + ln for ln in rep]
         elif out == "chi5_grid":
@@ -530,9 +529,7 @@ def run_sweep(sc: Scenario, param: str, values: list, out_dir: Path,
                               f"file tag {tag!r}, so one point's files would overwrite "
                               f"the other's")
         tagged[tag] = v
-    trace_outputs = [o for o in sc.outputs if o.startswith("trace_")]
-    if not trace_outputs:
-        trace_outputs = ["trace_tau12_numeric"]
+    trace_outputs = [o for o in sc.outputs if o.startswith("trace_")] or ["trace_tau12_numeric"]
     # the summary fits the numeric trace of each direction, whichever of its
     # numeric/analytic outputs asked for it
     directions = tuple(dict.fromkeys(_trace_direction(o) for o in trace_outputs))
@@ -546,26 +543,19 @@ def run_sweep(sc: Scenario, param: str, values: list, out_dir: Path,
         rate, traces = _scenario_run(sub, traces=directions)
         run_scenario(sub, out_dir, fmt=fmt, run=(rate, traces))
         del rate  # the next point samples its spectrum with no rate alive
-        row = {"value": float(complex(v).real)}
+        row = {f"param_{param}": float(complex(v).real)}
         for which in directions:
-            tr = traces[which]
-            try:
-                row[f"{which}_period_ns"] = analysis.extract_period(tr) * 1e9
-            except SswmError:
-                row[f"{which}_period_ns"] = float("nan")
-            try:
-                cf = analysis.coherence_fit(tr)
-                row[f"{which}_coherence_ns"] = cf.time_s * 1e9
-                row[f"{which}_fit_mode"] = cf.mode
-            except SswmError:
-                row[f"{which}_coherence_ns"] = float("nan")
-                row[f"{which}_fit_mode"] = "failed"
+            fit = analysis.fit_trace(traces[which])
+            cf = fit.coherence
+            row[f"{which}_period_ns"] = math.nan if fit.period is None else fit.period * 1e9
+            row[f"{which}_coherence_ns"] = math.nan if cf is None else cf.time_s * 1e9
+            row[f"{which}_fit_mode"] = "failed" if cf is None else cf.mode
             if which == "tau13":
-                row["tau13_width_ns"] = analysis.width_at_half_max(tr) * 1e9
+                row["tau13_width_ns"] = fit.width * 1e9
         rows.append(row)
-    cols = list(rows[0].keys())
-    lines = [f"# sweep of {param} on scenario {sc.name}", ",".join(["param_" + param if c == "value" else c for c in cols])]
-    lines += [",".join(_fmt_cell(row[c]) for c in cols) for row in rows]
+    lines = [f"# sweep of {param} on scenario {sc.name}", ",".join(rows[0])]
+    lines += [",".join(c if isinstance(c, str) else f"{c:.6g}" for c in row.values())
+              for row in rows]
     summary.write_text("\n".join(lines) + "\n")
     return summary, [f"sweep summary -> {summary}"] + ["  " + ln for ln in lines[1:]]
 
@@ -573,9 +563,3 @@ def run_sweep(sc: Scenario, param: str, values: list, out_dir: Path,
 def _value_tag(v) -> str:
     r = complex(v).real
     return f"{r:g}".replace(".", "p").replace("-", "m")
-
-
-def _fmt_cell(v) -> str:
-    if isinstance(v, str):
-        return v
-    return f"{v:.6g}"

@@ -3,15 +3,15 @@
 "cascaded" rates, each with the regime check of the library's forms, and
 the whole-map peak finder that `susceptibility.find_resonances` is checked
 against, and the per-sample loop forms of `analysis`' fit scans with the
-`extract_period` and `coherence_fit` that call them, which the array forms
-are checked against bitwise."""
+`extract_period`, `coherence_fit` and `fit_trace` that call them, which the
+array forms are checked against bitwise."""
 import math
 
 import numpy as np
 
 from sswm.analysis import (ENVELOPE_RESIDUAL_MAX, MAXIMA_FLOOR, RECT_SPAN_RATIO, CoherenceFit,
-                           TimeTrace)
-from sswm.errors import InsufficientExtremaError, ValidationError, ZeroMassError
+                           TimeTrace, TraceFit)
+from sswm.errors import InsufficientExtremaError, SswmError, ValidationError, ZeroMassError
 from sswm.params import Regime, SystemParams, effective_splittings, eit_dispersion
 from sswm.susceptibility import RESONANCE_FLOOR
 from sswm.wavepacket import _check_regime, hybrid_loss_rate
@@ -196,6 +196,26 @@ def coherence_fit(tr: TimeTrace) -> CoherenceFit:
                             residual=residual, n_maxima=len(pk))
     return CoherenceFit(time_s=_envelope_crossing(tt, vv), mode="envelope_crossing",
                         residual=residual, n_maxima=len(pk))
+
+
+def fit_trace(tr: TimeTrace) -> TraceFit:
+    """The width, period and coherence fit of `tr` from the forms above, each
+    failed fit's text kept (see `analysis.fit_trace`)."""
+    y = np.asarray(tr.values, dtype=float)
+    if y.max() <= 0:
+        raise ZeroMassError("fit of an identically zero trace")
+    period = coherence = None
+    errors = {}
+    try:
+        period = extract_period(tr)
+    except SswmError as exc:
+        errors["period"] = str(exc)
+    try:
+        coherence = coherence_fit(tr)
+    except SswmError as exc:
+        errors["coherence"] = str(exc)
+    return TraceFit(width=_halfmax_span(tr.t_axis, y, 0.5 * y.max()), period=period,
+                    coherence=coherence, errors=errors)
 
 
 def _is_monotone_decay(y: np.ndarray, sel: np.ndarray) -> bool:

@@ -10,10 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sswm import analysis
-from sswm.analysis import (CoherenceFit, TimeTrace, coherence_fit, detect_precursor,
+from sswm.analysis import (CoherenceFit, TimeTrace, TraceFit, coherence_fit, detect_precursor,
                            extract_period, factorizability_residual,
-                           fit_coherence_time, local_maxima,
-                           ordering_violation_mass, width_at_half_max)
+                           fit_coherence_time, fit_trace, local_maxima,
+                           ordering_violation_mass)
 from sswm.errors import InsufficientExtremaError, ValidationError, ZeroMassError
 from sswm.oracle import rcc_numeric
 from sswm.params import SystemParams, derived_frequencies
@@ -37,8 +37,8 @@ _T = np.linspace(0.0, 1.0, 8)
 REFUSALS = [
     (lambda: TimeTrace(t_axis=_T, values=np.zeros(7)), ValidationError,
      "values length must match t_axis"),
-    (lambda: width_at_half_max(TimeTrace(t_axis=_T, values=np.zeros(8))), ZeroMassError,
-     "width of an identically zero trace"),
+    (lambda: fit_trace(TimeTrace(t_axis=_T, values=np.zeros(8))).width, ZeroMassError,
+     "fit of an identically zero trace"),
     (lambda: ordering_violation_mass(FakeGrid(_T, _T, np.zeros((8, 8)))), ZeroMassError,
      "ordering mass on a zero-mass grid"),
     (lambda: analysis.trace_from_grid(FakeGrid(_T, _T, np.ones((8, 8))), "tau23"),
@@ -267,19 +267,62 @@ def test_ordering_mass_equals_masked_sum_on_random_grids(shape, t12_span):
     assert (got == pytest.approx(1.0, rel=shape[0] * EPS)) == (t12[-1] < 0)
 
 
-def test_width_at_half_max_interpolates():
+def test_fit_trace_width_interpolates():
     t = np.linspace(0, 100.0, 1001)
     y = ((t >= 10) & (t <= 60)).astype(float)
-    assert width_at_half_max(TimeTrace(t_axis=t, values=y)) == pytest.approx(50, abs=0.2)
+    assert fit_trace(TimeTrace(t_axis=t, values=y)).width == pytest.approx(50, abs=0.2)
 
 
-def test_width_at_half_max_is_relative_to_the_peak():
+def test_fit_trace_width_is_relative_to_the_peak():
     # a Gaussian of peak 4: the level is half the peak, whatever its scale
     t = np.linspace(-50.0, 50.0, 10001)
     sigma = 8.0
     y = 4.0 * np.exp(-0.5 * (t / sigma) ** 2)
     fwhm = 2 * math.sqrt(2 * math.log(2)) * sigma
-    assert width_at_half_max(TimeTrace(t_axis=t, values=y)) == pytest.approx(fwhm, rel=1e-4)
+    assert fit_trace(TimeTrace(t_axis=t, values=y)).width == pytest.approx(fwhm, rel=1e-4)
+
+
+def _curved_envelope_trace():
+    # rises then falls: no single log slope
+    t = np.linspace(0, 1200e-9, 40000)
+    env = np.exp(-t / 52e-9) - np.exp(-t / 48e-9)
+    return TimeTrace(t_axis=t, values=env * (1 + np.cos(2 * math.pi / 21e-9 * t)) / 2)
+
+
+_RIPPLED_RECT = np.linspace(0, 100.0, 1001)
+_DECAY = np.linspace(0, 600e-9, 6000)
+_BUMP = np.linspace(-50.0, 50.0, 10001)
+
+
+@pytest.mark.parametrize("tr, period, mode, time, errors", [
+    # a plateau with a 10-unit ripple: the width is the coherence time
+    (TimeTrace(t_axis=_RIPPLED_RECT, values=((_RIPPLED_RECT >= 10) & (_RIPPLED_RECT <= 60))
+               * (1 + 0.1 * np.cos(2 * math.pi * _RIPPLED_RECT / 10))), 10.0, "width", 50.0, {}),
+    (synthetic_trace(tau_c=100e-9), 21e-9, "envelope_slope", 100e-9, {}),
+    (_curved_envelope_trace(), 21e-9, "envelope_crossing", None, {}),
+    # no maxima, but a monotone decay
+    (TimeTrace(t_axis=_DECAY, values=np.exp(-_DECAY / 80e-9)), None, "envelope_slope", 80e-9,
+     {"period": "period fit needs >= 3 maxima, found 0"}),
+    # one maximum, no monotone decay, and a half-max span under 0.6x the 0.1-max span
+    (TimeTrace(t_axis=_BUMP, values=np.exp(-0.5 * (_BUMP / 8.0) ** 2)), None, None, None,
+     {"period": "period fit needs >= 3 maxima, found 1",
+      "coherence": "trace has neither >= 3 maxima nor monotone decay"}),
+], ids=["width", "envelope_slope", "envelope_crossing", "period-failed", "both-failed"])
+def test_fit_trace_pins_each_branch(tr, period, mode, time, errors):
+    # each fit is the one its function returns alone, or None with its error's
+    # text; the width is the half-max span whichever branch ran
+    fit = fit_trace(tr)
+    assert list(fit.errors.items()) == list(errors.items())
+    assert fit.period == (None if period is None else pytest.approx(period, rel=0.01))
+    assert fit.period == (None if "period" in errors else extract_period(tr))
+    assert fit.coherence == (None if mode is None else coherence_fit(tr))
+    assert getattr(fit.coherence, "mode", None) == mode
+    if time is not None:
+        assert fit.coherence.time_s == pytest.approx(time, rel=0.02)
+    if mode == "width":
+        assert fit.coherence.time_s == fit.width
+    y = np.asarray(tr.values)
+    assert fit.width == analysis._halfmax_span(tr.t_axis, y, 0.5 * y.max())
 
 
 def test_local_maxima_floor_and_refinement():
@@ -331,6 +374,16 @@ def scan_traces(draw):
                      values=y)
 
 
+def _hex(x):
+    """`x` with each float as its hex text and each dict as its items in
+    order, through nested tuples."""
+    if isinstance(x, float):
+        return float(x).hex()
+    if isinstance(x, dict):
+        x = tuple(x.items())
+    return tuple(map(_hex, x)) if isinstance(x, tuple) else x
+
+
 def _bits(f, *args):
     """The bytes of what `f` returns, or the type and text of what it raises,
     with the categories of the warnings it gives."""
@@ -340,8 +393,8 @@ def _bits(f, *args):
             out = f(*args)
         except Exception as exc:
             out = (type(exc), str(exc))
-    if isinstance(out, CoherenceFit):
-        out = tuple(float(x).hex() if isinstance(x, float) else x for x in astuple(out))
+    if isinstance(out, (CoherenceFit, TraceFit)):
+        out = _hex(astuple(out))
     elif not isinstance(out, tuple):
         out = (np.asarray(out).dtype, np.shape(out), np.asarray(out).tobytes())
     return out, {w.category for w in seen}
@@ -368,7 +421,7 @@ def test_fit_scans_equal_their_loop_forms_bitwise(tr, ratios, frac):
     # warning categories
     y, t = np.asarray(tr.values), tr.t_axis
     pairs = [("local_maxima", (tr,)), ("extract_period", (tr,)), ("coherence_fit", (tr,)),
-             ("_dominant_spacing_cluster", (np.cumprod(ratios),))]
+             ("fit_trace", (tr,)), ("_dominant_spacing_cluster", (np.cumprod(ratios),))]
     pairs += [("_halfmax_span", (t, y, scale * y.max())) for scale in (0.5, 0.1, frac)]
     if len(y) >= 2 and y.min() > 0:
         pairs.append(("_envelope_crossing", (t, y)))

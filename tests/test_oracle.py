@@ -4,8 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sswm.analysis import (extract_period, fit_coherence_time,
-                           near_diagonal_trace, trace_from_grid, width_at_half_max)
+from sswm.analysis import (extract_period, fit_coherence_time, fit_trace,
+                           near_diagonal_trace, trace_from_grid)
 from sswm.errors import ValidationError
 from sswm.oracle import (EDGE_HALFWIDTH_CELLS, OracleConfig, _tukey,
                          default_extent, normalized_l2_error, rcc_cond_numeric,
@@ -228,6 +228,6 @@ def test_hybrid_conditional_width_tracks_delay(od, target_ns):
     p = replace(HYB, optical_depth=float(od))
     cfg = OracleConfig(extent=32.0, tukey_alpha=0.1, ideal_rect=True)
     tr = rcc_cond_numeric("tau13", p, cfg)
-    width = width_at_half_max(tr)
+    width = fit_trace(tr).width
     # amplitude-level edge rounding shaves ~20 ns; track within 10%
     assert width == pytest.approx(target_ns * 1e-9, rel=0.10)

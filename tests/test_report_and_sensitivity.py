@@ -29,6 +29,7 @@ def test_fig3a_report_headline_values():
 def test_report_notes_a_failed_fit():
     # fig3a on a 4 gamma31 window: too few maxima along tau12 and along
     # tau13 - tau12; the report keeps both errors as notes and prints n/a
+    # for each fit that failed
     from dataclasses import replace
 
     sc = load_scenario("fig3a")
@@ -40,6 +41,9 @@ def test_report_notes_a_failed_fit():
     assert rep.notes["tau12 fit"] == "period fit needs >= 3 maxima, found 1"
     assert rep.notes["tau13 fit"] == "period fit needs >= 3 maxima, found 0"
     assert "period tau12          : n/a" in rep.lines()
+    # the tau13 - tau12 trace has no maxima but decays monotonically: its
+    # coherence time (envelope_slope, residual 0.131) prints on its own
+    assert "coherence time tau13  : 46.03 ns" in rep.lines()
 
 
 def test_dephasing_sensitivity_of_coherence():

@@ -470,6 +470,36 @@ def test_cli_overdamped_report_fails_before_sampling(tmp_path, monkeypatch, caps
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_hybrid_tau13_fit_failure_is_a_report_note(tmp_path, capsys):
+    # fig3d on a 1 gamma31 window: the tau13 trace has neither 3 maxima nor a
+    # monotone decay, which the report notes; the run writes every file
+    out = tmp_path / "out"
+    with pytest.warns(UserWarning, match="spectrum may be truncated"):
+        assert main(["simulate", "--scenario", "fig3d", "--grid-n", "256",
+                     "--extent", "1gamma31", "--out", str(out)]) == 0
+    report = (out / "fig3d_report.txt").read_text().splitlines()
+    assert "coherence time tau13  : n/a" in report
+    assert report[-1] == "tau13 fit             : trace has neither >= 3 maxima nor monotone decay"
+    assert sorted(f.name for f in out.iterdir()) == [
+        "fig3d_rcc2d_analytic.csv", "fig3d_rcc2d_numeric.csv", "fig3d_report.txt"]
+
+
+def test_cli_failed_report_leaves_no_file(tmp_path, monkeypatch, capsys):
+    # the report is computed before any file is written: fig3d lists its two
+    # 2D exports before its report, and a report that fails leaves neither
+    from sswm import analysis
+    from sswm.errors import ZeroMassError
+
+    def zero_mass(grid):
+        raise ZeroMassError("factorizability on a zero-mass grid")
+
+    monkeypatch.setattr(analysis, "factorizability_residual", zero_mass)
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", "fig3d", "--grid-n", "256", "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("compute error: factorizability on a zero-mass")
+    assert not out.exists()
+
+
 def test_cli_simulate_and_exit_codes(tmp_path, capsys):
     rc = main(["simulate", "--scenario", "fig3c", "--out", str(tmp_path),
                "--grid-n", "512"])
