@@ -127,12 +127,22 @@ def _dominant_spacing_cluster(diffs: np.ndarray) -> np.ndarray:
 
 def extract_period(tr: TimeTrace) -> float:
     """Oscillation period in seconds: the mean spacing of successive refined
-    maxima, taken over the dominant spacing cluster."""
+    maxima at t >= 0, taken over the dominant spacing cluster.
+
+    Generation is time-ordered, so before t = 0 lie only wrap-around and
+    step ringing.  A dominant cluster of one spacing is no period: it is
+    refused, as are fewer than three maxima."""
     pk = local_maxima(tr)
+    pk = pk[pk[:, 0] >= 0]
     if len(pk) < 3:
         raise InsufficientExtremaError(
             f"period fit needs >= 3 maxima, found {len(pk)}")
-    return float(_dominant_spacing_cluster(np.diff(pk[:, 0])).mean())
+    best = _dominant_spacing_cluster(np.diff(pk[:, 0]))
+    if len(best) < 2:
+        raise InsufficientExtremaError(
+            f"period fit needs >= 2 spacings in its dominant cluster, found {len(best)} "
+            f"of {len(pk) - 1}")
+    return float(best.mean())
 
 
 def _halfmax_span(t: np.ndarray, y: np.ndarray, level: float) -> float:
@@ -249,9 +259,9 @@ def factorizability_residual(grid) -> float:
 
     0 for exactly separable landscapes, up to 2 for disjoint supports.
 
-    r / total is made one `row_blocks` block at a time, twice: the first
-    pass takes the marginals, the second the row sums of
-    |r / total - outer(m12, m13)|, so no full-size copy is made.
+    r / total is made one `row_blocks` block at a time, twice, in one
+    block-sized buffer: the first pass takes the marginals, the second the
+    row sums of |r / total - outer(m12, m13)|, so no full-size copy is made.
     The tau13 marginal carries from block to block in `ordered_sum`, numpy's
     order for a whole-grid sum(axis=0), and the row sums are combined in
     `pairwise_sum`, which is numpy's order for the sum of a C-contiguous
@@ -266,13 +276,15 @@ def factorizability_residual(grid) -> float:
         raise ZeroMassError("factorizability on a zero-mass grid")
     n = len(r)
     m12, sums, m13 = np.empty(n), np.empty(n), np.zeros(r.shape[1])
-    for rows in row_blocks(n):
-        b = r[rows] / total
+    tiles = row_blocks(n)
+    buf, outer = np.empty((2, tiles[0].stop, r.shape[1]))
+    for rows in tiles:
+        b = np.divide(r[rows], total, out=buf[:rows.stop - rows.start])
         b.sum(axis=1, out=m12[rows])
         m13 = ordered_sum(b, m13)
-    for rows in row_blocks(n):
-        b = r[rows] / total
-        b -= np.outer(m12[rows], m13)
+    for rows in tiles:
+        b = np.divide(r[rows], total, out=buf[:rows.stop - rows.start])
+        b -= np.outer(m12[rows], m13, out=outer[:rows.stop - rows.start])
         np.abs(b, out=b).sum(axis=1, out=sums[rows])
     return float(pairwise_sum(sums))
 

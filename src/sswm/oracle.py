@@ -235,15 +235,17 @@ def normalized_l2_error(test: np.ndarray, reference: np.ndarray, mask: np.ndarra
     """||test - reference||_2 / ||reference||_2 over the cells of `mask`.
 
     The squares are summed over `blocks.row_blocks`, serially, with the mask
-    as the sums' `where`, so no masked copy or full-size difference is made."""
+    as the sums' `where`, each block's written into one block-sized buffer,
+    so no masked copy or full-size difference is made."""
     t = np.asarray(test, dtype=float)
     r = np.asarray(reference, dtype=float)
     keep = np.broadcast_to(mask, r.shape)
+    buf = np.empty((min(blocks.ROWS, len(r)),) + r.shape[1:])
     err = norm = 0.0
     for rows in blocks.row_blocks(len(r)):
-        diff = t[rows] - r[rows]
-        err += float(np.square(diff, out=diff).sum(where=keep[rows]))
-        norm += float(np.square(r[rows]).sum(where=keep[rows]))
+        b = buf[:rows.stop - rows.start]
+        err += float(np.square(np.subtract(t[rows], r[rows], out=b), out=b).sum(where=keep[rows]))
+        norm += float(np.square(r[rows], out=b).sum(where=keep[rows]))
     if norm == 0:
         raise ValidationError("reference grid has zero norm")
     return math.sqrt(err) / math.sqrt(norm)

@@ -134,12 +134,18 @@ def _dominant_spacing_cluster(diffs: np.ndarray) -> np.ndarray:
 
 def extract_period(tr: TimeTrace) -> float:
     """Oscillation period in seconds: the mean spacing of successive refined
-    maxima, taken over the dominant spacing cluster."""
-    pk = local_maxima(tr)
+    maxima at t >= 0, taken over the dominant spacing cluster, which must
+    hold two spacings or more."""
+    pk = np.array([m for m in local_maxima(tr) if m[0] >= 0]).reshape(-1, 2)
     if len(pk) < 3:
         raise InsufficientExtremaError(
             f"period fit needs >= 3 maxima, found {len(pk)}")
-    return float(_dominant_spacing_cluster(np.diff(pk[:, 0])).mean())
+    best = _dominant_spacing_cluster(np.diff(pk[:, 0]))
+    if len(best) < 2:
+        raise InsufficientExtremaError(
+            f"period fit needs >= 2 spacings in its dominant cluster, found {len(best)} "
+            f"of {len(pk) - 1}")
+    return float(best.mean())
 
 
 def _halfmax_span(t: np.ndarray, y: np.ndarray, level: float) -> float:

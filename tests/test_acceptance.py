@@ -87,13 +87,15 @@ def test_closed_form_ordering_and_factorizability_over_random_physics(regime):
         assert analysis.factorizability_residual(stub) < 1e-10, p
 
 
-def test_rabi_period_over_random_chi5_physics():
+@pytest.mark.parametrize("n", [512, 1024])
+def test_rabi_period_over_random_chi5_physics(n):
     # C4 away from the paper's point, on the chi5 draws above: the period of
-    # the streamed tau12 trace (C3's config at n 1024, the smallest n at which
-    # every draw holds; its grid-spacing advisories are quieted) lies within
-    # half a time cell of 2 pi / Omega_e1.  C4's own bound, 1 ns, is half of
-    # its 1.92 ns cell
-    cfg = OracleConfig(force_phi_unity=True, tukey_alpha=0.1, n_points=1024)
+    # the streamed tau12 trace (C3's config at n 512 and 1024; its grid-spacing
+    # advisories are quieted) lies within half a time cell of 2 pi / Omega_e1.
+    # C4's own bound, 1 ns, is half of its 1.92 ns cell.  At n 512 the
+    # wrap-around maxima at tau12 < 0 would set two draws' periods, one 81.9
+    # cells off
+    cfg = OracleConfig(force_phi_unity=True, tukey_alpha=0.1, n_points=n)
     for p in _kept_draws(Regime.CHI5_DOMINATED):
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "grid spacing")

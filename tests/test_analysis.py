@@ -154,6 +154,30 @@ def test_extract_period_needs_maxima():
         extract_period(TimeTrace(t_axis=t, values=np.ones(100)))
 
 
+def test_extract_period_fits_the_maxima_at_t_ge_0():
+    # wrap-around bumps 10 ns apart before t = 0 would outnumber the three
+    # 30 ns spacings after it; only the maxima at t >= 0 count
+    t = np.linspace(-60e-9, 100e-9, 16001)
+    y = np.where(t < 0, 0.01 * (1 + np.cos(2 * math.pi * t / 10e-9)),
+                 (1 + np.cos(2 * math.pi * t / 30e-9)) * np.exp(-t / 200e-9))
+    tr = TimeTrace(t_axis=t, values=y)
+    assert (local_maxima(tr)[:, 0] < 0).sum() == 5
+    assert extract_period(tr) == pytest.approx(30e-9, rel=0.02)
+    with pytest.raises(InsufficientExtremaError, match="found 0"):
+        extract_period(TimeTrace(t_axis=t, values=np.where(t < 0, y, 0.0)))
+
+
+def test_extract_period_refuses_a_cluster_of_one_spacing():
+    # four maxima 40, 60 and 92 ns apart: no two spacings agree within 8%
+    t = np.linspace(0, 250e-9, 2501)
+    y = sum(h * np.exp(-0.5 * ((t - c) / 2e-9) ** 2)
+            for c, h in ((10e-9, 1.0), (50e-9, 0.9), (110e-9, 0.8), (202e-9, 0.7)))
+    with pytest.raises(InsufficientExtremaError) as refused:
+        extract_period(TimeTrace(t_axis=t, values=y))
+    assert str(refused.value) == (
+        "period fit needs >= 2 spacings in its dominant cluster, found 1 of 3")
+
+
 @given(st.floats(0.1, 1e6))
 @settings(max_examples=40, deadline=None)
 def test_fits_invariant_under_rescaling(scale):

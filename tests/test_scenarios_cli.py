@@ -698,10 +698,11 @@ def test_cli_grid_n_above_the_bound_exit_2(n, via, tmp_path, capsys):
 def test_cli_scenario_file_not_utf8_exit_2(name, tmp_path, capsys):
     bad = tmp_path / name
     bad.write_bytes(b"name = x\n\xff\xfe bad\n")
-    assert main(["simulate", "--scenario", str(bad), "--out", str(tmp_path / "out")]) == 2
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", str(bad), "--out", str(out)]) == 2
     err = _one_config_error(capsys)
     assert err.startswith(f"config error: cannot read scenario file {str(bad)!r}: ")
-    assert "utf-8" in err
+    assert "utf-8" in err and not out.exists()
 
 
 @pytest.mark.parametrize("name", ["a" * 300, "out/" + "b" * 256])
@@ -780,21 +781,29 @@ def test_cli_out_of_float_range_exit_3(argv, names, tmp_path, capsys):
 
 #: fig3a's lines that put gamma41 = gamma51 = |omega_c1| at 1e-9 gamma31 on
 #: the bare pump resonance, where chi5's denominator passes under POLE_FLOOR.
-#: The window is cropped to 0..100 ns: these linewidths stretch the default one
-#: over the whole grid, and a NaN sample would reach every cell of the rate.
 _NEAR_FLOOR = ("params.gamma41", "1e-9gamma31", "params.gamma51", "1e-9gamma31",
-               "params.omega_c1", "1e-9gamma31", "params.delta_p", "0gamma31",
-               "outputs.tmin_ns", "0", "outputs.tmax_ns", "100")
+               "params.omega_c1", "1e-9gamma31", "params.delta_p", "0gamma31")
+
+#: These linewidths stretch the default export window over the whole grid
+#: (two 243 MB CSVs at n 2048), so the 2048 case crops it to 0..100 ns; a NaN
+#: sample would reach every cell of the rate either way.
+_CROPPED = ("outputs.tmin_ns", "0", "outputs.tmax_ns", "100")
 
 
-@pytest.mark.parametrize("n", ["256", "2048"])
-def test_cli_near_floor_linewidths_exit_0(n, tmp_path, capsys):
-    # the spectrum is sampled as computed, at any grid size: exit 0, no NaN
+@pytest.mark.parametrize("n,window", [("256", _CROPPED), ("2048", _CROPPED), ("256", ())],
+                         ids=["256", "2048", "256-default-window"])
+def test_cli_near_floor_linewidths_exit_0(n, window, tmp_path, capsys):
+    # the spectrum is sampled as computed, at any grid size: exit 0, no NaN in
+    # the files or the report, the grid-spacing advisory, and no export-window
+    # advisory from the default window, which is clamped to the time axis
     out = tmp_path / "out"
-    argv = ["simulate", "--scenario", _preset_with(tmp_path, *_NEAR_FLOOR), "--grid-n", n]
-    assert main([*argv, "--out", str(out)]) == 0
+    argv = ["simulate", "--scenario", _preset_with(tmp_path, *_NEAR_FLOOR, *window), "--grid-n", n]
+    with pytest.warns(UserWarning, match="grid spacing .* does not resolve") as seen:
+        assert main([*argv, "--out", str(out)]) == 0
+    assert not [w for w in seen if "export window" in str(w.message)]
     texts = {f.name: f.read_text() for f in out.iterdir()}
-    assert len(texts) == 3 and len(texts["fig3a_rcc2d_numeric.csv"].splitlines()) > 1000
+    texts["stdout"] = capsys.readouterr().out
+    assert len(texts) == 4 and len(texts["fig3a_rcc2d_numeric.csv"].splitlines()) > 1000
     for name, text in texts.items():
         assert not re.search(r"\bnan\b", text, re.IGNORECASE), name
 

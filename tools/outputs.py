@@ -33,8 +33,9 @@ its numbers are set aside is numeric: its line gives how many numbers differ
 and their maximum absolute and relative difference.  The last line is the
 summary, and the exit code is 1 on any difference, else 0.
 
-CI runs `build` once under warnings as errors, once under `taskset -c 0`,
-and `compare`s the two.  The tool itself uses only the standard library.
+CI runs `build` once under warnings as errors and diffs its logs against
+`tests/golden/reports.txt`, then builds again under `taskset -c 0` and
+`compare`s the two builds.  The tool itself uses only the standard library.
 """
 from __future__ import annotations
 
