@@ -22,7 +22,7 @@ for od in (37.0, 74.0, 111.0):
     d = derived_frequencies(p)
     tr13 = rcc_cond_numeric("tau13", p, OracleConfig(extent=32.0, tukey_alpha=0.1,
                                                      ideal_rect=True))
-    width = fit_trace(tr13).width * 1e9
+    width = fit_trace(tr13, fits=()).width * 1e9
     rate = rcc_numeric(p, cfg)  # full Phi: the rate and tau12
     period = extract_period(trace_from_grid(rate, "tau12")) * 1e9
     pre = detect_precursor(near_diagonal_trace(rate), d)

@@ -234,20 +234,23 @@ class TraceFit:
     errors: dict = field(default_factory=dict)
 
 
-def fit_trace(tr: TimeTrace) -> TraceFit:
-    """The width at half the peak, period and CoherenceFit of `tr`, where a
-    failed fit becomes data: a package error leaves that fit None and its text
-    in `errors` under its name.  ZeroMassError for an identically zero trace."""
+def fit_trace(tr: TimeTrace, fits=("period", "coherence")) -> TraceFit:
+    """The width at half the peak and, of the period and CoherenceFit, the
+    `fits` named, run in that order, where a failed fit becomes data: a
+    package error leaves that fit None and its text in `errors` under its
+    name.  ZeroMassError for an identically zero trace."""
     y = np.asarray(tr.values, dtype=float)
     if y.max() <= 0:
         raise ZeroMassError("fit of an identically zero trace")
-    fits, errors = {}, {}
-    for name, fit in (("period", extract_period), ("coherence", coherence_fit)):
+    # the module's names, read per call: a wrapper bound to them sees each fit
+    fitter = {"period": extract_period, "coherence": coherence_fit}
+    found, errors = {}, {}
+    for name in fits:
         try:
-            fits[name] = fit(tr)
+            found[name] = fitter[name](tr)
         except SswmError as exc:
             errors[name] = str(exc)
-    return TraceFit(_halfmax_span(tr.t_axis, y, 0.5 * y.max()), errors=errors, **fits)
+    return TraceFit(_halfmax_span(tr.t_axis, y, 0.5 * y.max()), errors=errors, **found)
 
 
 # ---------------------------------------------------------------------------

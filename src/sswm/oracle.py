@@ -220,7 +220,8 @@ def _rate_grid(grid: SpectralGrid, gamma31_si: float) -> WavepacketGrid:
     # owns and no longer reads; the squares go into the first half of that
     # buffer and are fftshifted there, so the rate costs no extra memory.
     dd = float(grid.delta2_axis[1] - grid.delta2_axis[0])
-    vals = real_first_half(_fft2(grid.values), lambda block: _squares(block) * dd**4)
+    vals = real_first_half(_fft2(grid.values),
+                           lambda block, out: np.multiply(_squares(block), dd**4, out=out))
     fftshift_in_place(vals)
     norm = float(vals.max())
     if not 0 < norm < math.inf:  # a spectrum too small or too large to square

@@ -9,7 +9,6 @@ represented absolutely; all spectra are offsets from the carriers.
 from __future__ import annotations
 
 import enum
-import hashlib
 import math
 from dataclasses import dataclass, replace
 
@@ -104,6 +103,7 @@ class SystemParams:
 
     def content_hash(self) -> str:
         """Stable short hash of all fields, used to stamp derived grids."""
+        import hashlib  # off the CLI import path: it loads OpenSSL
         items = [f"{k}={getattr(self, k)!r}" for k in sorted(self.__dataclass_fields__)]
         return hashlib.sha256(";".join(items).encode()).hexdigest()[:16]
 

@@ -390,8 +390,8 @@ def scenario_report(sc: Scenario, rate: WavepacketGrid) -> analysis.ObservableRe
     def fitted(direction: str, tr: analysis.TimeTrace, shown=("period", "coherence")) -> list:
         """The fits `shown` of `tr`, each None where it failed; the first
         failure among them is the `<direction> fit` note."""
-        fit = analysis.fit_trace(tr)
-        notes.update([(f"{direction} fit", fit.errors[k]) for k in shown if k in fit.errors][:1])
+        fit = analysis.fit_trace(tr, shown)
+        notes.update([(f"{direction} fit", text) for text in fit.errors.values()][:1])
         return [getattr(fit, k) for k in shown]
 
     period12, cf12 = fitted("tau12", analysis.trace_from_grid(rate, "tau12"))

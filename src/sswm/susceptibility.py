@@ -315,17 +315,25 @@ def spectral_grid(
 
 def real_first_half(values: np.ndarray, op) -> np.ndarray:
     """op(values), an n x n real result, written over the first half of the
-    n x n complex buffer `values`, whose second half is then given back.  op
-    maps a block of complex rows, which it may overwrite, to a fresh array of
-    its real rows (np.abs written over its own input rounds some |z|
-    differently).  The blocks of `blocks.row_blocks` are written in ascending
-    order: real rows [a, b) land in complex rows [a/2, b/2), read by then.
-    `values` is resized in place and may move, so no view taken of it before
-    this call may be read after it."""
+    n x n complex buffer `values`, whose second half is then given back.
+    op(block, out), a unary ufunc's call, writes the real rows of the complex
+    rows `block`, which it may overwrite, into `out`.  Real rows [a, b) lie in
+    complex rows [a/2, b/2), so blocks with b <= 2a, taken in ascending
+    order, write only rows read before them: 1, 2, 4, ... `blocks.ROWS` rows,
+    then `blocks.ROWS` at a time.  Row 0's real row lies in its own complex
+    row, so it alone goes through a one-row buffer.  `values` is resized in
+    place and may move, so no view taken of it before this call may be read
+    after it."""
     n = len(values)
     out = values.reshape(-1).view(np.float64)[:n * n].reshape(n, n)
-    for rows in blocks.row_blocks(n):
-        out[rows] = op(values[rows])
+    row0 = np.empty((1, n))
+    op(values[:1], row0)
+    out[0] = row0[0]
+    a = 1
+    while a < n:
+        b = min(a + min(a, blocks.ROWS), n)
+        op(values[a:b], out[a:b])
+        a = b
     values.resize((n * n // 2,), refcheck=False)
     return values.view(np.float64).reshape(n, n)
 

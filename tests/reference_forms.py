@@ -204,22 +204,25 @@ def coherence_fit(tr: TimeTrace) -> CoherenceFit:
                         residual=residual, n_maxima=len(pk))
 
 
-def fit_trace(tr: TimeTrace) -> TraceFit:
-    """The width, period and coherence fit of `tr` from the forms above, each
+def fit_trace(tr: TimeTrace, fits=("period", "coherence")) -> TraceFit:
+    """The width and the `fits` named of `tr` from the forms above, each
     failed fit's text kept (see `analysis.fit_trace`)."""
     y = np.asarray(tr.values, dtype=float)
     if y.max() <= 0:
         raise ZeroMassError("fit of an identically zero trace")
     period = coherence = None
     errors = {}
-    try:
-        period = extract_period(tr)
-    except SswmError as exc:
-        errors["period"] = str(exc)
-    try:
-        coherence = coherence_fit(tr)
-    except SswmError as exc:
-        errors["coherence"] = str(exc)
+    for name in fits:
+        if name == "period":
+            try:
+                period = extract_period(tr)
+            except SswmError as exc:
+                errors["period"] = str(exc)
+        else:
+            try:
+                coherence = coherence_fit(tr)
+            except SswmError as exc:
+                errors["coherence"] = str(exc)
     return TraceFit(width=_halfmax_span(tr.t_axis, y, 0.5 * y.max()), period=period,
                     coherence=coherence, errors=errors)
 

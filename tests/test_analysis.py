@@ -347,6 +347,11 @@ def test_fit_trace_pins_each_branch(tr, period, mode, time, errors):
         assert fit.coherence.time_s == fit.width
     y = np.asarray(tr.values)
     assert fit.width == analysis._halfmax_span(tr.t_axis, y, 0.5 * y.max())
+    # asked for the coherence fit alone, or for none, it runs only those
+    coherence_errors = {k: v for k, v in fit.errors.items() if k == "coherence"}
+    assert fit_trace(tr, ("coherence",)) == TraceFit(fit.width, coherence=fit.coherence,
+                                                     errors=coherence_errors)
+    assert fit_trace(tr, ()) == TraceFit(fit.width)
 
 
 def test_local_maxima_floor_and_refinement():
@@ -446,6 +451,7 @@ def test_fit_scans_equal_their_loop_forms_bitwise(tr, ratios, frac):
     y, t = np.asarray(tr.values), tr.t_axis
     pairs = [("local_maxima", (tr,)), ("extract_period", (tr,)), ("coherence_fit", (tr,)),
              ("fit_trace", (tr,)), ("_dominant_spacing_cluster", (np.cumprod(ratios),))]
+    pairs += [("fit_trace", (tr, fits)) for fits in (("coherence", "period"), ("coherence",), ())]
     pairs += [("_halfmax_span", (t, y, scale * y.max())) for scale in (0.5, 0.1, frac)]
     if len(y) >= 2 and y.min() > 0:
         pairs.append(("_envelope_crossing", (t, y)))

@@ -110,11 +110,12 @@ def test_in_place_rate_grid_equals_shifted_out_of_place_fft2(kw, tukey_alpha):
     assert got.normalization == norm
 
 
-@pytest.mark.parametrize("block_rows", [1, 100, N // 2, N])
+@pytest.mark.parametrize("block_rows", [1, 3, 100, N // 2, N])
 def test_in_place_rate_grid_is_independent_of_its_block_rows(block_rows):
-    # odd block edges (100 does not divide N/2, so a swap block must stop
-    # there), one-row blocks, one swap block and one block over the whole
-    # grid write and shift the rate in the spectrum's memory the same way
+    # odd block edges (3 cuts the doubling blocks 1, 2 short at 3 rows; 100
+    # does not divide N/2, so a swap block must stop there), one-row blocks,
+    # one swap block and one block over the whole grid write and shift the
+    # rate in the spectrum's memory the same way
     p = SystemParams(omega_c1=3.0, omega_c2=5.0, optical_depth=60.0)
     want = rcc_numeric(p, OracleConfig(n_points=N))
     with mock.patch.object(blocks, "ROWS", block_rows):
@@ -175,16 +176,20 @@ def test_conditional_warns_as_the_sampled_spectrum(which):
     assert [str(w.message) for w in spectrum] == [str(w.message) for w in seen]
 
 
-@given(params, st.sampled_from([1, 64, 100, N]))
+@given(params)
 @settings(max_examples=10, deadline=None)
-def test_chi5_magnitude_map_equals_abs_of_the_samples(kw, block_rows):
+def test_chi5_magnitude_map_equals_abs_of_the_samples(kw):
+    # every block size writes |chi5| over the samples as the whole-grid
+    # np.abs: one-row blocks, doubling blocks cut short at 3 rows or not, odd
+    # block edges (100) and blocks that double up to the last half
     p = SystemParams(**kw)
     extent = default_extent(p)
     grid = spectral_grid(p, extent, N, force_phi_unity=True)
-    with mock.patch.object(blocks, "ROWS", block_rows):
-        d2, d3, mag = susceptibility.chi5_magnitude_map(p, extent, N)
-    assert np.array_equal(d2, grid.delta2_axis) and np.array_equal(d3, grid.delta3_axis)
-    assert np.array_equal(mag, np.abs(grid.values))
+    for block_rows in (1, 3, 64, 100, N):
+        with mock.patch.object(blocks, "ROWS", block_rows):
+            d2, d3, mag = susceptibility.chi5_magnitude_map(p, extent, N)
+        assert np.array_equal(d2, grid.delta2_axis) and np.array_equal(d3, grid.delta3_axis)
+        assert np.array_equal(mag, np.abs(grid.values)), block_rows
 
 
 @given(params, st.sampled_from(["tau12", "tau13"]), st.booleans())

@@ -2,6 +2,7 @@
 run's logs and exits 1 when a run fails, `compare` names each kind of
 difference and exits 1 on any.  No sswm run is made."""
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -37,7 +38,9 @@ def test_build_saves_logs_and_fails_on_a_failed_run(tmp_path, monkeypatch, capsy
     assert (logs / "fails.exit").read_text() == "3\n"
     assert (logs / "fails.stderr").read_text().startswith("<tree>/src")
     printed = capsys.readouterr().out.splitlines()
-    assert printed[:2] == ["ok: exit 0", "fails: exit 3"]
+    # each exit line gives the run's wall time and peak RSS
+    assert re.fullmatch(r"ok: exit 0, \d+\.\d\d s, peak \d+\.\d MB", printed[0])
+    assert re.fullmatch(r"fails: exit 3, \d+\.\d\d s, peak \d+\.\d MB", printed[1])
     assert printed[2].startswith("<tree>/src") and printed[2].endswith(" boom")
     assert printed[-1] == f"built {out}: 2 runs, 1 with a non-zero exit"
 

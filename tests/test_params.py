@@ -12,6 +12,7 @@ from sswm.errors import OverdampedError, ValidationError
 from sswm.params import (Entanglement, Regime, SystemParams, classify_entanglement,
                          classify_regime, derived_frequencies, effective_splittings,
                          eit_dispersion, C_LIGHT)
+from sswm.scenarios import load_scenario
 
 GAMMA31_SI = SystemParams().gamma31_si
 
@@ -202,3 +203,6 @@ def test_params_reject_every_nonfinite_field(name, value):
 def test_content_hash_stability():
     assert SystemParams().content_hash() == SystemParams().content_hash()
     assert SystemParams().content_hash() != SystemParams(omega_c1=9.0).content_hash()
+    # each export's params_hash header line: the defaults (fig3a) and fig3d
+    assert SystemParams().content_hash() == "a24ad6c1dcad394a"
+    assert load_scenario("fig3d").params.content_hash() == "408a0b098993f442"

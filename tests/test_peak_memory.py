@@ -7,13 +7,14 @@ depend on the allocator or the machine."""
 import tracemalloc
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from sswm import acceptance, analysis, scenarios
 from sswm.oracle import (OracleConfig, default_extent, normalized_l2_error, rcc_cond_numeric,
                          rcc_numeric, support_edge_mask)
 from sswm.params import SystemParams
-from sswm.susceptibility import chi5_magnitude_map, spectral_grid
+from sswm.susceptibility import chi5_magnitude_map, real_first_half, spectral_grid
 from sswm.wavepacket import analytic_rate_grid
 
 pytestmark = pytest.mark.filterwarnings("ignore:grid spacing", "ignore:extent")
@@ -90,12 +91,23 @@ def test_scenario_with_both_numeric_traces_peak():
 
 
 def test_chi5_magnitude_map_peak():
-    # |chi5| written over the samples: no Phi blocks, and one row block
-    # taken aside
+    # |chi5| written over the samples: no Phi blocks, and one row taken
+    # aside
     p = SystemParams(omega_c1=40.0, omega_c2=40.0)
     (_, _, mag), rise = _peak_rise(lambda: chi5_magnitude_map(p, 320.0, N))
     assert mag.nbytes == REAL_GRID and mag.flags.c_contiguous
     assert rise <= 1.1 * COMPLEX_GRID
+
+
+def test_real_first_half_peak():
+    # each block of real rows lands on complex rows read before it, so only
+    # row 0 is taken aside: one row above the complex input
+    def write_abs():
+        return real_first_half(np.full((N, N), 3 + 4j), np.abs)
+
+    mag, rise = _peak_rise(write_abs)
+    assert mag.shape == (N, N) and np.all(mag == 5.0)
+    assert rise - COMPLEX_GRID <= 4 * N * 8
 
 
 def test_fig2_given_its_map_peak(monkeypatch):

@@ -1,7 +1,10 @@
 """Scenario-report values and the gamma21 sensitivity of the coherence fits."""
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from sswm import analysis
 from sswm.analysis import extract_period, first_antinode_offset, fit_coherence_time
 from sswm.oracle import OracleConfig, rcc_cond_numeric, rcc_numeric
 from sswm.params import SystemParams
@@ -24,6 +27,20 @@ def test_fig3a_report_headline_values():
     assert rep.factorizability_residual > 0.1
     assert rep.notes["regime"] == "chi5_dominated"
     assert any("period" in line for line in rep.lines())
+
+
+def test_hybrid_report_fits_the_tau12_period_alone():
+    # the report prints no period of the hybrid tau13 rectangle, so it fits
+    # none: one period fit, of the tau12 trace
+    from dataclasses import replace
+
+    sc = load_scenario("fig3d")
+    sc = replace(sc, oracle=replace(sc.oracle, n_points=1024))
+    rate = _scenario_run(sc)[0]
+    with mock.patch.object(analysis, "extract_period", wraps=analysis.extract_period) as period:
+        rep = scenario_report(sc, rate)
+    assert period.call_count == 1
+    assert rep.period12 is not None and rep.period13 is None and "tau13 fit" not in rep.notes
 
 
 def test_report_notes_a_failed_fit():

@@ -410,12 +410,16 @@ def test_only_the_cli_prints():
 
 
 def test_cli_import_skips_scipy_signal():
-    # the Tukey taper is built in numpy, so no run imports scipy.signal
+    # the Tukey taper is built in numpy, so no run imports scipy.signal; the
+    # params hash imports hashlib, and with it OpenSSL, only when it is taken
     src = str(Path(sswm.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, sswm.cli; sys.exit(int('scipy.signal' in sys.modules))"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    code = ("import sys, sswm.cli; "
+            "print(*[m for m in ('scipy.signal', '_hashlib') if m in sys.modules])")
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True).stdout
+    assert loaded.split() == []
 
 
 def test_cli_list_scenarios(capsys):

@@ -18,7 +18,9 @@ With seven presets and three scripts that is 21 runs.
 
 Each run's stdout, stderr (with TREE's path written as `<tree>`) and exit
 code are saved under DIR/logs as `<run>.stdout`, `<run>.stderr` and
-`<run>.exit`.  The runs are serial, and they inherit the caller's
+`<run>.exit`, and `build` prints `<run>: exit N, T s, peak M MB`, the run's
+exit code, wall time and peak RSS (`ru_maxrss` from `os.wait4`), which no
+file records.  The runs are serial, and they inherit the caller's
 environment, so PYTHONWARNINGS reaches every one.  A run that exits non-zero
 has its stderr printed after its exit line, and `build` then exits 1.  The
 csv preset logs followed by the sweep logs in that order hold the reports
@@ -46,6 +48,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 #: The canonical sweeps, each with its output directory.
@@ -95,12 +98,19 @@ def build(tree: Path, out: Path) -> int:
     runs = canonical_runs(tree)
     failed = 0
     for name, argv in runs.items():
-        proc = subprocess.run(argv, cwd=out, env=env, capture_output=True)
-        err = proc.stderr.replace(bytes(tree), b"<tree>")
-        (logs / f"{name}.stdout").write_bytes(proc.stdout)
-        (logs / f"{name}.stderr").write_bytes(err)
+        stderr = logs / f"{name}.stderr"
+        with open(logs / f"{name}.stdout", "wb") as o, open(stderr, "wb") as e:
+            t0 = time.monotonic()
+            proc = subprocess.Popen(argv, cwd=out, env=env, stdout=o, stderr=e)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.monotonic() - t0
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        err = stderr.read_bytes().replace(bytes(tree), b"<tree>")
+        stderr.write_bytes(err)
         (logs / f"{name}.exit").write_text(f"{proc.returncode}\n")
-        print(f"{name}: exit {proc.returncode}")
+        # ru_maxrss is in KiB on Linux
+        print(f"{name}: exit {proc.returncode}, {wall:.2f} s, "
+              f"peak {usage.ru_maxrss / 1024:.1f} MB")
         if proc.returncode:
             failed += 1
             print(err.decode(errors="replace"), end="")
