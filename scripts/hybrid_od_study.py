@@ -29,6 +29,7 @@ for od in (37.0, 74.0, 111.0):
     print(f"OD {od:5.0f}: L/nu3 = {d.group_delay * 1e9:6.1f} ns, tau13 width "
           f"{width:6.1f} ns, tau12 period {period:5.2f} ns, precursor {pre}")
     rows.append(f"{od:g},{d.group_delay * 1e9:.2f},{width:.2f},{period:.3f},{pre}")
+    del rate  # the next OD samples its spectrum with no rate alive
 
 path = out / "hybrid_od_summary.csv"
 path.write_text("\n".join(rows) + "\n")

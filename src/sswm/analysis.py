@@ -72,8 +72,8 @@ class ObservableReport:
     notes: dict = field(default_factory=dict)
 
     def lines(self) -> list[str]:
-        def fmt(x, unit="ns", scale=1e9):
-            return "n/a" if x is None else f"{x * scale:.2f} {unit}"
+        def fmt(x):
+            return "n/a" if x is None else f"{x * 1e9:.2f} ns"
 
         out = [
             f"period tau12          : {fmt(self.period12)}",
@@ -381,8 +381,6 @@ def detect_precursor(tr: TimeTrace, derived) -> bool:
         return False
     baseline = float(np.median(np.asarray(tr.values)[mid]))
     pk = local_maxima(tr)
-    if len(pk) == 0:
-        return False
     early = pk[(pk[:, 0] >= 0) & (pk[:, 0] <= PRECURSOR_WINDOW * T)]
     if len(early) == 0:
         return False

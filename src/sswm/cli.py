@@ -125,7 +125,7 @@ def main(argv: list[str] | None = None) -> int:
                      for dest, key in _ORACLE_FLAGS.items() if getattr(args, dest) is not None}
         sc = load_scenario(args.scenario, overrides)
         if args.command == "simulate":
-            paths, lines = run_scenario(sc, out, fmt=args.format)
+            paths, lines, _ = run_scenario(sc, out, fmt=args.format)
             lines += [f"wrote {p}" for p in paths]
         else:  # sweep
             values = parse_sweep_values(args.values, args.param, sc)

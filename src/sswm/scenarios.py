@@ -348,19 +348,18 @@ def _trace_direction(output: str) -> str:
     return "tau12" if "tau12" in output else "tau13"
 
 
-def _scenario_run(sc: Scenario, traces: tuple[str, ...] = ()
-                  ) -> tuple[WavepacketGrid | None, dict[str, analysis.TimeTrace]]:
-    """The oracle products that the outputs of `sc` (and the directions
-    `traces`) need: the rate, or None, and the numeric trace of each wanted
-    direction.  The report, a 2D rate (the analytic grid is evaluated on the
-    numeric time axes) or both directions take the rate, and each trace is
+def _scenario_run(sc: Scenario) -> tuple[WavepacketGrid | None, dict[str, analysis.TimeTrace]]:
+    """The oracle products that the outputs of `sc` need: the rate, or None,
+    and the numeric trace of each direction a numeric trace output names.
+    The report, a 2D rate (the analytic grid is evaluated on the numeric
+    time axes) or both directions take the rate, and each trace is
     integrated from it; one direction alone is its 1D transform, and with no
     numeric output nothing is sampled.  A report of an overdamped arm fails
     before any sampling."""
     if "report" in sc.outputs and derived_frequencies(sc.params).regime is Regime.OVERDAMPED:
         raise OverdampedError("observable report undefined for overdamped arms")
-    want = sorted({*traces, *(_trace_direction(out) for out in sc.outputs
-                              if out.startswith("trace_") and out.endswith("numeric"))})
+    want = sorted({_trace_direction(out) for out in sc.outputs
+                   if out.startswith("trace_") and out.endswith("numeric")})
     if len(want) == 2 or any(out == "report" or out.startswith("rcc2d_") for out in sc.outputs):
         rate = rcc_numeric(sc.params, sc.oracle)
         return rate, {which: analysis.trace_from_grid(rate, which) for which in want}
@@ -416,19 +415,16 @@ def scenario_report(sc: Scenario, rate: WavepacketGrid) -> analysis.ObservableRe
         ordering_violation_mass=omass, precursor_detected=precursor, notes=notes)
 
 
-def run_scenario(sc: Scenario, out_dir: Path, fmt: str = "csv",
-                 run: tuple | None = None) -> tuple[list[Path], list[str]]:
-    """Produce every requested output file; returns the paths written and
-    the lines to show (the observable report and the chi5 peak table).
-
-    Every numeric output reads `run`, the (rate, traces) pair made by
-    `_scenario_run` unless the caller passes one holding what the outputs
-    need; the file names are checked before it, and the report computed and
-    `out_dir` made after it, so a report that fails leaves no file.
-    """
+def run_scenario(sc: Scenario, out_dir: Path, fmt: str = "csv"
+                 ) -> tuple[list[Path], list[str], dict[str, analysis.TimeTrace]]:
+    """Produce every requested output file from the one `_scenario_run` of
+    `sc`; returns the paths written, the lines to show (the observable report
+    and the chi5 peak table) and the numeric traces exported, by direction.
+    The file names are checked before the run, and the report computed and
+    `out_dir` made after it, so a report that fails leaves no file."""
     out_dir = Path(out_dir)
     check_names(out_dir, [_file_name(sc, out, fmt) for out in sc.outputs], "scenario name")
-    rate, traces = _scenario_run(sc) if run is None else run
+    rate, traces = _scenario_run(sc)
     rep = scenario_report(sc, rate).lines() if "report" in sc.outputs else None
     out_dir.mkdir(parents=True, exist_ok=True)
     p = sc.params
@@ -486,7 +482,7 @@ def run_scenario(sc: Scenario, out_dir: Path, fmt: str = "csv",
             _write_export(path, header + [f"quantity: {out}"], [("t_s", tr.t_axis)],
                           tr.values, "value", "value", fmt)
         written.append(path)
-    return written, lines
+    return written, lines, traces
 
 
 def _analytic_trace(p: SystemParams, which: str, ideal_rect: bool) -> analysis.TimeTrace:
@@ -495,8 +491,7 @@ def _analytic_trace(p: SystemParams, which: str, ideal_rect: bool) -> analysis.T
     tmax = max(d.group_delay * 1.2, 8.0 / (2 * d.gamma_e1 * p.gamma31_si))
     t = np.linspace(0.0, tmax, 4096)
     if which == "tau12":
-        vals = rcc_cond12(t, p, normalize=True)
-        return analysis.TimeTrace(t_axis=t, values=np.asarray(vals))
+        return analysis.TimeTrace(t_axis=t, values=rcc_cond12(t, p))
     # tau13: the regime-appropriate closed form summed over tau12
     vals = analytic_tau13_marginal(p, t, _analytic_form(p), ideal_rect)
     return analysis.TimeTrace(t_axis=t, values=vals)
@@ -531,18 +526,17 @@ def run_sweep(sc: Scenario, param: str, values: list, out_dir: Path,
         tagged[tag] = v
     trace_outputs = [o for o in sc.outputs if o.startswith("trace_")] or ["trace_tau12_numeric"]
     # the summary fits the numeric trace of each direction, whichever of its
-    # numeric/analytic outputs asked for it
+    # numeric/analytic outputs asked for it, so each point exports that trace
     directions = tuple(dict.fromkeys(_trace_direction(o) for o in trace_outputs))
+    outputs = tuple(dict.fromkeys(trace_outputs + [f"trace_{w}_numeric" for w in directions]))
     subs = [(v, replace(sc, name=f"{sc.name}_{param}_{_value_tag(v)}", params=p,
-                        outputs=tuple(trace_outputs))) for v, p in points]
+                        outputs=outputs)) for v, p in points]
     summary = Path(out_dir) / f"{sc.name}_sweep_{param}.csv"
     check_names(Path(out_dir), [summary.name] + [_file_name(sub, o, fmt) for _, sub in subs
                                                  for o in sub.outputs], "scenario name")
     rows = []
     for v, sub in subs:
-        rate, traces = _scenario_run(sub, traces=directions)
-        run_scenario(sub, out_dir, fmt=fmt, run=(rate, traces))
-        del rate  # the next point samples its spectrum with no rate alive
+        *_, traces = run_scenario(sub, out_dir, fmt)
         row = {f"param_{param}": float(complex(v).real)}
         for which in directions:
             fit = analysis.fit_trace(traces[which])

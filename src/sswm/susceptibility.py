@@ -321,9 +321,12 @@ def real_first_half(values: np.ndarray, op) -> np.ndarray:
     complex rows [a/2, b/2), so blocks with b <= 2a, taken in ascending
     order, write only rows read before them: 1, 2, 4, ... `blocks.ROWS` rows,
     then `blocks.ROWS` at a time.  Row 0's real row lies in its own complex
-    row, so it alone goes through a one-row buffer.  `values` is resized in
-    place and may move, so no view taken of it before this call may be read
-    after it."""
+    row, so it alone goes through a one-row buffer: written in place, its
+    input and output overlap, numpy's overlap handling takes over, and
+    np.abs then rounds some of row 0's elements one ulp away from np.abs of
+    the same samples (most random 4 x 4 inputs have one).  `values` is
+    resized in place and may move, so no view taken of it before this call
+    may be read after it."""
     n = len(values)
     out = values.reshape(-1).view(np.float64)[:n * n].reshape(n, n)
     row0 = np.empty((1, n))

@@ -16,7 +16,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .blocks import map_blocks
 from .errors import OverdampedError, ValidationError
-from .params import (GAMMA31, Regime, SystemParams, derived_frequencies,
+from .params import (GAMMA31, DerivedFrequencies, Regime, SystemParams, derived_frequencies,
                      effective_splittings, eit_dispersion)
 from .susceptibility import check_uniform
 
@@ -129,21 +129,23 @@ def rcc_chi5(tau12, tau13, p: SystemParams):
     return float(out) if out.ndim == 0 else out
 
 
-def rcc_cond12(tau12, p: SystemParams, normalize: bool = False):
-    """Conditional two-photon rate along tau12.
+def _tau12_factor(p: SystemParams, s: DerivedFrequencies, x: np.ndarray) -> np.ndarray:
+    """rcc_cond12 times O1^2, before Theta, at x = tau12 gamma31; s = effective_splittings(p)."""
+    o1, b = s.omega_e1, p.gamma51 - s.gamma_e1
+    return ((o1 * np.cos(o1 * x / 2) + 2 * b * np.sin(o1 * x / 2)) ** 2
+            * np.exp(-2 * s.gamma_e1 * x))
 
-    R = [O1 cos(O1 t/2) + 2 (g51 - g_e1) sin(O1 t/2)]^2 e^(-2 g_e1 t) Theta(t).
+
+def rcc_cond12(tau12, p: SystemParams):
+    """Conditional two-photon rate along tau12, divided by O1^2, its value at
+    the origin, which is its maximum:
+
+    R = [O1 cos(O1 t/2) + 2 (g51 - g_e1) sin(O1 t/2)]^2 e^(-2 g_e1 t) Theta(t) / O1^2.
     """
     _check_regime(p, Regime.CHI5_DOMINATED)
     s = effective_splittings(p)
     t = np.asarray(tau12, dtype=float) * p.gamma31_si
-    o1 = s.omega_e1
-    b = p.gamma51 - s.gamma_e1
-    val = ((o1 * np.cos(o1 * t / 2) + 2 * b * np.sin(o1 * t / 2)) ** 2
-           * np.exp(-2 * s.gamma_e1 * t))
-    out = np.where(t >= 0, val, 0.0)
-    if normalize:
-        out = out / o1**2  # the origin is the global maximum
+    out = np.where(t >= 0, _tau12_factor(p, s, t), 0.0) / s.omega_e1**2
     return float(out) if out.ndim == 0 else out
 
 
@@ -185,11 +187,9 @@ def _factors(p: SystemParams, which: str, t12: np.ndarray, t13: np.ndarray,
             raise ValidationError("the chi5 closed form needs one shared tau12/tau13 axis")
         check_uniform(t12)
         t13 = (t12[-1] - t12[0]) / (len(t12) - 1) * np.arange(len(t12))
-    r12 = ((o1 * np.cos(o1 * x12 / 2) + 2 * b * np.sin(o1 * x12 / 2)) ** 2
-           * np.exp(-2 * s.gamma_e1 * x12))
     x13 = t13 * p.gamma31_si
     m = (1.0 - np.cos(s.omega_e2 * x13)) * np.exp(-2 * s.gamma_e2 * x13)
-    return np.where(x12 >= 0, r12, 0.0), np.where(x13 >= 0, m, 0.0)
+    return np.where(x12 >= 0, _tau12_factor(p, s, x12), 0.0), np.where(x13 >= 0, m, 0.0)
 
 
 def analytic_rate_grid(p: SystemParams, tau12_axis: np.ndarray,

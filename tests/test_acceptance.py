@@ -13,7 +13,7 @@ from sswm import analysis
 from sswm.acceptance import CRITERIA, AcceptanceContext, c07_hybrid_group_delay, c11_precursor
 from sswm.oracle import OracleConfig, _time_axis, default_extent, rcc_cond_numeric
 from sswm.params import Regime, SystemParams, derived_frequencies
-from sswm.wavepacket import analytic_rate_grid
+from sswm.wavepacket import analytic_rate_grid, rcc_cond12
 
 #: Each criterion's line as `sswm acceptance` prints it, by id.
 GOLDEN = {line.split()[1]: line for line in
@@ -102,3 +102,13 @@ def test_rabi_period_over_random_chi5_physics(n):
             tr = rcc_cond_numeric("tau12", p, cfg)
         period = 2 * math.pi / (derived_frequencies(p).omega_e1 * p.gamma31_si)
         assert abs(analysis.extract_period(tr) - period) <= 0.5 * tr.dt, p
+
+
+def test_cond12_is_one_at_the_origin_and_nowhere_above_over_random_chi5_physics():
+    # C3 and the analytic tau12 trace read rcc_cond12 as peak-normalized with
+    # no second division: exactly 1 at tau12 = 0, at most 1 on a dense axis
+    # of ten coherence times
+    for p in _kept_draws(Regime.CHI5_DOMINATED):
+        assert rcc_cond12(0.0, p) == 1.0, p
+        t = np.linspace(0, 5 / (derived_frequencies(p).gamma_e1 * p.gamma31_si), 100001)
+        assert rcc_cond12(t, p).max() <= 1.0, p

@@ -195,13 +195,14 @@ def test_chi5_magnitude_map_equals_abs_of_the_samples(kw):
 @given(params, st.sampled_from(["tau12", "tau13"]), st.booleans())
 @settings(max_examples=20, deadline=None)
 def test_rate_free_run_traces_equal_standalone_transforms(kw, which, summary):
-    # one numeric direction, asked for by an output or only by a sweep's
-    # summary, makes no rate: its trace is the standalone 1D transform
+    # one numeric direction, alone or beside its analytic output as a
+    # sweep's point lists it, makes no rate: its trace is the standalone 1D
+    # transform
     p = SystemParams(**kw)
     cfg = OracleConfig(n_points=N, tukey_alpha=0.1)
-    out = f"trace_{which}_{'analytic' if summary else 'numeric'}"
-    sc = scenarios.Scenario(name="x", params=p, oracle=cfg, outputs=(out,))
-    rate, traces = scenarios._scenario_run(sc, traces=(which,) if summary else ())
+    outputs = ((f"trace_{which}_analytic",) if summary else ()) + (f"trace_{which}_numeric",)
+    sc = scenarios.Scenario(name="x", params=p, oracle=cfg, outputs=outputs)
+    rate, traces = scenarios._scenario_run(sc)
     ref = rcc_cond_numeric(which, p, cfg)
     assert rate is None and list(traces) == [which]
     assert np.array_equal(traces[which].t_axis, ref.t_axis)
@@ -308,7 +309,7 @@ def _crop(grid, tmin, tmax):
     ("fig3a", False, (100.0, 100.5)),  # between two samples: no cell
 ], ids=["chi5", "hybrid", "hybrid-ideal", "off-peak", "empty"])
 def test_windowed_analytic_export_equals_crop_of_full_grid(name, ideal_rect, window_ns,
-                                                           tmp_path):
+                                                           tmp_path, monkeypatch):
     # the closed form filled on the export window alone: the same axes, values
     # and normalization as the window cropped from the whole grid
     sc = scenarios.load_scenario(name)
@@ -328,9 +329,10 @@ def test_windowed_analytic_export_equals_crop_of_full_grid(name, ideal_rect, win
 
     sc = replace(sc, oracle=replace(sc.oracle, n_points=N, ideal_rect=ideal_rect),
                  outputs=("rcc2d_analytic",), tmin_ns=window_ns[0], tmax_ns=window_ns[1])
+    monkeypatch.setattr(scenarios, "_scenario_run", lambda sc: (rate, {}))
     with warnings.catch_warnings():
         warnings.simplefilter("error", UserWarning)  # the window lies on the axis
-        [path], _ = scenarios.run_scenario(sc, tmp_path, "json", run=(rate, {}))
+        [path], _, _ = scenarios.run_scenario(sc, tmp_path, "json")
     payload = json.loads(path.read_text())
     assert payload["tau12_s"] == t12.tolist() and payload["tau13_s"] == t13.tolist()
     assert payload["values"] == vals.tolist()

@@ -174,7 +174,7 @@ def test_run_scenario_builds_one_spectrum(builds, transforms, tmp_path):
         builds.clear()
         transforms.clear()
         sc = replace(sc, oracle=replace(sc.oracle, n_points=512), outputs=outputs)
-        paths, _ = run_scenario(sc, tmp_path / str(len(outputs)))
+        paths, _, _ = run_scenario(sc, tmp_path / str(len(outputs)))
         assert len(paths) == len(outputs) and all(p.exists() for p in paths)
         assert len(builds) == 1
         assert [call for call in transforms if not call[1]] == [("_fft2", False)]

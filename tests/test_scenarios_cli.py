@@ -139,7 +139,7 @@ def small(sc: Scenario, n_points: int = 512, **okw) -> Scenario:
 
 def test_run_scenario_fig2(tmp_path):
     sc = small(load_scenario("fig2"))
-    paths, _ = run_scenario(sc, tmp_path)
+    paths, _, _ = run_scenario(sc, tmp_path)
     assert all(p.exists() for p in paths)
     text = (tmp_path / "fig2_chi5_grid.csv").read_text()
     assert text.startswith("# scenario: fig2")
@@ -151,9 +151,9 @@ def test_chi5_grid_auto_extent_is_the_default_extent(tmp_path):
     from sswm.oracle import default_extent
 
     sc = small(load_scenario("fig2"), n_points=256, extent=None)
-    auto, _ = run_scenario(sc, tmp_path / "auto")
-    given, _ = run_scenario(small(sc, n_points=256, extent=default_extent(sc.params)),
-                            tmp_path / "given")
+    auto, _, _ = run_scenario(sc, tmp_path / "auto")
+    given, _, _ = run_scenario(small(sc, n_points=256, extent=default_extent(sc.params)),
+                               tmp_path / "given")
     assert auto[0].read_bytes() == given[0].read_bytes()
 
 
@@ -172,7 +172,7 @@ def test_export_layout(tmp_path, fmt, name, outputs, axes, column, key):
     from dataclasses import replace
 
     sc = replace(small(load_scenario(name), n_points=256), outputs=outputs)
-    paths, _ = run_scenario(sc, tmp_path, fmt=fmt)
+    paths, _, _ = run_scenario(sc, tmp_path, fmt=fmt)
     assert [p.name for p in paths] == [f"{name}_{o}.{fmt}" for o in outputs]
     for path, out in zip(paths, outputs):
         header = [f"scenario: {name}", f"params_hash: {sc.params.content_hash()}"]
@@ -216,8 +216,8 @@ def test_export_window_past_the_time_axis_warns_once(tmp_path):
         sc = small(load_scenario(name), n_points=256)
         tmin, tmax = _default_window_s(sc.params, -math.inf, math.inf)
         with pytest.warns(UserWarning) as seen:
-            past, _ = run_scenario(replace(sc, tmin_ns=tmin * 1e9, tmax_ns=tmax * 1e9),
-                                   tmp_path / name / "past")
+            past, _, _ = run_scenario(replace(sc, tmin_ns=tmin * 1e9, tmax_ns=tmax * 1e9),
+                                      tmp_path / name / "past")
         warned = [str(w.message) for w in seen if "export window" in str(w.message)]
         assert len(warned) == 1 and "extends past the rate's time axis" in warned[0]
         if name == "fig3a":
@@ -226,7 +226,7 @@ def test_export_window_past_the_time_axis_warns_once(tmp_path):
                 "243.4 ns; the 2D exports keep the samples that lie in both"]
         with warnings.catch_warnings():
             warnings.filterwarnings("error", "export window")
-            default, _ = run_scenario(sc, tmp_path / name / "default")
+            default, _, _ = run_scenario(sc, tmp_path / name / "default")
             run_scenario(replace(sc, tmin_ns=-30.0, tmax_ns=240.0), tmp_path / name / "inside")
         assert [f.name for f in default] == [f.name for f in past]
         assert all(f.read_bytes() == g.read_bytes() for f, g in zip(default, past))
@@ -354,6 +354,32 @@ def test_sweep_row_of_a_trace_no_fit_takes(tmp_path):
     assert ",width," in lines[3]
 
 
+def test_sweep_of_an_analytic_trace_exports_the_numeric_trace_it_fits(tmp_path):
+    # a scenario naming tau13 only through its analytic trace: each point
+    # also writes the numeric tau13 trace, and its summary row is the fit
+    # of that point's standalone tau13 transform
+    from dataclasses import replace
+
+    from sswm.analysis import fit_trace
+    from sswm.oracle import rcc_cond_numeric
+
+    sc = replace(small(load_scenario("fig3f"), n_points=256, ideal_rect=True),
+                 outputs=("trace_tau13_analytic",))
+    summary, _ = run_sweep(sc, "optical_depth", [37.0, 74.0], tmp_path, fmt="json")
+    rows = summary.read_text().splitlines()[2:]
+    for od, row in zip((37.0, 74.0), rows, strict=True):
+        tr = rcc_cond_numeric("tau13", replace(sc.params, optical_depth=od), sc.oracle)
+        payload = json.loads((tmp_path / f"fig3f_optical_depth_{od:g}_trace_tau13_numeric.json")
+                             .read_text())
+        assert payload["t_s"] == tr.t_axis.tolist() and payload["value"] == tr.values.tolist()
+        fit = fit_trace(tr)
+        cf = fit.coherence
+        want = [od, math.nan if fit.period is None else fit.period * 1e9,
+                math.nan if cf is None else cf.time_s * 1e9,
+                "failed" if cf is None else cf.mode, fit.width * 1e9]
+        assert row == ",".join(c if isinstance(c, str) else f"{c:.6g}" for c in want)
+
+
 def test_sweep_rejects_bad_input(tmp_path):
     sc = load_scenario("fig3f")
     with pytest.raises(ConfigError):
@@ -380,11 +406,11 @@ def test_run_scenario_and_sweep_print_nothing(tmp_path, capsys):
     # the library returns the lines to show; only the CLI writes to stdout
     from dataclasses import replace
 
-    paths, lines = run_scenario(small(load_scenario("fig3a")), tmp_path / "a")
+    paths, lines, _ = run_scenario(small(load_scenario("fig3a")), tmp_path / "a")
     report = (tmp_path / "a" / "fig3a_report.txt").read_text().splitlines()
     assert lines == ["[fig3a] observable report"] + ["  " + ln for ln in report]
     assert (tmp_path / "a" / "fig3a_report.txt") in paths
-    paths, lines = run_scenario(small(load_scenario("fig2"), n_points=256), tmp_path / "b")
+    paths, lines, _ = run_scenario(small(load_scenario("fig2"), n_points=256), tmp_path / "b")
     n_peaks = re.fullmatch(r"\[fig2\] chi5 grid: (\d+) resonance peaks", lines[0]).group(1)
     assert f"# n_peaks: {n_peaks}" in paths[0].read_text().splitlines()
     assert len(lines) == 1 + int(n_peaks)
